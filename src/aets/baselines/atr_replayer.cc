@@ -35,7 +35,7 @@ Timestamp AtrReplayer::GlobalVisibleTs() const {
 }
 
 void AtrReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  StoreMaxTimestamp(watermark_, epoch.heartbeat_ts);
+  PublishWatermark(watermark_, epoch.heartbeat_ts);
 }
 
 std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
@@ -112,7 +112,7 @@ void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
     ScopedTimerNs timer(&stats_.commit_ns);
     // Max-guarded for the same reason as the epoch-end advance below: the
     // previous sub-epoch's patched header max may exceed this commit.
-    StoreMaxTimestamp(watermark_, task.commit_ts);
+    PublishWatermark(watermark_, task.commit_ts);
     stats_.txns.fetch_add(1, std::memory_order_relaxed);
   }
   pool_->WaitIdle();
@@ -120,7 +120,7 @@ void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
   // advance to it after a clean epoch so this shard keeps pace with the
   // primary even when its own last transaction commits earlier (no-op
   // unsharded).
-  if (!HasError()) StoreMaxTimestamp(watermark_, epoch.max_commit_ts);
+  if (!HasError()) PublishWatermark(watermark_, epoch.max_commit_ts);
 }
 
 void AtrReplayer::WorkerRun(const std::string& payload,
@@ -143,21 +143,22 @@ void AtrReplayer::WorkerRun(const std::string& payload,
       MemNode* node =
           store_.GetTable(rec->table_id)->GetOrCreateNode(rec->row_key);
       // Operation-sequence check: versions of one record must be installed
-      // in the primary's modification order. Spin until the chain length
-      // matches the log entry's row sequence (its before-image position);
+      // in the primary's modification order. Spin until the appended-version
+      // count matches the log entry's row sequence (its before-image
+      // position) — the count, not the chain length, which GC shrinks;
       // the dependency always points to an earlier operation, so this
       // cannot stall — unless that operation's worker died on the error
       // latch, which the spin checks for. Time spent here is the
       // synchronization cost the paper identifies as ATR's scalability
       // limiter.
-      if (node->NumVersions() != rec->row_seq) {
+      if (node->NumAppended() != rec->row_seq) {
         static obs::Counter* sync_retries =
             obs::GetCounter("replay.conflict_retries");
         sync_retries->Add(1);
         ScopedTimerNs wait_timer(&stats_.sync_wait_ns);
         SpinBackoff backoff(/*spins_per_yield=*/512,
                             /*yields_before_sleep=*/-1);
-        while (node->NumVersions() != rec->row_seq) {
+        while (node->NumAppended() != rec->row_seq) {
           if (HasError()) return;
           backoff.Pause();
         }

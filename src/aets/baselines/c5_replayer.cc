@@ -49,7 +49,7 @@ Timestamp C5Replayer::GlobalVisibleTs() const {
 }
 
 void C5Replayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  StoreMaxTimestamp(watermark_, epoch.heartbeat_ts);
+  PublishWatermark(watermark_, epoch.heartbeat_ts);
 }
 
 std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
@@ -161,7 +161,7 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
           // Max-guarded: a sharded sub-epoch's patched header max may have
           // already advanced the watermark past this sub-stream's own
           // timestamps; a plain store would move it backwards.
-          StoreMaxTimestamp(watermark_, prep->txn_ts[next]);
+          PublishWatermark(watermark_, prep->txn_ts[next]);
           stats_.txns.fetch_add(1, std::memory_order_relaxed);
           ++next;
         }
@@ -179,7 +179,7 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
   // advance to it after a clean epoch so this shard keeps pace with the
   // primary even when its own last transaction commits earlier (no-op
   // unsharded).
-  if (!HasError()) StoreMaxTimestamp(watermark_, epoch.max_commit_ts);
+  if (!HasError()) PublishWatermark(watermark_, epoch.max_commit_ts);
 }
 
 }  // namespace aets

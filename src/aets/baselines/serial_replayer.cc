@@ -25,7 +25,7 @@ Timestamp SerialReplayer::GlobalVisibleTs() const {
 }
 
 void SerialReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  StoreMaxTimestamp(watermark_, epoch.heartbeat_ts);
+  PublishWatermark(watermark_, epoch.heartbeat_ts);
 }
 
 std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
@@ -54,14 +54,14 @@ void SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
     }
     // Max-guarded: the previous sub-epoch's patched header max may already
     // exceed this shard's next commit timestamp.
-    StoreMaxTimestamp(watermark_, txn.commit_ts);
+    PublishWatermark(watermark_, txn.commit_ts);
     stats_.txns.fetch_add(1, std::memory_order_relaxed);
   }
   // A sharded sub-epoch's header max_commit_ts is the FULL epoch's max —
   // this shard's last transaction may commit earlier. Advancing to the
   // header max after a clean replay keeps the shard's watermark in step
   // with the primary (no-op unsharded: the last txn IS the header max).
-  if (!HasError()) StoreMaxTimestamp(watermark_, shipped.max_commit_ts);
+  if (!HasError()) PublishWatermark(watermark_, shipped.max_commit_ts);
 }
 
 }  // namespace aets

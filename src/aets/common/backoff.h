@@ -13,6 +13,10 @@ namespace aets {
 /// after `yields_before_sleep` yields starts sleeping `sleep_us` at a time.
 /// Yielding instead of a futex park keeps the producer hot path free of any
 /// waker-signalling cost — the waiter wakes to find a batch of work ready.
+/// That trade only pays for replay-internal waits, whose producer is
+/// microseconds away; a real-time query waiting on a visibility watermark
+/// parks on the replayer's WatermarkBell instead, so it leaves the cores to
+/// replay.
 ///
 /// Pass a negative `yields_before_sleep` to never escalate past yielding
 /// (ATR's operation-sequence check: the dependency is always an earlier

@@ -67,7 +67,7 @@ Result<TxnLog> PrimaryDb::Commit(PrimaryTxn&& txn) {
     // operation-sequence checks of the direct-install baselines.
     MemNode* node = table->GetOrCreateNode(w.row_key);
     TxnId prev_txn = node->LastWriterTxn();
-    uint64_t row_seq = node->NumVersions();
+    uint64_t row_seq = node->NumAppended();
     LogRecord rec = LogRecord::Dml(w.type, next_lsn_.fetch_add(1), txn_id,
                                    commit_ts, w.table, w.row_key,
                                    std::move(w.values), prev_txn, row_seq);

@@ -98,6 +98,7 @@ Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
     ts.store(info->snapshot_ts, std::memory_order_relaxed);
   }
   global_ts_.store(info->snapshot_ts, std::memory_order_relaxed);
+  bell().Ring();
   expected_epoch_ = info->next_epoch_id;
   // Seed generation 0 of the columnar projections from the restored rows —
   // without this, keys that never change again would stay invisible to the
@@ -132,7 +133,7 @@ void AetsReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
   // before them, and the commit context is single, so all data older than
   // heartbeat_ts is already replayed; the whole backup may publish it.
   for (auto& ts : table_ts_) StoreMaxTimestamp(ts, epoch.heartbeat_ts);
-  StoreMaxTimestamp(global_ts_, epoch.heartbeat_ts);
+  PublishWatermark(global_ts_, epoch.heartbeat_ts);
   watermark_metric_->Set(
       static_cast<int64_t>(global_ts_.load(std::memory_order_relaxed)));
 }
@@ -270,7 +271,7 @@ void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
       StoreMaxTimestamp(table_ts_[t], epoch.max_commit_ts);
     }
   }
-  StoreMaxTimestamp(global_ts_, epoch.max_commit_ts);
+  PublishWatermark(global_ts_, epoch.max_commit_ts);
   stats_.txns.fetch_add(epoch.num_txns, std::memory_order_relaxed);
   watermark_metric_->Set(
       static_cast<int64_t>(global_ts_.load(std::memory_order_relaxed)));
@@ -471,9 +472,9 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   for (auto& frag_ptr : gs->fragments) {
     Fragment* frag = frag_ptr.get();
     // waiting_commit_list check: spin briefly, then yield the core to the
-    // translate workers (see SpinBackoff for why not a futex park). On
-    // error, unclaimed fragments never flip `translated`, so the latch is
-    // the exit.
+    // translate workers (see SpinBackoff for why this replay-internal wait
+    // does not park on a futex like WaitVisible does). On error, unclaimed
+    // fragments never flip `translated`, so the latch is the exit.
     SpinBackoff backoff;
     while (!frag->translated.load(std::memory_order_acquire)) {
       if (HasError()) return;
@@ -502,6 +503,7 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
     for (TableId t : group.tables) {
       StoreMaxTimestamp(table_ts_[t], frag->commit_ts + options_.test_tg_publish_skew);
     }
+    bell().Ring();  // one wake-up for the whole group's tables
   }
 }
 

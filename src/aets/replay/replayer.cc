@@ -1,8 +1,6 @@
 #include "aets/replay/replayer.h"
 
-#include <chrono>
 #include <limits>
-#include <thread>
 
 #include "aets/obs/metrics.h"
 
@@ -25,23 +23,21 @@ int64_t WaitVisible(const Replayer& replayer, const std::vector<TableId>& tables
   static Histogram* wait_us = obs::GetHistogram("visibility.wait_us");
   queries->Add(1);
   int64_t start = MonotonicMicros();
+  WatermarkBell& bell = replayer.bell();
+  uint32_t seen = bell.Sequence();
   if (IsVisible(replayer, tables, qts)) {
     wait_us->Record(0);
     return 0;
   }
   blocked->Add(1);
-  int spins = 0;
-  while (!IsVisible(replayer, tables, qts)) {
-    // Wait until the replaying of the required log entries is completed
-    // (Algorithm 3 line 9). Spin briefly, yield a few times, then sleep so
-    // waiting queries do not steal cycles from the replay workers.
-    ++spins;
-    if (spins > 4096) {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    } else if (spins > 64) {
-      std::this_thread::yield();
-    }
-  }
+  // Wait until the replaying of the required log entries is completed
+  // (Algorithm 3 line 9): park until the replayer rings after a watermark
+  // advance, then re-check. Reading the sequence before each check means a
+  // ring in between makes Wait return at once.
+  do {
+    bell.Wait(seen);
+    seen = bell.Sequence();
+  } while (!IsVisible(replayer, tables, qts));
   int64_t waited = MonotonicMicros() - start;
   wait_us->Record(waited);
   return waited;

@@ -9,6 +9,7 @@
 #include "aets/catalog/catalog.h"
 #include "aets/common/clock.h"
 #include "aets/common/status.h"
+#include "aets/common/watermark_bell.h"
 #include "aets/storage/table_store.h"
 
 namespace aets {
@@ -135,12 +136,28 @@ class Replayer {
 
   virtual const ReplayStats& stats() const = 0;
   virtual std::string name() const = 0;
+
+  /// The bell rung right after every advance of TableVisibleTs or
+  /// GlobalVisibleTs; WaitVisible parks on it. Implementations must Ring()
+  /// it after each watermark store, or waiters sleep through the advance.
+  WatermarkBell& bell() const { return *bell_; }
+
+  /// Makes this replayer ring `bell` instead of its own (ShardedBackup
+  /// points every shard at the facade's bell, so an advance on any shard
+  /// wakes its waiters). `bell` must outlive this replayer. Before Start()
+  /// only.
+  void ShareBell(WatermarkBell* bell) { bell_ = bell; }
+
+ private:
+  WatermarkBell own_bell_;
+  WatermarkBell* bell_ = &own_bell_;
 };
 
 /// Algorithm 3 (Visibility at backup): blocks until every table in `tables`
 /// is visible at snapshot `qts` — i.e. min tg_cmt_ts over the accessed
-/// groups reaches qts, or the global watermark does. Returns the wall time
-/// waited in microseconds (the query's visibility delay).
+/// groups reaches qts, or the global watermark does. A blocked query parks
+/// on the replayer's WatermarkBell and re-checks after each ring. Returns
+/// the wall time waited in microseconds (the query's visibility delay).
 int64_t WaitVisible(const Replayer& replayer, const std::vector<TableId>& tables,
                     Timestamp qts);
 

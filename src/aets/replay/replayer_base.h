@@ -191,6 +191,13 @@ class ReplayerBase : public Replayer {
 
   void SetError(Status status);
 
+  /// Max-guarded store of a visibility watermark, then a ring of the bell
+  /// so parked WaitVisible callers re-check.
+  void PublishWatermark(std::atomic<Timestamp>& slot, Timestamp ts) {
+    StoreMaxTimestamp(slot, ts);
+    bell().Ring();
+  }
+
   /// Lock-free check for the hot loops (translate claims, commit spins).
   bool HasError() const {
     return error_flag_.load(std::memory_order_acquire);

@@ -16,6 +16,10 @@ ShardedBackup::ShardedBackup(const ShardMap* map,
   for (auto& shard : shards_) {
     AETS_CHECK(shard != nullptr);
     Replayer* r = shard.get();
+    // Every shard rings the facade's bell: a per-table advance on any shard,
+    // or the lagging shard lifting the coordinator minimum, wakes the
+    // facade's WaitVisible callers.
+    r->ShareBell(&bell());
     coordinator_.AttachShard([r] { return r->GlobalVisibleTs(); });
   }
 }

@@ -19,7 +19,9 @@ namespace aets {
 /// The facade routes per-table reads to the owning shard and answers global
 /// visibility through a GlobalSnapshotCoordinator, so existing callers
 /// (WaitVisible, the sim oracle, the bench harness) see one Replayer whose
-/// parallelism is pipeline_depth × shard_count.
+/// parallelism is pipeline_depth × shard_count. The shards ring the facade's
+/// WatermarkBell, so WaitVisible over the facade wakes on any shard's
+/// watermark advance.
 ///
 /// Failure semantics: a shard that latches a sticky error freezes its
 /// watermark; GlobalVisibleTs() (the coordinator minimum) freezes with it.

@@ -44,6 +44,11 @@ size_t MemNode::NumVersions() const {
   return versions_.size();
 }
 
+uint64_t MemNode::NumAppended() const {
+  SpinGuard guard(latch_);
+  return versions_.size() + folded_;
+}
+
 size_t MemNode::TruncateBefore(Timestamp watermark) {
   SpinGuard guard(latch_);
   // Find the newest version with commit_ts <= watermark: the base every
@@ -77,6 +82,7 @@ size_t MemNode::TruncateBefore(Timestamp watermark) {
   base_cell.is_delete = !exists;
   base_cell.delta = PackedDelta::FromRow(folded);
   size_t reclaimed = base;  // versions [0, base) disappear
+  folded_ += static_cast<uint32_t>(reclaimed);
   versions_.erase(versions_.begin(), versions_.begin() + static_cast<ptrdiff_t>(base));
   versions_.front() = std::move(base_cell);
   return reclaimed;

@@ -58,7 +58,13 @@ class MemNode {
   /// The newest committed version's timestamp.
   Timestamp LastCommitTs() const;
 
+  /// Versions currently on the chain (GC folding shrinks it).
   size_t NumVersions() const;
+
+  /// Versions ever appended, including those TruncateBefore folded away:
+  /// the row's modification sequence number, the position a log entry's
+  /// row_seq refers to. Monotone, unlike NumVersions().
+  uint64_t NumAppended() const;
 
   /// Garbage-collects versions no snapshot at or above `watermark` can ever
   /// read: drops every version older than the newest version with
@@ -72,6 +78,7 @@ class MemNode {
  private:
   int64_t row_key_;
   mutable SpinLatch latch_;
+  uint32_t folded_ = 0;  // versions TruncateBefore dropped (fits the padding)
   std::vector<VersionCell> versions_;  // ascending commit_ts
 };
 

@@ -48,6 +48,11 @@ TEST(TruncateBeforeTest, FoldsPrefixIntoBase) {
   // Appending after truncation keeps working.
   node.AppendVersion(Cell(50, 5, {{0, Value(int64_t{5})}}));
   EXPECT_EQ(node.ReadVisible(50)->at(0).as_int64(), 5);
+  // The modification sequence survives the fold: ATR's operation-sequence
+  // check compares it with the log's row_seq, and a count that GC could
+  // shrink would never match again (the replayer would spin forever).
+  EXPECT_EQ(node.NumVersions(), 3u);
+  EXPECT_EQ(node.NumAppended(), 5u);
 }
 
 TEST(TruncateBeforeTest, NothingToDoCases) {

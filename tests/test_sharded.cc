@@ -33,6 +33,7 @@
 #include "aets/replay/snapshot_coordinator.h"
 #include "aets/replication/fault_injection.h"
 #include "aets/replication/log_shipper.h"
+#include "fake_replayer.h"
 #include "test_seed.h"
 
 namespace aets {
@@ -549,6 +550,12 @@ TEST(ShardedBackupTest, StalledShardBoundsGlobalSafeTimestamp) {
   ASSERT_TRUE(WaitFor([&] { return backup.shard(1)->GlobalVisibleTs() ==
                                    final_ts; }))
       << "healthy shard never converged";
+  // Read the stalled watermark only once shard 0 is parked at the gate: its
+  // first item has then fully committed, and nothing moves it until release.
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lk(gate_mu);
+    return commits_seen >= 2;
+  })) << "stalled shard never reached the gate";
   Timestamp stalled_wm = backup.shard(0)->GlobalVisibleTs();
   EXPECT_LT(stalled_wm, final_ts);
 
@@ -697,6 +704,45 @@ TEST(ShardedBackupTest, SingleShardFacadeIsTransparent) {
   EXPECT_EQ(backup.store()->DigestAt(final_ts), db.store().DigestAt(final_ts));
   EXPECT_EQ(backup.stats().txns.load(), 200u);
   ExpectConserved(shipper);
+}
+
+TEST(ShardedBackupTest, WaitVisibleWakesOnAnyShardAdvance) {
+  // Table 0 lives on shard 0, table 1 on shard 1. A query parked on the
+  // facade must wake when only one shard moves: first the lagging shard's
+  // per-table watermark, then the coordinator minimum over the shards'
+  // global watermarks.
+  ShardMap map = ShardMap::Hash(2, 2);
+  std::vector<std::unique_ptr<Replayer>> shards;
+  shards.push_back(std::make_unique<test::FakeReplayer>(2));
+  shards.push_back(std::make_unique<test::FakeReplayer>(2));
+  auto* s0 = static_cast<test::FakeReplayer*>(shards[0].get());
+  auto* s1 = static_cast<test::FakeReplayer*>(shards[1].get());
+  ShardedBackup backup(&map, std::move(shards));
+
+  auto wait_until_published = [&](Timestamp qts,
+                                   const std::function<void()>& publish) {
+    std::atomic<bool> published{false};
+    std::thread publisher([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      published.store(true, std::memory_order_release);
+      publish();
+    });
+    WaitVisible(backup, {0, 1}, qts);
+    EXPECT_TRUE(published.load(std::memory_order_acquire));
+    publisher.join();
+    EXPECT_TRUE(IsVisible(backup, {0, 1}, qts));
+  };
+
+  s0->SetTable(0, 50);
+  s1->SetTable(1, 10);
+  wait_until_published(50, [&] { s1->SetTable(1, 50); });
+
+  s0->SetGlobal(80);
+  s1->SetGlobal(60);
+  EXPECT_EQ(backup.GlobalVisibleTs(), 60u);
+  wait_until_published(80, [&] { s1->SetGlobal(80); });
+  EXPECT_EQ(backup.TableVisibleTs(0), 50u);  // only the frontier moved
+  EXPECT_EQ(backup.TableVisibleTs(1), 50u);
 }
 
 }  // namespace
