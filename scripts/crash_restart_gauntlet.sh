@@ -9,17 +9,17 @@
 #                                              #   segment / bit-flipped-
 #                                              #   manifest damage cases
 #
-# Env knobs: BIN (durable_replay binary), SEEDS, TXNS, WORK (scratch dir).
+# Env knobs: BIN (replica binary), SEEDS, TXNS, WORK (scratch dir).
 set -uo pipefail
 
-BIN=${BIN:-build/examples/durable_replay}
+BIN=${BIN:-build/examples/replica}
 SEEDS=${SEEDS:-"11 23 47"}
 TXNS=${TXNS:-20000}
 WORK=${WORK:-$(mktemp -d /tmp/aets-gauntlet.XXXXXX)}
 CHAOS=${1:-}
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
-[ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build durable_replay)"
+[ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build replica)"
 
 # Runs `run` mode, kills it after $2 ms, recovers, and checks the recovered
 # digest against the reference table in $3. Echoes the recovered fetch count.

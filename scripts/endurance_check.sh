@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Endurance check: run durable_replay long enough under a disk budget to
+# Endurance check: run the replica driver long enough under a disk budget to
 # force repeated checkpoint-coordinated truncations, and assert
 #
 #   1. the run truncates at least MIN_TRUNCS times,
@@ -11,11 +11,11 @@
 #   4. a kill -9 mid-run, after the oldest segments have been deleted,
 #      recovers to a digest equal to the uninterrupted reference.
 #
-# Env knobs: BIN (durable_replay binary), SEED, TXNS (raise for the nightly
+# Env knobs: BIN (replica binary), SEED, TXNS (raise for the nightly
 # long soak), BUDGET (bytes), MIN_TRUNCS, RSS_LIMIT_KB, WORK (scratch dir).
 set -uo pipefail
 
-BIN=${BIN:-build/examples/durable_replay}
+BIN=${BIN:-build/examples/replica}
 SEED=${SEED:-29}
 TXNS=${TXNS:-20000}
 BUDGET=${BUDGET:-1200000}
@@ -25,7 +25,7 @@ RSS_LIMIT_KB=${RSS_LIMIT_KB:-524288}
 WORK=${WORK:-$(mktemp -d /tmp/aets-endurance.XXXXXX)}
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
-[ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build durable_replay)"
+[ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build replica)"
 
 # --- Reference soak: uninterrupted digest run under the budget. -------------
 ref="$WORK/ref.txt"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Net-integration gauntlet (DESIGN.md §12): runs net_replay primary and
+# Net-integration gauntlet (DESIGN.md §12): runs replica primary and
 # backup as SEPARATE PROCESSES over localhost TCP and demands the backup's
 # final digest equal both the primary's and an uninterrupted no-network
 # reference run's. Three cases per seed:
@@ -12,16 +12,16 @@
 #             the backup's query port (the analytic path must answer
 #             mid-replay), then the digest check runs as in `clean`.
 #
-# Env knobs: BIN (net_replay binary), SEEDS, TXNS, WORK (scratch dir).
+# Env knobs: BIN (replica binary), SEEDS, TXNS, WORK (scratch dir).
 set -uo pipefail
 
-BIN=${BIN:-build/examples/net_replay}
+BIN=${BIN:-build/examples/replica}
 SEEDS=${SEEDS:-"11 23"}
 TXNS=${TXNS:-8000}
 WORK=${WORK:-$(mktemp -d /tmp/aets-net.XXXXXX)}
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
-[ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build net_replay)"
+[ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build replica)"
 
 PRIMARY_PID=""
 cleanup() { [ -n "$PRIMARY_PID" ] && kill "$PRIMARY_PID" 2>/dev/null; wait 2>/dev/null; }
@@ -46,7 +46,7 @@ final_digest() { sed -n 's/^FINAL [0-9]* \([0-9a-f]*\).*/\1/p' "$1" | head -1; }
 start_primary() {
   local seed=$1 log=$2
   "$BIN" primary --listen_port 0 --seed "$seed" --txns "$TXNS" \
-      --linger_ms 60000 > "$log" 2>&1 &
+      > "$log" 2>&1 &
   PRIMARY_PID=$!
   await_token "$log" LISTENING >/dev/null || fail "seed $seed: primary never bound"
 }
@@ -121,7 +121,7 @@ for seed in $SEEDS; do
   backup_pid=$!
   qport=$(await_token "$WORK/backup-query-$seed.txt" QUERY_LISTENING) \
       || fail "seed $seed (query): backup never opened its query port"
-  "$BIN" client --connect "127.0.0.1:$qport" --scans 8 \
+  "$BIN" client --connect "127.0.0.1:$qport" \
       > "$WORK/client-$seed.txt" 2>&1 \
       || fail "seed $seed (query): client exited $? ($(cat "$WORK/client-$seed.txt"))"
   [ "$(grep -c '^QUERY ' "$WORK/client-$seed.txt")" -eq 8 ] \

@@ -113,7 +113,6 @@ void EpochStreamServer::RunSession(TcpSocket socket) {
     return;
   }
   if (hello->role == HelloRole::kSubscribe) {
-    subscribers_accepted_.fetch_add(1, std::memory_order_relaxed);
     RunSubscriber(std::move(socket), hello->shard);
   } else {
     control_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -140,6 +139,7 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
   // `channel`; epochs shipped before this attach are the subscriber's gap to
   // NACK (exactly the restart/reconnect semantics).
   shipper_->AttachShardChannel(static_cast<int>(shard), channel);
+  subscribers_accepted_.fetch_add(1, std::memory_order_relaxed);
   if (shipper_->finished()) {
     // The stream ended before this subscriber attached (a reconnect landing
     // after Finish): Finish() cannot have closed a channel it never saw, so

@@ -71,6 +71,8 @@ class EpochStreamServer {
       std::function<std::unique_ptr<EpochChannel>(size_t capacity)>;
   void SetChannelFactoryForTest(ChannelFactory factory);
 
+  /// Subscribers whose staging channel is attached to the shipper: every
+  /// epoch shipped after this count moves reaches them on the live stream.
   uint64_t subscribers_accepted() const {
     return subscribers_accepted_.load(std::memory_order_relaxed);
   }

@@ -92,7 +92,7 @@ class QueryServer {
 };
 
 /// Blocking client for the QueryServer protocol — the test rig, the bench
-/// driver, and `net_replay --mode=client` all speak through this.
+/// driver, and `replica client` all speak through this.
 class QueryClient {
  public:
   struct ScanResult {

@@ -76,7 +76,7 @@ class TcpSocket {
 
 /// Listening TCP socket bound to 127.0.0.1. Port 0 asks the kernel for an
 /// ephemeral port; port() reports the bound one (the test rigs and the
-/// `net_replay` example print it so a driver script can connect).
+/// `replica` example print it so a driver script can connect).
 class TcpListener {
  public:
   TcpListener() = default;

@@ -22,7 +22,10 @@ void PrimaryTxn::Delete(TableId table, int64_t row_key) {
 }
 
 PrimaryDb::PrimaryDb(const Catalog* catalog, LogicalClock* clock)
-    : catalog_(catalog), clock_(clock), store_(*catalog) {
+    : catalog_(catalog),
+      clock_(clock),
+      store_(*catalog),
+      dml_by_table_(catalog->num_tables(), 0) {
   AETS_CHECK(catalog != nullptr && clock != nullptr);
 }
 
@@ -49,7 +52,7 @@ Result<TxnLog> PrimaryDb::Commit(PrimaryTxn&& txn) {
   int64_t start_us = MonotonicMicros();
 
   // The commit mutex defines the commit order: txn id assignment, state
-  // application, log append, and sink delivery happen atomically per txn.
+  // application, DML counting, and sink delivery happen atomically per txn.
   std::lock_guard<std::mutex> lk(commit_mu_);
   TxnId txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   Timestamp commit_ts = clock_->Tick();
@@ -72,12 +75,12 @@ Result<TxnLog> PrimaryDb::Commit(PrimaryTxn&& txn) {
                                    commit_ts, w.table, w.row_key,
                                    std::move(w.values), prev_txn, row_seq);
     table->ApplyCommitted(rec, commit_ts);
+    ++dml_by_table_[w.table];
     out.records.push_back(std::move(rec));
   }
   out.records.push_back(
       LogRecord::Commit(next_lsn_.fetch_add(1), txn_id, commit_ts));
 
-  log_buffer_.AppendAll(out.records);
   last_commit_ts_.store(commit_ts, std::memory_order_release);
   if (sink_) sink_(out);
 
@@ -86,6 +89,17 @@ Result<TxnLog> PrimaryDb::Commit(PrimaryTxn&& txn) {
   commit_ts_metric->Set(static_cast<int64_t>(commit_ts));
   commit_us_metric->Record(MonotonicMicros() - start_us);
   return out;
+}
+
+std::map<TableId, uint64_t> PrimaryDb::DmlCountsByTable() const {
+  std::lock_guard<std::mutex> lk(commit_mu_);
+  std::map<TableId, uint64_t> counts;
+  for (size_t t = 0; t < dml_by_table_.size(); ++t) {
+    if (dml_by_table_[t] > 0) {
+      counts[static_cast<TableId>(t)] = dml_by_table_[t];
+    }
+  }
+  return counts;
 }
 
 Timestamp PrimaryDb::AcquireHeartbeatTs() {

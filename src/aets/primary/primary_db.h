@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "aets/common/clock.h"
 #include "aets/common/result.h"
 #include "aets/log/epoch.h"
-#include "aets/log/log_buffer.h"
 #include "aets/log/record.h"
 #include "aets/storage/table_store.h"
 
@@ -57,8 +57,8 @@ class PrimaryDb {
   PrimaryTxn Begin() const { return PrimaryTxn(); }
 
   /// Commits `txn`: assigns txn id + commit timestamp, applies the writes to
-  /// the primary state, appends to the retained log, and forwards the TxnLog
-  /// to the commit sink. Empty transactions are rejected.
+  /// the primary state, counts them per table, and forwards the TxnLog to the
+  /// commit sink. Empty transactions are rejected.
   Result<TxnLog> Commit(PrimaryTxn&& txn);
 
   /// Registers the commit-order consumer (at most one; typically the
@@ -76,7 +76,9 @@ class PrimaryDb {
   Timestamp AcquireHeartbeatTs();
 
   const TableStore& store() const { return store_; }
-  const LogBuffer& log_buffer() const { return log_buffer_; }
+  /// DML records committed so far, per table (the paper's Table I log
+  /// statistics). Tables never written are absent.
+  std::map<TableId, uint64_t> DmlCountsByTable() const;
   LogicalClock* clock() const { return clock_; }
 
   TxnId last_committed_txn() const {
@@ -90,10 +92,10 @@ class PrimaryDb {
   const Catalog* catalog_;
   LogicalClock* clock_;
   TableStore store_;
-  LogBuffer log_buffer_;
   std::function<void(TxnLog)> sink_;
 
-  std::mutex commit_mu_;  // serializes commit order
+  mutable std::mutex commit_mu_;  // serializes commit order
+  std::vector<uint64_t> dml_by_table_;  // guarded by commit_mu_
   std::atomic<TxnId> next_txn_id_{1};
   std::atomic<Lsn> next_lsn_{1};
   std::atomic<Timestamp> last_commit_ts_{kInvalidTimestamp};

@@ -93,4 +93,32 @@ void PruneCheckpoints(const std::string& dir, size_t keep,
   }
 }
 
+Result<RestartPoint> ChooseRestartPoint(const std::string& dir,
+                                        EpochId log_first, EpochId log_next,
+                                        const RestoreImageFn& restore) {
+  RestartPoint point;
+  for (const std::string& image : ListCheckpointFiles(dir)) {
+    Result<EpochId> next = restore(image);
+    if (!next.ok()) {
+      point.rejected.push_back(image + ": " + next.status().ToString());
+    } else if (*next > log_next) {
+      point.rejected.push_back(image + ": ahead of the durable log");
+    } else if (*next < log_first) {
+      point.rejected.push_back(image + ": below the truncation floor");
+    } else {
+      point.image = image;
+      point.next_epoch = *next;
+      return point;
+    }
+  }
+  if (log_first > 0) {
+    std::string why = "durable log starts at epoch " +
+                      std::to_string(log_first) +
+                      " (truncated) and no checkpoint image bridges it";
+    for (const std::string& r : point.rejected) why += "; " + r;
+    return Status::BelowCheckpoint(why);
+  }
+  return point;
+}
+
 }  // namespace aets

@@ -2,10 +2,12 @@
 #define AETS_REPLICATION_DURABLE_SOURCE_H_
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "aets/common/result.h"
 #include "aets/replication/epoch_source.h"
 #include "aets/storage/segment_store.h"
 
@@ -67,6 +69,45 @@ std::optional<EpochId> CheckpointEpochOf(const std::string& path);
 /// legacy two-argument form.
 void PruneCheckpoints(const std::string& dir, size_t keep,
                       EpochId truncation_floor = 0);
+
+/// Where one backup lane restarts after a crash: the first rung of the
+/// recovery ladder ("load snapshot, replay delta"). The lane replays its
+/// durable log from `next_epoch` on.
+struct RestartPoint {
+  /// The checkpoint image the lane was bootstrapped from; empty for a cold
+  /// start from epoch 0.
+  std::string image;
+  EpochId next_epoch = 0;
+  /// One "<image>: <reason>" line per image passed over, newest first.
+  std::vector<std::string> rejected;
+};
+
+/// Restores `image` into a fresh backup and returns the image's
+/// next_epoch_id. A non-OK result rejects the image (corrupt, unreadable,
+/// wrong catalog).
+using RestoreImageFn = std::function<Result<EpochId>(const std::string& image)>;
+
+/// The restart policy for one lane whose checkpoint images live in `dir`
+/// and whose durable log holds epochs [log_first, log_next):
+///
+///  - walk ListCheckpointFiles(dir) newest first and take the first image
+///    that `restore` accepts and whose next_epoch_id lies inside
+///    [log_first, log_next]. An image ahead of the log (a damaged tail) would
+///    fake epochs the log cannot replay; an image below the truncation floor
+///    cannot bridge to the surviving tail, because the epochs between its
+///    coverage and log_first were deleted under a newer image's coverage;
+///  - with no such image, a log still starting at epoch 0 is a cold start;
+///  - a truncated log (log_first > 0) with no bridging image is
+///    BelowCheckpoint: its prefix is gone, and a cold replay would silently
+///    skip it.
+///
+/// `restore` is called once per candidate, newest first, and the call that
+/// produced the returned image is the last one made — so a caller that
+/// bootstraps inside `restore` keeps that backup. After a cold start the
+/// caller must discard whatever `restore` last built.
+Result<RestartPoint> ChooseRestartPoint(const std::string& dir,
+                                        EpochId log_first, EpochId log_next,
+                                        const RestoreImageFn& restore);
 
 }  // namespace aets
 

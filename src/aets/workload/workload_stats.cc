@@ -17,10 +17,10 @@ std::map<TableId, uint64_t> MixDmlCounts(Workload* workload, uint64_t num_txns,
   PrimaryDb db(&workload->catalog(), &clock);
   Rng rng(seed);
   workload->Load(&db, &rng);
-  std::map<TableId, uint64_t> before = db.log_buffer().DmlCountsByTable();
+  std::map<TableId, uint64_t> before = db.DmlCountsByTable();
   OltpDriver driver(workload, &db, seed);
   driver.Run(num_txns);
-  std::map<TableId, uint64_t> after = db.log_buffer().DmlCountsByTable();
+  std::map<TableId, uint64_t> after = db.DmlCountsByTable();
   for (const auto& [table, count] : before) after[table] -= count;
   return after;
 }

@@ -418,5 +418,140 @@ TEST(CheckpointTest, BootstrapRejectsUsedReplayer) {
   EXPECT_TRUE(replayer.Bootstrap(path).IsInvalidArgument());
 }
 
+// ChooseRestartPoint: the recovery policy every backup lane restarts
+// through. Images are real checkpoints; `restore` restores each candidate
+// into a fresh store, the way a restarting replayer bootstraps.
+class RestartPointTest : public ::testing::Test {
+ protected:
+  RestartPointTest()
+      : catalog_(MakeCatalog(2)),
+        db_(catalog_.get(), &clock_),
+        dir_(TempPath("restart_point_dir")) {
+    std::filesystem::remove_all(dir_);
+    AETS_CHECK(std::filesystem::create_directories(dir_));
+    FillRandom(&db_, 2, 50, 11);
+  }
+  ~RestartPointTest() override { std::filesystem::remove_all(dir_); }
+
+  // Writes an image named for `named_epoch` whose header says `next_epoch`
+  // (the two differ only for a misnamed file).
+  void WriteImage(EpochId named_epoch, EpochId next_epoch) {
+    ASSERT_TRUE(Checkpointer::Write(db_.store(), db_.last_commit_ts(),
+                                    next_epoch,
+                                    CheckpointPathFor(dir_, named_epoch))
+                    .ok());
+  }
+  void WriteImage(EpochId next_epoch) { WriteImage(next_epoch, next_epoch); }
+
+  void Corrupt(EpochId named_epoch) {
+    std::string path = CheckpointPathFor(dir_, named_epoch);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(-1, std::ios::end);
+    char last = static_cast<char>(f.get());
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(last ^ 0x01));  // last body byte
+  }
+
+  Result<RestartPoint> Choose(EpochId log_first, EpochId log_next) {
+    return ChooseRestartPoint(
+        dir_, log_first, log_next,
+        [this](const std::string& image) -> Result<EpochId> {
+          restored_.push_back(image);
+          TableStore store(*catalog_);
+          auto info = Checkpointer::Restore(image, &store);
+          if (!info.ok()) return info.status();
+          return info->next_epoch_id;
+        });
+  }
+
+  std::unique_ptr<Catalog> catalog_;
+  LogicalClock clock_;
+  PrimaryDb db_;
+  std::string dir_;
+  std::vector<std::string> restored_;  // every image `restore` was asked for
+};
+
+TEST_F(RestartPointTest, NewestImageWins) {
+  for (EpochId id : {4u, 9u, 15u}) WriteImage(id);
+  auto point = Choose(/*log_first=*/0, /*log_next=*/20);
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->image, CheckpointPathFor(dir_, 15));
+  EXPECT_EQ(point->next_epoch, 15u);
+  EXPECT_TRUE(point->rejected.empty());
+  EXPECT_EQ(restored_.size(), 1u);
+}
+
+TEST_F(RestartPointTest, CorruptNewestImageFallsBackToTheNextOne) {
+  for (EpochId id : {4u, 9u, 15u}) WriteImage(id);
+  Corrupt(15);
+  auto point = Choose(0, 20);
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->image, CheckpointPathFor(dir_, 9));
+  EXPECT_EQ(point->next_epoch, 9u);
+  ASSERT_EQ(point->rejected.size(), 1u);
+  EXPECT_EQ(point->rejected[0].rfind(CheckpointPathFor(dir_, 15), 0), 0u);
+  // The last restore is the chosen image: a caller bootstrapping inside
+  // `restore` is left holding the right backup.
+  EXPECT_EQ(restored_.back(), point->image);
+}
+
+TEST_F(RestartPointTest, ImageAheadOfTheLogIsSkipped) {
+  // A damaged log tail ends at epoch 12: restoring image 15 would fake
+  // epochs 12..14, which the log cannot replay.
+  for (EpochId id : {4u, 9u, 15u}) WriteImage(id);
+  auto point = Choose(0, 12);
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->next_epoch, 9u);
+  ASSERT_EQ(point->rejected.size(), 1u);
+  EXPECT_NE(point->rejected[0].find("ahead"), std::string::npos);
+  // next_epoch == log_next is inside the range: nothing left to replay.
+  auto exact = Choose(0, 15);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact->next_epoch, 15u);
+}
+
+TEST_F(RestartPointTest, ImageBelowTheTruncationFloorIsSkipped) {
+  // The file named for epoch 15 holds an image of epoch 3: the policy
+  // trusts the restored header, not the name, and 3 cannot bridge a log
+  // truncated at 10. The older, correctly named image 11 can.
+  WriteImage(11);
+  WriteImage(/*named_epoch=*/15, /*next_epoch=*/3);
+  auto point = Choose(/*log_first=*/10, /*log_next=*/20);
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->image, CheckpointPathFor(dir_, 11));
+  ASSERT_EQ(point->rejected.size(), 1u);
+  EXPECT_NE(point->rejected[0].find("below the truncation floor"),
+            std::string::npos);
+  // The floor itself is inside the range.
+  EXPECT_EQ(Choose(11, 20)->next_epoch, 11u);
+}
+
+TEST_F(RestartPointTest, TruncatedLogWithoutABridgingImageIsAnError) {
+  for (EpochId id : {4u, 9u}) WriteImage(id);
+  auto point = Choose(/*log_first=*/10, /*log_next=*/20);
+  ASSERT_FALSE(point.ok());
+  EXPECT_TRUE(point.status().IsBelowCheckpoint()) << point.status().ToString();
+  EXPECT_EQ(restored_.size(), 2u);  // every candidate was tried first
+
+  // No image at all: still an error, never a cold replay from epoch 0.
+  std::filesystem::remove_all(dir_);
+  EXPECT_TRUE(Choose(10, 20).status().IsBelowCheckpoint());
+}
+
+TEST_F(RestartPointTest, EmptyDirectoryWithAnUntruncatedLogIsAColdStart) {
+  auto point = Choose(/*log_first=*/0, /*log_next=*/7);
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_TRUE(point->image.empty());
+  EXPECT_EQ(point->next_epoch, 0u);
+  EXPECT_TRUE(restored_.empty());
+  // Same when every image is unusable but the log is whole.
+  WriteImage(9);
+  Corrupt(9);
+  auto cold = Choose(0, 7);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE(cold->image.empty());
+  EXPECT_EQ(cold->rejected.size(), 1u);
+}
+
 }  // namespace
 }  // namespace aets

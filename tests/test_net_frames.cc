@@ -494,6 +494,18 @@ struct NetRig {
   LogShipper shipper;
 };
 
+// EpochStreamClient::Start returns once its Hello is sent; the server
+// attaches the subscription on its own session thread. Epochs shipped before
+// that attach reach the backup only by NACK, so a test of the live stream
+// must wait for it before starting the workload.
+void AwaitSubscription(const EpochStreamServer& server) {
+  const int64_t deadline = MonotonicMicros() + 10'000'000;
+  while (server.subscribers_accepted() == 0) {
+    ASSERT_LT(MonotonicMicros(), deadline) << "subscription never attached";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(NetStreamTest, CleanTcpStreamIsDigestIdenticalToInProcess) {
   NetRig rig(/*num_tables=*/3);
   EpochStreamServer server(&rig.shipper);
@@ -512,6 +524,7 @@ TEST(NetStreamTest, CleanTcpStreamIsDigestIdenticalToInProcess) {
   replayer.SetEpochSource(&source);
   replayer.SetRecoveryOptions(FastRecovery());
   ASSERT_TRUE(replayer.Start().ok());
+  ASSERT_NO_FATAL_FAILURE(AwaitSubscription(server));
 
   RunRandomWorkload(&rig.db, 3, 150, test::DeriveSeed(500));
   rig.shipper.ShipHeartbeat(rig.db.AcquireHeartbeatTs());
@@ -576,6 +589,7 @@ TEST(NetStreamTest, ChaosLinkFaultsAreRecoveredByNackOverTcp) {
     replayer.SetEpochSource(&source);
     replayer.SetRecoveryOptions(FastRecovery());
     ASSERT_TRUE(replayer.Start().ok());
+    ASSERT_NO_FATAL_FAILURE(AwaitSubscription(server));
 
     uint64_t seed = test::DeriveSeed(700 + static_cast<uint64_t>(iter));
     RunRandomWorkload(&rig.db, 3, 200, seed);

@@ -97,6 +97,36 @@ TEST_F(PrimaryTest, UnknownTableRejected) {
   EXPECT_FALSE(db.Commit(std::move(txn)).ok());
 }
 
+TEST_F(PrimaryTest, OnlyDmlCounted) {
+  // Table I's per-table log statistics count DML records only: BEGIN/COMMIT
+  // markers, heartbeats and rejected transactions add nothing, and a table
+  // never written has no entry.
+  TableId t2 =
+      catalog_.RegisterTable("t2", Schema::Of({{"a", ColumnType::kInt64}}))
+          .value();
+  PrimaryDb db(&catalog_, &clock_);
+  EXPECT_TRUE(db.DmlCountsByTable().empty());
+
+  PrimaryTxn txn1 = db.Begin();
+  txn1.Insert(t0_, 1, {{0, Value(int64_t{1})}});
+  txn1.Insert(t0_, 2, {{0, Value(int64_t{2})}});
+  ASSERT_TRUE(db.Commit(std::move(txn1)).ok());
+  db.AcquireHeartbeatTs();
+  PrimaryTxn txn2 = db.Begin();
+  txn2.Insert(t2, 1, {{0, Value(int64_t{3})}});
+  ASSERT_TRUE(db.Commit(std::move(txn2)).ok());
+  PrimaryTxn rejected = db.Begin();
+  rejected.Insert(t1_, 1, {{0, Value(int64_t{4})}});
+  rejected.Insert(999, 1, {{0, Value(int64_t{4})}});
+  ASSERT_FALSE(db.Commit(std::move(rejected)).ok());
+
+  auto counts = db.DmlCountsByTable();
+  EXPECT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts[t0_], 2u);
+  EXPECT_EQ(counts[t2], 1u);
+  EXPECT_EQ(counts.count(t1_), 0u);
+}
+
 TEST_F(PrimaryTest, ReadsOwnCommittedState) {
   PrimaryDb db(&catalog_, &clock_);
   PrimaryTxn txn = db.Begin();

@@ -54,9 +54,9 @@ TEST(TpccTest, NewOrderWritesExpectedTables) {
   PrimaryDb db(&tpcc.catalog(), &clock);
   Rng rng(2);
   tpcc.Load(&db, &rng);
-  auto before = db.log_buffer().DmlCountsByTable();
+  auto before = db.DmlCountsByTable();
   ASSERT_TRUE(tpcc.RunNewOrder(&db, &rng).ok());
-  auto after = db.log_buffer().DmlCountsByTable();
+  auto after = db.DmlCountsByTable();
   EXPECT_EQ(after[tpcc.district()] - before[tpcc.district()], 1u);
   EXPECT_EQ(after[tpcc.orders()] - before[tpcc.orders()], 1u);
   EXPECT_EQ(after[tpcc.neworder()] - before[tpcc.neworder()], 1u);
@@ -72,9 +72,9 @@ TEST(TpccTest, PaymentWritesExpectedTables) {
   PrimaryDb db(&tpcc.catalog(), &clock);
   Rng rng(3);
   tpcc.Load(&db, &rng);
-  auto before = db.log_buffer().DmlCountsByTable();
+  auto before = db.DmlCountsByTable();
   ASSERT_TRUE(tpcc.RunPayment(&db, &rng).ok());
-  auto after = db.log_buffer().DmlCountsByTable();
+  auto after = db.DmlCountsByTable();
   EXPECT_EQ(after[tpcc.warehouse()] - before[tpcc.warehouse()], 1u);
   EXPECT_EQ(after[tpcc.district()] - before[tpcc.district()], 1u);
   EXPECT_EQ(after[tpcc.customer()] - before[tpcc.customer()], 1u);
@@ -87,9 +87,9 @@ TEST(TpccTest, DeliveryConsumesBacklog) {
   PrimaryDb db(&tpcc.catalog(), &clock);
   Rng rng(4);
   tpcc.Load(&db, &rng);
-  auto before = db.log_buffer().DmlCountsByTable();
+  auto before = db.DmlCountsByTable();
   ASSERT_TRUE(tpcc.RunDelivery(&db, &rng).ok());
-  auto after = db.log_buffer().DmlCountsByTable();
+  auto after = db.DmlCountsByTable();
   // One order delivered per district: 10 neworder deletes + 10 order
   // updates + per-order line updates + 10 customer updates.
   EXPECT_EQ(after[tpcc.neworder()] - before[tpcc.neworder()], 10u);
@@ -163,7 +163,7 @@ TEST(ChBenchmarkTest, OltpRunsAndReadOnlyTablesStayClean) {
   OltpDriver driver(&ch, &db);
   driver.Run(100);
   EXPECT_EQ(driver.txns_committed(), 100u);
-  auto counts = db.log_buffer().DmlCountsByTable();
+  auto counts = db.DmlCountsByTable();
   EXPECT_EQ(counts.count(ch.supplier()) ? 0 : 0, 0);  // loaded once
   // supplier/nation/region receive only their load-phase inserts.
   EXPECT_EQ(counts[ch.supplier()], 100u);
