@@ -8,7 +8,10 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <map>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "aets/bench/harness.h"
 #include "aets/common/macros.h"
@@ -18,6 +21,7 @@
 #include "aets/replay/aets_replayer.h"
 #include "aets/replay/replayer_base.h"
 #include "aets/replication/channel.h"
+#include "aets/storage/column_store.h"
 #include "aets/workload/bustracker.h"
 #include "aets/workload/chbenchmark.h"
 #include "aets/workload/query_exec.h"
@@ -469,6 +473,123 @@ void BM_ColumnScan(benchmark::State& state) {
                           static_cast<int64_t>(fx.order_line_rows));
 }
 BENCHMARK(BM_ColumnScan)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Per-epoch columnar publish cost (DESIGN.md §13): what the replayer's merge
+// thread spends turning one epoch's dirty rows into a new generation. A CH
+// stream recorded at epoch 16 is replayed once into a row store with the
+// column store off and no GC, so every historical image stays readable. Each
+// iteration then feeds the stream to a fresh ColumnStore seeded at the end
+// of the load, the way the commit path and the merge thread do: one
+// NoteDirty per (transaction, table) and one Publish per epoch watermark.
+// Items are dirty rows published.
+
+struct ColumnPublishFixture {
+  struct Batch {
+    TableId table;
+    Timestamp ts;
+    std::vector<int64_t> keys;
+  };
+  struct EpochDirty {
+    std::vector<Batch> batches;
+    Timestamp watermark;
+  };
+
+  ColumnPublishFixture() : ch(ChConfig()) {
+    log = RecordWorkload(&ch, /*num_txns=*/4000, /*epoch_size=*/16,
+                         /*seed=*/29);
+    EpochChannel channel(log.epochs.size() + 1);
+    for (const auto& shipped : log.epochs) channel.Send(shipped);
+    channel.Close();
+    AetsOptions options;
+    options.replay_threads = 2;
+    options.grouping = GroupingMode::kPerTable;
+    options.column_store_enabled = false;
+    backup = std::make_unique<AetsReplayer>(&ch.catalog(), &channel, options);
+    AETS_CHECK(backup->Start().ok());
+    backup->Stop();
+    AETS_CHECK(backup->error().ok());
+
+    for (const auto& shipped : log.epochs) {
+      if (shipped.max_commit_ts == kInvalidTimestamp ||
+          shipped.max_commit_ts <= log.load_end_ts) {
+        continue;  // covered by the seed
+      }
+      EpochDirty epoch;
+      epoch.watermark = shipped.max_commit_ts;
+      const std::string& data = *shipped.payload;
+      Timestamp txn_ts = kInvalidTimestamp;
+      std::map<TableId, std::vector<int64_t>> txn_keys;
+      auto flush_txn = [&] {
+        for (auto& [table, keys] : txn_keys) {
+          dirty_rows += keys.size();
+          epoch.batches.push_back({table, txn_ts, std::move(keys)});
+        }
+        txn_keys.clear();
+      };
+      size_t offset = 0;
+      while (offset < data.size()) {
+        auto rec = LogCodec::Decode(data, &offset);
+        AETS_CHECK(rec.ok());
+        if (rec->type == LogRecordType::kBegin) {
+          txn_ts = rec->timestamp;
+        } else if (rec->type == LogRecordType::kCommit) {
+          flush_txn();
+        } else if (rec->is_dml() && txn_ts > log.load_end_ts) {
+          txn_keys[rec->table_id].push_back(rec->row_key);
+        }
+      }
+      flush_txn();
+      epochs.push_back(std::move(epoch));
+    }
+  }
+
+  /// The perfbench TPC-C shape: order_line and stock span many chunks.
+  static TpccConfig ChConfig() {
+    TpccConfig config;
+    config.warehouses = 2;
+    config.items = 20'000;
+    config.customers_per_district = 300;
+    config.init_orders_per_district = 100;
+    return config;
+  }
+
+  ChBenchmarkWorkload ch;
+  RecordedLog log;
+  std::unique_ptr<AetsReplayer> backup;
+  std::vector<EpochDirty> epochs;
+  uint64_t dirty_rows = 0;
+};
+
+ColumnPublishFixture& PublishFixture() {
+  static ColumnPublishFixture* fixture = new ColumnPublishFixture();
+  return *fixture;
+}
+
+void BM_ColumnPublish(benchmark::State& state) {
+  ColumnPublishFixture& fx = PublishFixture();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto columns = std::make_unique<storage::ColumnStore>(&fx.ch.catalog(),
+                                                          fx.backup->store());
+    columns->SeedFromRows(fx.log.load_end_ts);
+    state.ResumeTiming();
+    for (const auto& epoch : fx.epochs) {
+      for (const auto& batch : epoch.batches) {
+        columns->NoteDirty(batch.table, batch.keys, batch.ts);
+      }
+      columns->Publish(epoch.watermark);
+    }
+    state.PauseTiming();
+    AETS_CHECK(columns->PublishedTs(fx.ch.tpcc().orderline()) ==
+               fx.epochs.back().watermark);
+    columns.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx.dirty_rows));
+}
+BENCHMARK(BM_ColumnPublish)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace aets

@@ -117,11 +117,13 @@ std::unique_ptr<Replayer> MakeReplayer(const ReplayerSpec& spec,
       options.regroup_on_rate_change = spec.regroup_on_rate_change;
       options.dbscan_eps = spec.dbscan_eps;
       options.pipeline_depth = spec.pipeline_depth;
+      options.column_store_enabled = false;
       return std::make_unique<AetsReplayer>(catalog, channel, options);
     }
     case ReplayerKind::kTplr: {
       AetsOptions options = TplrBaselineOptions(spec.threads);
       options.pipeline_depth = spec.pipeline_depth;
+      options.column_store_enabled = false;
       return std::make_unique<AetsReplayer>(catalog, channel, options);
     }
     case ReplayerKind::kAtr:

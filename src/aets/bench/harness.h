@@ -80,6 +80,9 @@ struct ReplayerSpec {
   int shard_count = 1;
 };
 
+/// Builds a replayer of spec.kind for the paper comparisons. Every kind
+/// pays the same side costs: AETS and TPLR run with the columnar projection
+/// off, like ATR, C5 and Serial, which maintain none.
 std::unique_ptr<Replayer> MakeReplayer(const ReplayerSpec& spec,
                                        const Catalog* catalog,
                                        EpochChannel* channel);

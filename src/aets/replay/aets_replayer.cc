@@ -38,7 +38,6 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
   if (options_.column_store_enabled) {
     storage::ColumnStoreOptions cs;
     cs.chunk_rows = options_.column_chunk_rows;
-    cs.publish_min_dirty = options_.column_publish_min_dirty;
     EnableColumnStore(cs);
   }
 }
@@ -469,6 +468,7 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   // TPLR phase 2 (Algorithms 1-2): walk the group's commit order; for each
   // transaction wait until phase 1 finished it, then append its cells to the
   // version lists and publish tg_cmt_ts.
+  std::vector<int64_t> dirty_keys;  // one table's keys of one fragment
   for (auto& frag_ptr : gs->fragments) {
     Fragment* frag = frag_ptr.get();
     // waiting_commit_list check: spin briefly, then yield the core to the
@@ -494,10 +494,15 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
     // Feed the column store BEFORE the watermark store below: a reader that
     // observes tg_cmt_ts >= frag->commit_ts must also observe these keys in
     // the pending dirty set (mutex release → release-store → acquire-load →
-    // mutex acquire), or its residual top-up would miss them.
+    // mutex acquire), or its residual top-up would miss them. One NoteDirty
+    // (one table lock) per (fragment, table), not per row.
     if (storage::ColumnStore* cs = column_store()) {
-      for (const auto& pc : frag->cells) {
-        cs->NoteDirty(pc.table, pc.node->row_key(), frag->commit_ts);
+      for (TableId t : group.tables) {
+        dirty_keys.clear();
+        for (const auto& pc : frag->cells) {
+          if (pc.table == t) dirty_keys.push_back(pc.node->row_key());
+        }
+        if (!dirty_keys.empty()) cs->NoteDirty(t, dirty_keys, frag->commit_ts);
       }
     }
     for (TableId t : group.tables) {

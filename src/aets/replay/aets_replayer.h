@@ -89,16 +89,8 @@ struct AetsOptions {
   /// False restores the pure row-store backup (all scans take the row
   /// path).
   bool column_store_enabled = true;
-  /// Target rows per columnar chunk (storage::ColumnStoreOptions).
+  /// Target rows per columnar base chunk (storage::ColumnStoreOptions).
   size_t column_chunk_rows = 4096;
-  /// Columnar publish amortization (storage::ColumnStoreOptions
-  /// ::publish_min_dirty): the background merge worker only rolls a
-  /// table's dirty backlog into new chunks once it reaches
-  /// max(this, live_rows/8); until then queries resolve the backlog
-  /// through the residual top-up. Heartbeats and shutdown force-flush, so
-  /// an idle or drained backup is always fully chunked. 0 rebuilds at
-  /// every posted watermark.
-  size_t column_publish_min_dirty = 4096;
   /// Display name (baselines built on this engine override it).
   std::string name = "AETS";
 

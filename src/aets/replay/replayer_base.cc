@@ -87,7 +87,6 @@ Status ReplayerBase::Start() {
   started_.store(true, std::memory_order_release);
   if (column_store_ != nullptr) {
     col_requested_ = kInvalidTimestamp;
-    col_force_ = false;
     col_stop_ = false;
     column_thread_ = std::thread([this] { ColumnMergeLoop(); });
   }
@@ -112,13 +111,6 @@ void ReplayerBase::Stop() {
     }
     col_cv_.notify_one();
     column_thread_.join();
-  }
-  // The stream is drained: flush whatever columnar backlog the merge worker
-  // and the publish threshold were still batching, so a caught-up backup
-  // serves every table from chunks (the joins above ordered
-  // last_applied_ts_ before this read).
-  if (column_store_ != nullptr && !HasError()) {
-    column_store_->Publish(last_applied_ts_, /*force=*/true);
   }
   StopWorkers();
   started_.store(false, std::memory_order_release);
@@ -181,16 +173,6 @@ void ReplayerBase::CommitItem(PipelineItem item) {
       ProcessHeartbeat(item.epoch);
       stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
       heartbeats_applied_metric_->Add(1);
-      // A heartbeat means the stream is idle — have the merge worker drain
-      // any columnar backlog the publish-amortization threshold held back.
-      if (column_store_ != nullptr && !HasError()) {
-        RequestColumnPublish(item.epoch.heartbeat_ts, /*force=*/true);
-        if (item.epoch.heartbeat_ts != kInvalidTimestamp &&
-            (last_applied_ts_ == kInvalidTimestamp ||
-             item.epoch.heartbeat_ts > last_applied_ts_)) {
-          last_applied_ts_ = item.epoch.heartbeat_ts;
-        }
-      }
     } else {
       CommitEpoch(item.epoch, std::move(item.prepared));
       if (!HasError()) {
@@ -200,12 +182,7 @@ void ReplayerBase::CommitItem(PipelineItem item) {
         // at max_commit_ts; a failed epoch posts nothing and its dirty keys
         // stay pending (queries resolve them through the residual path).
         if (column_store_ != nullptr) {
-          RequestColumnPublish(item.epoch.max_commit_ts, /*force=*/false);
-          if (item.epoch.max_commit_ts != kInvalidTimestamp &&
-              (last_applied_ts_ == kInvalidTimestamp ||
-               item.epoch.max_commit_ts > last_applied_ts_)) {
-            last_applied_ts_ = item.epoch.max_commit_ts;
-          }
+          RequestColumnPublish(item.epoch.max_commit_ts);
         }
         stats_.epochs.fetch_add(1, std::memory_order_relaxed);
         stats_.records.fetch_add(item.epoch.num_records,
@@ -445,14 +422,13 @@ void ReplayerBase::MainLoop() {
   }
 }
 
-void ReplayerBase::RequestColumnPublish(Timestamp ts, bool force) {
+void ReplayerBase::RequestColumnPublish(Timestamp ts) {
   if (ts == kInvalidTimestamp) return;
   {
     std::lock_guard<std::mutex> lk(col_mu_);
     if (col_requested_ == kInvalidTimestamp || ts > col_requested_) {
       col_requested_ = ts;
     }
-    col_force_ |= force;
   }
   col_cv_.notify_one();
 }
@@ -460,7 +436,6 @@ void ReplayerBase::RequestColumnPublish(Timestamp ts, bool force) {
 void ReplayerBase::ColumnMergeLoop() {
   for (;;) {
     Timestamp ts;
-    bool force;
     {
       std::unique_lock<std::mutex> lk(col_mu_);
       col_cv_.wait(lk, [&] {
@@ -468,16 +443,14 @@ void ReplayerBase::ColumnMergeLoop() {
       });
       if (col_requested_ == kInvalidTimestamp) return;  // stopped and drained
       ts = col_requested_;
-      force = col_force_;
       col_requested_ = kInvalidTimestamp;
-      col_force_ = false;
     }
     // Reading at `ts` is stable against concurrent commits (MVCC reads at a
     // fixed timestamp) and the poster's mutex hand-off ordered every version
     // <= ts before this call. When several requests queued up while a
     // rebuild ran, the coalesced `ts` is the latest — one rebuild covers
     // them all.
-    column_store_->Publish(ts, force);
+    column_store_->Publish(ts);
   }
 }
 

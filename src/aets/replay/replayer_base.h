@@ -256,10 +256,6 @@ class ReplayerBase : public Replayer {
   /// unless EnableColumnStore was called. Published only by the single
   /// commit context, read by any query thread.
   std::unique_ptr<storage::ColumnStore> column_store_;
-  /// Newest timestamp the commit context fully applied (epoch max or
-  /// heartbeat) — the watermark of the shutdown column-store flush. Written
-  /// only by the commit context; Stop() reads it after joining.
-  Timestamp last_applied_ts_ = kInvalidTimestamp;
 
   EpochSource* source_ = nullptr;
   ReplayRecoveryOptions recovery_;
@@ -298,15 +294,14 @@ class ReplayerBase : public Replayer {
   /// moves on; this thread coalesces the requests — when replay outruns it,
   /// intermediate watermarks collapse into one rebuild at the latest — and
   /// runs ColumnStore::Publish off the replay critical path. Queries stay
-  /// exact in the gap through the residual top-up. Stop() drains the worker,
-  /// then force-flushes, so a stopped backup is always fully chunked.
+  /// exact in the gap through the residual top-up. The worker drains every
+  /// posted request before it exits, so a stopped backup is fully chunked.
   void ColumnMergeLoop();
-  void RequestColumnPublish(Timestamp ts, bool force);
+  void RequestColumnPublish(Timestamp ts);
   std::thread column_thread_;
   std::mutex col_mu_;
   std::condition_variable col_cv_;
   Timestamp col_requested_ = kInvalidTimestamp;
-  bool col_force_ = false;
   bool col_stop_ = false;
 
   mutable std::mutex error_mu_;

@@ -63,7 +63,7 @@ struct ChunkColumn {
 /// The immutable payload of one columnar chunk: a sorted key vector, one
 /// ChunkColumn per schema column, and the cached per-row digest hashes
 /// (HashRow — identical to what Memtable::DigestAt folds). Shared by every
-/// generation that did not rewrite the chunk; never mutated after build.
+/// generation until a fold rewrites the chunk; never mutated after build.
 struct ChunkData {
   std::vector<int64_t> keys;      // ascending
   std::vector<ChunkColumn> cols;  // indexed by (dense, positional) ColumnId
@@ -105,8 +105,9 @@ struct ChunkData {
 };
 
 /// A chunk as one generation sees it: the shared immutable data plus this
-/// generation's tombstone overlay. A pure-delete epoch only copies the
-/// overlay; the column vectors are shared across generations.
+/// generation's tombstone overlay. An epoch that supersedes or deletes some
+/// of its rows only copies the overlay; the column vectors are shared
+/// across generations.
 struct ColumnChunk {
   std::shared_ptr<const ChunkData> data;
   BitVec tombstones;
@@ -119,9 +120,17 @@ struct ColumnChunk {
 /// One published generation of a table's columnar projection, valid for
 /// queries pinned at qts >= chunk_ts (topped up from the row store for the
 /// residual (chunk_ts, qts] range). Immutable once published.
+///
+/// Delta-main layout: `chunks[0, base_chunks)` are the base (main) chunks,
+/// with disjoint, ascending key ranges; the chunks after them are per-epoch
+/// deltas, oldest first, each sorted by key but free to overlap anything.
+/// Across all chunks a key has at most one row that is not tombstoned — a
+/// newer image tombstones the one it supersedes — so a scan visits every
+/// chunk in turn and needs no cross-chunk merge.
 struct TableGeneration {
   Timestamp chunk_ts = kInvalidTimestamp;
-  std::vector<ColumnChunk> chunks;  // disjoint, ascending key ranges
+  std::vector<ColumnChunk> chunks;  // base chunks, then deltas
+  size_t base_chunks = 0;
   /// Keys whose visible state changed in (prev generation's chunk_ts,
   /// chunk_ts] — sorted. A query pinned between the two generations reads
   /// the older one and re-resolves exactly these keys from the row store.

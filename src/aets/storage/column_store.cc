@@ -1,6 +1,7 @@
 #include "aets/storage/column_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "aets/obs/metrics.h"
@@ -11,12 +12,9 @@ namespace storage {
 
 namespace {
 
-/// Builds the immutable columnar payload for `n` (key, row) pairs sorted by
-/// key. Rows that deviate from the schema go whole into the irregular
-/// overflow; everything else lands in the typed vectors.
-std::shared_ptr<const ChunkData> BuildChunkData(
-    const Schema& schema, const std::pair<int64_t, FlatRow>* rows, size_t n,
-    const uint64_t* hashes = nullptr) {
+/// An empty payload sized for `n` rows: typed vectors zeroed, bitmaps
+/// clear, keys/hashes reserved for appending.
+std::shared_ptr<ChunkData> NewChunkData(const Schema& schema, size_t n) {
   auto data = std::make_shared<ChunkData>();
   data->keys.reserve(n);
   data->row_hash.reserve(n);
@@ -40,10 +38,34 @@ std::shared_ptr<const ChunkData> BuildChunkData(
         break;
     }
   }
+  return data;
+}
+
+/// Freezes a filled payload into a chunk with no tombstones, marking the
+/// columns every row holds a typed, non-null value in.
+ColumnChunk Seal(std::shared_ptr<ChunkData> data) {
+  size_t n = data->num_rows();
+  for (ChunkColumn& col : data->cols) {
+    col.dense = col.has.CountSet() == n && !col.null.Any();
+  }
+  ColumnChunk chunk;
+  chunk.data = std::move(data);
+  chunk.tombstones.Reset(n);
+  chunk.live = n;
+  return chunk;
+}
+
+/// A chunk over `n` (key, row) pairs sorted by key. Rows that deviate from
+/// the schema go whole into the irregular overflow; everything else lands
+/// in the typed vectors.
+ColumnChunk MakeChunk(const Schema& schema,
+                      const std::pair<int64_t, FlatRow>* rows, size_t n) {
+  std::shared_ptr<ChunkData> data = NewChunkData(schema, n);
+  size_t nc = data->cols.size();
   for (size_t i = 0; i < n; ++i) {
     const auto& [key, row] = rows[i];
     data->keys.push_back(key);
-    data->row_hash.push_back(hashes != nullptr ? hashes[i] : HashRow(key, row));
+    data->row_hash.push_back(HashRow(key, row));
     bool irregular = false;
     for (const auto& [col, value] : row) {
       if (col >= nc ||
@@ -72,30 +94,108 @@ std::shared_ptr<const ChunkData> BuildChunkData(
       }
     }
   }
-  for (ChunkColumn& col : data->cols) {
-    col.dense = col.has.CountSet() == n && !col.null.Any();
-  }
-  return data;
+  return Seal(std::move(data));
 }
 
-/// Appends chunks covering `rows` (sorted by key), splitting every
-/// `target` rows so no chunk starts life oversized.
-void AppendChunks(const Schema& schema,
-                  const std::vector<std::pair<int64_t, FlatRow>>& rows,
-                  size_t target, std::vector<ColumnChunk>* out,
-                  obs::Counter* rebuilt_metric,
-                  const uint64_t* hashes = nullptr) {
-  for (size_t off = 0; off < rows.size(); off += target) {
-    size_t n = std::min(target, rows.size() - off);
-    ColumnChunk chunk;
-    chunk.data = BuildChunkData(schema, rows.data() + off, n,
-                                hashes != nullptr ? hashes + off : nullptr);
-    chunk.tombstones.Reset(n);
-    chunk.live = n;
-    out->push_back(std::move(chunk));
+/// Where a row sits in a generation's chunks.
+struct RowRef {
+  const ChunkData* data = nullptr;
+  size_t row = 0;
+
+  int64_t key() const { return data->keys[row]; }
+};
+
+/// Appends the row `src` points at to `dst` column by column — both chunks
+/// belong to one table, so the typed vectors line up and the row never
+/// round-trips through a FlatRow. Keeps its cached hash.
+void CopyRow(RowRef src, ChunkData* dst) {
+  const ChunkData& from = *src.data;
+  const size_t r = src.row;
+  const size_t i = dst->keys.size();
+  dst->keys.push_back(from.keys[r]);
+  dst->row_hash.push_back(from.row_hash[r]);
+  if (from.irregular.Get(r)) {
+    dst->irregular.Set(i);
+    dst->irregular_rows.emplace_back(static_cast<uint32_t>(i),
+                                     from.MaterializeRow(r));
+    return;
+  }
+  for (size_t c = 0; c < from.cols.size(); ++c) {
+    const ChunkColumn& sc = from.cols[c];
+    if (!sc.has.Get(r)) continue;
+    ChunkColumn& dc = dst->cols[c];
+    dc.has.Set(i);
+    if (sc.null.Get(r)) {
+      dc.null.Set(i);
+    } else if (sc.type == ColumnType::kInt64) {
+      dc.i64[i] = sc.i64[r];
+    } else if (sc.type == ColumnType::kDouble) {
+      dc.f64[i] = sc.f64[r];
+    } else {
+      dc.str[i] = sc.str[r];
+    }
+  }
+}
+
+/// Appends chunks over `rows` (in key order), copied column-wise out of
+/// their source chunks: one chunk when they fit in 2 * `target`, else
+/// `target`-row pieces, so no chunk starts life oversized.
+void EmitChunks(const Schema& schema, const std::vector<RowRef>& rows,
+                size_t target, std::vector<ColumnChunk>* out,
+                obs::Counter* rebuilt_metric) {
+  size_t piece = rows.size() <= 2 * target ? rows.size() : target;
+  for (size_t off = 0; off < rows.size(); off += piece) {
+    size_t n = std::min(piece, rows.size() - off);
+    std::shared_ptr<ChunkData> data = NewChunkData(schema, n);
+    for (size_t i = off; i < off + n; ++i) CopyRow(rows[i], data.get());
+    out->push_back(Seal(std::move(data)));
     rebuilt_metric->Add(1);
   }
 }
+
+/// Tombstones `chunk`'s live rows whose key is in `dirty` (sorted): a newer
+/// image supersedes them. Records each such row in `found` (indexed like
+/// `dirty`) and returns how many rows it killed.
+size_t Supersede(const std::vector<int64_t>& dirty, ColumnChunk* chunk,
+                 std::vector<RowRef>* found) {
+  const auto& keys = chunk->data->keys;
+  if (keys.empty()) return 0;
+  auto lo = std::lower_bound(dirty.begin(), dirty.end(), keys.front());
+  auto hi = std::upper_bound(lo, dirty.end(), keys.back());
+  size_t killed = 0;
+  auto pos = keys.begin();
+  for (auto it = lo; it != hi; ++it) {
+    pos = std::lower_bound(pos, keys.end(), *it);
+    if (pos == keys.end()) break;
+    if (*pos != *it) continue;
+    size_t idx = static_cast<size_t>(pos - keys.begin());
+    if (!chunk->tombstones.Get(idx)) {
+      chunk->tombstones.Set(idx);
+      --chunk->live;
+      ++killed;
+      (*found)[static_cast<size_t>(it - dirty.begin())] = {chunk->data.get(),
+                                                           idx};
+    }
+  }
+  return killed;
+}
+
+/// A majority-tombstoned chunk costs a scan more than it holds.
+bool Sparse(const ColumnChunk& chunk) {
+  size_t n = chunk.data->num_rows();
+  return (n - chunk.live) * 2 > n;
+}
+
+/// Fold triggers. Deltas are folded into the base chunks once their rows
+/// exceed max(chunk_rows, live_rows / kFoldDivisor): a fold rewrites at most
+/// every live row, so this bounds write amplification at ~kFoldDivisor rows
+/// per dirty row and a scan's delta overhead at 1/kFoldDivisor of the table,
+/// while deltas worth less than one chunk cost a scan no more than one
+/// extra chunk does. Each delta chunk also costs every publish and every
+/// scan a fixed overhead, so a table whose epochs touch only a few rows
+/// folds after kMaxDeltaChunks of them.
+constexpr size_t kFoldDivisor = 8;
+constexpr size_t kMaxDeltaChunks = 64;
 
 }  // namespace
 
@@ -170,14 +270,15 @@ ColumnStore::ColumnStore(const Catalog* catalog, const TableStore* rows,
   }
 }
 
-void ColumnStore::NoteDirty(TableId table, int64_t key, Timestamp commit_ts) {
+void ColumnStore::NoteDirty(TableId table, const std::vector<int64_t>& keys,
+                            Timestamp commit_ts) {
   AETS_CHECK(table < tables_.size());
   TableState& st = *tables_[table];
   std::lock_guard<std::mutex> lk(st.mu);
-  st.pending.emplace_back(key, commit_ts);
+  for (int64_t key : keys) st.pending.emplace_back(key, commit_ts);
 }
 
-void ColumnStore::Publish(Timestamp watermark, bool force) {
+void ColumnStore::Publish(Timestamp watermark) {
   if (watermark == kInvalidTimestamp) return;
   for (size_t t = 0; t < tables_.size(); ++t) {
     TableState& st = *tables_[t];
@@ -186,21 +287,11 @@ void ColumnStore::Publish(Timestamp watermark, bool force) {
     {
       std::lock_guard<std::mutex> lk(st.mu);
       if (st.pending.empty()) continue;
-      // Amortization: rewriting a chunk costs O(chunk_rows) however few of
-      // its rows changed, so below the backlog threshold let the pending
-      // set keep growing — the residual path keeps queries exact. The first
-      // generation always publishes (pending.size() over-counts duplicates,
-      // which only delays a skip, never a publish of stale data).
-      if (!force && options_.publish_min_dirty > 0 && !st.gens.empty() &&
-          st.pending.size() <
-              std::max(options_.publish_min_dirty, st.live_rows / 8)) {
-        continue;
-      }
       // Take only entries the watermark covers. A key noted for a commit
-      // newer than `watermark` (the poster raced ahead of this rebuild)
-      // must stay pending: the chunk built here won't show that change, so
+      // newer than `watermark` (the poster raced ahead of this build) must
+      // stay pending: the generation built here won't show that change, so
       // only the pending set keeps the residual top-up complete for it.
-      // COPY, don't remove: while the rebuild below runs outside the lock,
+      // COPY, don't remove: while the build below runs outside the lock,
       // a query ahead of the still-current newest generation derives its
       // residual from this pending set — dropping the consumed entries now
       // would make those keys vanish (absent from old chunks AND from the
@@ -213,14 +304,14 @@ void ColumnStore::Publish(Timestamp watermark, bool force) {
       if (dirty.empty()) continue;
       if (!st.gens.empty()) prev = st.gens.back();
     }
-    // Rebuild outside the lock: queries keep snapshotting the old
-    // generation list; the sources (previous chunks, version chains) are
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    // Build outside the lock: queries keep snapshotting the old generation
+    // list; the sources (previous chunks, version chains) are
     // immutable/latched respectively.
-    auto gen = RebuildTable(static_cast<TableId>(t), prev.get(),
-                            std::move(dirty), watermark);
+    auto gen = BuildGeneration(static_cast<TableId>(t), prev.get(), dirty,
+                               watermark);
     {
-      size_t live = 0;
-      for (const ColumnChunk& chunk : gen->chunks) live += chunk.live;
       std::lock_guard<std::mutex> lk(st.mu);
       // Erase the consumed entries now that the generation covering them is
       // about to be visible. No new entry with commit_ts <= watermark can
@@ -232,7 +323,6 @@ void ColumnStore::Publish(Timestamp watermark, bool force) {
         if (st.pending[i].second > watermark) st.pending[kept++] = st.pending[i];
       }
       st.pending.resize(kept);
-      st.live_rows = live;
       st.gens.push_back(std::move(gen));
       while (st.gens.size() > options_.max_generations) st.gens.pop_front();
     }
@@ -250,17 +340,25 @@ void ColumnStore::SeedFromRows(Timestamp snapshot_ts) {
       return true;
     });
   }
-  Publish(snapshot_ts, /*force=*/true);
+  Publish(snapshot_ts);
 }
 
 ColumnSnapshot ColumnStore::SnapshotAt(TableId table, Timestamp qts) const {
+  static obs::Counter* row_fallbacks = obs::GetCounter("column.row_fallbacks");
   ColumnSnapshot snap;
   if (table >= tables_.size() || qts == kInvalidTimestamp) return snap;
   TableState& st = *tables_[table];
   std::lock_guard<std::mutex> lk(st.mu);
   size_t gi = st.gens.size();
   while (gi > 0 && st.gens[gi - 1]->chunk_ts > qts) --gi;
-  if (gi == 0) return snap;  // qts predates every retained generation
+  if (gi == 0) {
+    // qts predates every retained generation (or none published yet): the
+    // caller takes the ~200x slower row path. Count it when the table has
+    // columnar state at all, so retention too short for the pinned
+    // snapshots shows up.
+    if (!st.gens.empty() || !st.pending.empty()) row_fallbacks->Add(1);
+    return snap;
+  }
   snap.gen_ = st.gens[gi - 1];
   snap.rows_ = rows_->GetTable(table);
   snap.qts_ = qts;
@@ -294,129 +392,131 @@ Timestamp ColumnStore::PublishedTs(TableId table) const {
   return st.gens.empty() ? kInvalidTimestamp : st.gens.back()->chunk_ts;
 }
 
-std::shared_ptr<const TableGeneration> ColumnStore::RebuildTable(
-    TableId table, const TableGeneration* prev, std::vector<int64_t> dirty,
-    Timestamp watermark) {
-  static obs::Counter* rebuilt = obs::GetCounter("column.chunks_rebuilt");
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-
-  const Memtable* mem = rows_->GetTable(table);
-  std::vector<std::optional<FlatRow>> dirty_rows(dirty.size());
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    dirty_rows[i] = mem->ReadRow(dirty[i], watermark);
-  }
-
+std::shared_ptr<const TableGeneration> ColumnStore::BuildGeneration(
+    TableId table, const TableGeneration* prev,
+    const std::vector<int64_t>& dirty, Timestamp watermark) const {
   auto info = catalog_->GetTable(table);
   AETS_CHECK(info.ok());
   const Schema& schema = (*info)->schema;
-
   auto gen = std::make_shared<TableGeneration>();
   gen->chunk_ts = watermark;
   gen->dirty = dirty;
 
-  if (prev == nullptr || prev->chunks.empty()) {
-    // First generation (or the table emptied out entirely): chunk the
-    // present rows directly — dirty is sorted, so they arrive in key order.
-    std::vector<std::pair<int64_t, FlatRow>> rows;
-    rows.reserve(dirty.size());
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      if (dirty_rows[i]) rows.emplace_back(dirty[i], std::move(*dirty_rows[i]));
-    }
-    AppendChunks(schema, rows, options_.chunk_rows, &gen->chunks, rebuilt);
-    return gen;
-  }
-
-  // Route each dirty key to the previous generation's chunk owning its key
-  // range (out-of-range keys attach to the nearest edge chunk).
-  size_t nchunks = prev->chunks.size();
-  std::vector<std::vector<size_t>> assigned(nchunks);
-  {
-    size_t ci = 0;
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      while (ci + 1 < nchunks && dirty[i] > prev->chunks[ci].max_key()) ++ci;
-      assigned[ci].push_back(i);
+  // Tombstone each dirty key's current row in a copied overlay of whichever
+  // base or delta chunk holds it; the column vectors stay shared. Chunks
+  // left without a live row are dropped.
+  std::vector<RowRef> found(dirty.size());
+  bool compact = false;
+  if (prev != nullptr) {
+    gen->chunks.reserve(prev->chunks.size() + 1);
+    for (size_t ci = 0; ci < prev->chunks.size(); ++ci) {
+      ColumnChunk chunk = prev->chunks[ci];
+      size_t killed = Supersede(dirty, &chunk, &found);
+      if (chunk.live == 0) continue;
+      if (ci < prev->base_chunks) {
+        ++gen->base_chunks;
+        compact |= killed > 0 && Sparse(chunk);
+      }
+      gen->chunks.push_back(std::move(chunk));
     }
   }
 
-  for (size_t ci = 0; ci < nchunks; ++ci) {
-    const ColumnChunk& old = prev->chunks[ci];
-    if (assigned[ci].empty()) {
+  // The new images at the watermark, in key order (a key without one was
+  // deleted), become the delta chunk. Each rolls the superseded image
+  // forward through only the versions committed since the previous
+  // generation — the one version-chain read of a publish, and no more: a
+  // hot row's chain is never refolded from its start.
+  const Memtable* mem = rows_->GetTable(table);
+  std::vector<std::pair<int64_t, FlatRow>> images;
+  images.reserve(dirty.size());
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    std::optional<FlatRow> row;
+    if (prev == nullptr) {
+      row = mem->ReadRow(dirty[i], watermark);
+    } else {
+      std::optional<FlatRow> base;
+      if (found[i].data != nullptr) {
+        base = found[i].data->MaterializeRow(found[i].row);
+      }
+      row = mem->ReadRowFrom(dirty[i], prev->chunk_ts, std::move(base),
+                             watermark);
+    }
+    if (row) images.emplace_back(dirty[i], std::move(*row));
+  }
+  if (!images.empty()) {
+    gen->chunks.push_back(MakeChunk(schema, images.data(), images.size()));
+  }
+
+  size_t live = 0;
+  size_t delta_rows = 0;
+  for (size_t ci = 0; ci < gen->chunks.size(); ++ci) {
+    live += gen->chunks[ci].live;
+    if (ci >= gen->base_chunks) delta_rows += gen->chunks[ci].data->num_rows();
+  }
+  // A table without base chunks (its first generation, or one that emptied
+  // out) folds at once, so its deltas become chunk_rows-sized base chunks.
+  if (compact || gen->base_chunks == 0 ||
+      delta_rows > std::max(options_.chunk_rows, live / kFoldDivisor) ||
+      gen->chunks.size() - gen->base_chunks > kMaxDeltaChunks) {
+    Fold(schema, gen.get());
+  }
+  return gen;
+}
+
+void ColumnStore::Fold(const Schema& schema, TableGeneration* gen) const {
+  static obs::Counter* rebuilt = obs::GetCounter("column.chunks_rebuilt");
+  std::vector<ColumnChunk> chunks = std::move(gen->chunks);
+  gen->chunks.clear();
+  const size_t nbase = gen->base_chunks;
+
+  // The live delta rows in key order. A key has at most one live row across
+  // all chunks, so there are no ties, and none of them is live in a base
+  // chunk.
+  std::vector<RowRef> delta;
+  for (size_t ci = nbase; ci < chunks.size(); ++ci) {
+    const ColumnChunk& chunk = chunks[ci];
+    for (size_t r = 0; r < chunk.data->num_rows(); ++r) {
+      if (!chunk.tombstones.Get(r)) delta.push_back({chunk.data.get(), r});
+    }
+  }
+  std::sort(delta.begin(), delta.end(), [](const RowRef& a, const RowRef& b) {
+    return a.key() < b.key();
+  });
+  if (nbase == 0) {
+    EmitChunks(schema, delta, options_.chunk_rows, &gen->chunks, rebuilt);
+    gen->base_chunks = gen->chunks.size();
+    return;
+  }
+
+  // Sorted-merge rewrite: each delta row goes to the base chunk owning its
+  // key range (out-of-range keys attach to the nearest edge chunk). Rows
+  // are copied column-wise with their cached hashes — nothing is re-read
+  // from the version chains, re-materialized or rehashed.
+  std::vector<RowRef> merged;
+  size_t di = 0;
+  for (size_t ci = 0; ci < nbase; ++ci) {
+    const ColumnChunk& old = chunks[ci];
+    size_t end = delta.size();
+    if (ci + 1 < nbase) {
+      end = di;
+      while (end < delta.size() && delta[end].key() <= old.max_key()) ++end;
+    }
+    if (di == end && !Sparse(old)) {
       gen->chunks.push_back(old);  // shares the column vectors
       continue;
     }
-    size_t n = old.data->num_rows();
-    bool all_deletes = true;
-    for (size_t i : assigned[ci]) {
-      if (dirty_rows[i]) {
-        all_deletes = false;
-        break;
-      }
-    }
-    if (all_deletes) {
-      // Pure deletes: copy only the tombstone overlay; the column vectors
-      // stay shared with the previous generation.
-      ColumnChunk next = old;
-      const auto& keys = old.data->keys;
-      for (size_t i : assigned[ci]) {
-        auto it = std::lower_bound(keys.begin(), keys.end(), dirty[i]);
-        if (it != keys.end() && *it == dirty[i]) {
-          size_t idx = static_cast<size_t>(it - keys.begin());
-          if (!next.tombstones.Get(idx)) {
-            next.tombstones.Set(idx);
-            --next.live;
-          }
-        }
-      }
-      if (next.live == 0) continue;  // chunk fully dead: drop it
-      if ((n - next.live) * 2 <= n) {
-        gen->chunks.push_back(std::move(next));
-        continue;
-      }
-      // Majority tombstoned: fall through and compact via a full rewrite.
-    }
-    // Rewrite: merge the surviving old rows with the dirty keys' images at
-    // the new watermark (both streams sorted by key). Carried rows reuse
-    // the previous chunk's cached hashes — only dirty images rehash.
-    std::vector<std::pair<int64_t, FlatRow>> merged;
-    std::vector<uint64_t> merged_hash;
-    merged.reserve(old.live + assigned[ci].size());
-    merged_hash.reserve(old.live + assigned[ci].size());
-    const auto& a = assigned[ci];
-    size_t di = 0;
-    auto emit_dirty = [&](size_t i) {
-      if (dirty_rows[i]) {
-        merged_hash.push_back(HashRow(dirty[i], *dirty_rows[i]));
-        merged.emplace_back(dirty[i], *dirty_rows[i]);
-      }
-    };
+    merged.clear();
+    merged.reserve(old.live + (end - di));
+    const size_t n = old.data->num_rows();
     for (size_t r = 0; r < n; ++r) {
       int64_t k = old.data->keys[r];
-      while (di < a.size() && dirty[a[di]] < k) emit_dirty(a[di++]);
-      if (di < a.size() && dirty[a[di]] == k) {
-        emit_dirty(a[di++]);  // new image supersedes the old row
-        continue;
-      }
-      if (old.tombstones.Get(r)) continue;
-      merged_hash.push_back(old.data->row_hash[r]);
-      merged.emplace_back(k, old.data->MaterializeRow(r));
+      while (di < end && delta[di].key() < k) merged.push_back(delta[di++]);
+      if (!old.tombstones.Get(r)) merged.push_back({old.data.get(), r});
     }
-    while (di < a.size()) emit_dirty(a[di++]);
-    if (merged.empty()) continue;
-    if (merged.size() <= 2 * options_.chunk_rows) {
-      ColumnChunk chunk;
-      chunk.data = BuildChunkData(schema, merged.data(), merged.size(),
-                                  merged_hash.data());
-      chunk.tombstones.Reset(merged.size());
-      chunk.live = merged.size();
-      gen->chunks.push_back(std::move(chunk));
-      rebuilt->Add(1);
-    } else {
-      AppendChunks(schema, merged, options_.chunk_rows, &gen->chunks, rebuilt,
-                   merged_hash.data());
-    }
+    while (di < end) merged.push_back(delta[di++]);
+    EmitChunks(schema, merged, options_.chunk_rows, &gen->chunks, rebuilt);
   }
-  return gen;
+  gen->base_chunks = gen->chunks.size();
 }
 
 }  // namespace storage

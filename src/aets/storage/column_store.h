@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "aets/catalog/catalog.h"
@@ -18,21 +17,14 @@ namespace aets {
 namespace storage {
 
 struct ColumnStoreOptions {
-  /// Target rows per chunk. A rewrite that grows a chunk past twice this
+  /// Target rows per base chunk. A fold that grows a chunk past twice this
   /// splits it back into chunk_rows-sized pieces.
   size_t chunk_rows = 4096;
-  /// Generations retained per table. A query pinned before the oldest
-  /// retained generation falls back to the row path.
+  /// Generations retained per table — one per posted watermark, so about
+  /// this many epochs of history. A query pinned before the oldest retained
+  /// generation falls back to the row path (counted in
+  /// column.row_fallbacks).
   size_t max_generations = 8;
-  /// Publish amortization: when > 0, a non-forced Publish skips any table
-  /// whose pending dirty set is smaller than
-  /// max(publish_min_dirty, live_rows / 8) — rewriting a chunk costs
-  /// O(chunk_rows) regardless of how few of its rows changed, so batching
-  /// epochs until the backlog is worth the rewrite bounds the replay-path
-  /// write amplification at ~8x. Skipped tables stay exact: their changes
-  /// ride the residual top-up until the backlog crosses the threshold (or a
-  /// forced flush on heartbeat / shutdown). 0 publishes on every call.
-  size_t publish_min_dirty = 0;
 };
 
 /// One query's consistent view of a table's columnar projection: the newest
@@ -55,6 +47,8 @@ class ColumnSnapshot {
   Timestamp qts() const { return qts_; }
   Timestamp chunk_ts() const { return gen_->chunk_ts; }
   const std::vector<ColumnChunk>& chunks() const { return gen_->chunks; }
+  /// chunks()[0, base_chunks()) are base chunks; the rest are deltas.
+  size_t base_chunks() const { return gen_->base_chunks; }
   const std::vector<int64_t>& residual_keys() const { return residual_; }
 
   /// Re-resolves every residual key at qts from the row store. Requires the
@@ -80,9 +74,9 @@ class ColumnSnapshot {
   /// Number of rows visible at qts. Requires LoadResidual().
   size_t RowCount() const;
 
-  /// Visits every row visible at qts (chunk rows in ascending key order
-  /// first, then residual rows; overall order unspecified). Visitor returns
-  /// false to stop. Requires LoadResidual().
+  /// Visits every row visible at qts (chunk by chunk — each in ascending
+  /// key order — then residual rows; overall order unspecified). Visitor
+  /// returns false to stop. Requires LoadResidual().
   template <typename Visitor>
   void ScanRows(Visitor&& visit) const {
     AETS_CHECK_MSG(residual_loaded_, "ScanRows before LoadResidual");
@@ -110,28 +104,34 @@ class ColumnSnapshot {
   bool residual_loaded_ = false;
 };
 
-/// Watermark-versioned columnar projections of a TableStore, rebuilt
-/// incrementally from the dirty-key sets of each committed epoch
-/// (DESIGN.md §13; the delta-merge design of ROADMAP item 1).
+/// Watermark-versioned columnar projections of a TableStore in delta-main
+/// form (DESIGN.md §13): base chunks plus small per-epoch delta chunks,
+/// folded into the base once the deltas outgrow a fraction of the table.
 ///
 /// Commit side:
-///   - Group commits call NoteDirty(key, commit_ts) for every row they
-///     install, BEFORE publishing the group watermark — so any reader that
-///     observed a watermark also observes the dirty keys accumulated up to
-///     it.
+///   - Group commits call NoteDirty(table, keys, commit_ts) once per
+///     (fragment, table) for the rows they install, BEFORE publishing the
+///     group watermark — so any reader that observed a watermark also
+///     observes the dirty keys accumulated up to it.
 ///   - After an epoch's watermarks publish, the replayer's background merge
 ///     thread runs Publish(w), turning each table's pending entries with
 ///     commit_ts <= w into a new generation (later entries stay pending):
-///     only touched chunks are rewritten (pure deletes just copy the
-///     tombstone overlay), everything else shares the previous generation's
-///     column vectors.
+///     the dirty rows' images at w become one sorted delta chunk, and the
+///     rows they supersede are tombstoned in copied overlays of the chunks
+///     holding them. Column vectors are shared with the previous generation;
+///     the cost is O(dirty rows), not O(rows of the chunks they touch).
+///   - When a table's delta rows exceed max(chunk_rows, live_rows / 8), the
+///     same Publish folds the deltas into the base chunks by a sorted-merge
+///     rewrite that copies rows column-wise out of the delta chunks (no
+///     second version-chain read). Write amplification stays at ~8 rows
+///     rewritten per dirty row.
 ///
 /// Query side (any thread): SnapshotAt(table, qts) picks the newest
 /// generation with chunk_ts <= qts and derives the residual key set —
 /// the next generation's dirty list, or the live pending set when qts runs
-/// ahead of the newest generation. Chunks are immutable, so queries never
-/// block Publish and vice versa (per-table mutex held only for the
-/// pending/generation-list swap).
+/// ahead of the newest generation; either is about one epoch of keys.
+/// Chunks are immutable, so queries never block Publish and vice versa
+/// (per-table mutex held only for the pending/generation-list swap).
 class ColumnStore {
  public:
   ColumnStore(const Catalog* catalog, const TableStore* rows,
@@ -142,25 +142,24 @@ class ColumnStore {
 
   const ColumnStoreOptions& options() const { return options_; }
 
-  /// Marks `key` of `table` changed at `commit_ts`. Commit path only;
-  /// thread-safe across concurrent group commits. Must happen before the
-  /// corresponding watermark store (see class comment). The timestamp lets
-  /// an asynchronous Publish at an older watermark take only the entries it
+  /// Marks `keys` of `table` changed at `commit_ts` — one lock per call, so
+  /// the commit path batches a fragment's rows per table. Thread-safe across
+  /// concurrent group commits. Must happen before the corresponding
+  /// watermark store (see class comment). The timestamp lets an
+  /// asynchronous Publish at an older watermark take only the entries it
   /// actually covers — keys whose change committed later stay pending, so
   /// the residual top-up never loses them.
-  void NoteDirty(TableId table, int64_t key, Timestamp commit_ts);
+  void NoteDirty(TableId table, const std::vector<int64_t>& keys,
+                 Timestamp commit_ts);
 
-  /// Publishes one generation per table from the pending entries with
-  /// commit_ts <= watermark, reading the merged rows from the row store at
+  /// Publishes one generation per table that has pending entries with
+  /// commit_ts <= watermark, reading those keys' rows from the row store at
   /// `watermark`; later entries stay pending (the residual path covers
   /// them). Single publisher at a time — the replayer runs it on a
   /// background merge thread, posting a watermark only after that epoch's
   /// watermarks published, so every consumed key's versions up to
-  /// `watermark` are fully installed. With publish_min_dirty set, tables
-  /// below the backlog threshold are skipped (their pending keys keep
-  /// accumulating) unless `force` — used on heartbeats and at shutdown to
-  /// drain the backlog.
-  void Publish(Timestamp watermark, bool force = false);
+  /// `watermark` are fully installed.
+  void Publish(Timestamp watermark);
 
   /// Bootstrap seeding: builds generation 0 of every table from the rows
   /// visible at `snapshot_ts` (a checkpoint restore's snapshot timestamp).
@@ -169,7 +168,8 @@ class ColumnStore {
 
   /// The query-side entry point; see ColumnSnapshot. Returns an invalid
   /// snapshot (caller falls back to the row path) when no retained
-  /// generation has chunk_ts <= qts.
+  /// generation has chunk_ts <= qts; for a table that has columnar state,
+  /// that fallback is counted in column.row_fallbacks.
   ColumnSnapshot SnapshotAt(TableId table, Timestamp qts) const;
 
   /// chunk_ts of `table`'s newest generation, or kInvalidTimestamp.
@@ -182,12 +182,16 @@ class ColumnStore {
     /// commit_ts <= w; later ones ride into the next generation.
     std::vector<std::pair<int64_t, Timestamp>> pending;
     std::deque<std::shared_ptr<const TableGeneration>> gens;  // ascending ts
-    size_t live_rows = 0;  // newest generation's live count (threshold input)
   };
 
-  std::shared_ptr<const TableGeneration> RebuildTable(
+  /// The generation after `prev` (nullptr: the table's first) covering the
+  /// sorted, unique `dirty` keys at `watermark`.
+  std::shared_ptr<const TableGeneration> BuildGeneration(
       TableId table, const TableGeneration* prev,
-      std::vector<int64_t> dirty, Timestamp watermark);
+      const std::vector<int64_t>& dirty, Timestamp watermark) const;
+  /// Rewrites `gen`'s base chunks with its delta rows merged in, leaving a
+  /// delta-free generation with the same visible rows.
+  void Fold(const Schema& schema, TableGeneration* gen) const;
 
   const Catalog* catalog_;
   const TableStore* rows_;

@@ -1,5 +1,7 @@
 #include "aets/storage/version_chain.h"
 
+#include <algorithm>
+
 #include "aets/common/macros.h"
 
 namespace aets {
@@ -23,6 +25,31 @@ std::optional<Row> MemNode::ReadVisible(Timestamp ts) const {
       continue;
     }
     v.delta.ApplyTo(&row);
+    exists = true;
+  }
+  if (!exists) return std::nullopt;
+  return row;
+}
+
+std::optional<Row> MemNode::ReadVisibleFrom(Timestamp base_ts,
+                                            std::optional<Row> base,
+                                            Timestamp ts) const {
+  SpinGuard guard(latch_);
+  auto it = std::upper_bound(
+      versions_.begin(), versions_.end(), base_ts,
+      [](Timestamp t, const VersionCell& v) { return t < v.commit_ts; });
+  // With no version at or below base_ts on the chain, either the row did
+  // not exist at base_ts or TruncateBefore folded that history into the
+  // front version's full image; both replay from an empty row.
+  bool exists = it != versions_.begin() && base.has_value();
+  Row row = exists ? std::move(*base) : Row();
+  for (; it != versions_.end() && it->commit_ts <= ts; ++it) {
+    if (it->is_delete) {
+      row.clear();
+      exists = false;
+      continue;
+    }
+    it->delta.ApplyTo(&row);
     exists = true;
   }
   if (!exists) return std::nullopt;

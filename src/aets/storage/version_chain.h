@@ -50,6 +50,13 @@ class MemNode {
   /// (never inserted yet, or deleted).
   std::optional<Row> ReadVisible(Timestamp ts) const;
 
+  /// ReadVisible(ts), rolled forward from `base` — the row visible at
+  /// `base_ts` <= ts (nullopt: absent there) — through only the versions
+  /// committed in (base_ts, ts]. ReadVisible folds the whole chain, so on a
+  /// hot row this turns an O(history) read into an O(new versions) one.
+  std::optional<Row> ReadVisibleFrom(Timestamp base_ts, std::optional<Row> base,
+                                     Timestamp ts) const;
+
   /// The newest committed version's txn id, or kInvalidTxnId when empty.
   /// ATR's operation-sequence check compares this against the log's
   /// before-image txn id.

@@ -1,19 +1,23 @@
-// ColumnStore unit tests (DESIGN.md §13): chunk builds, incremental
-// generation publishes, residual top-up at every snapshot shape, tombstone
-// overlays, irregular-row overflow, generation pruning — each asserted
-// provably identical to the row store's ScanVisible/DigestAt at the same
-// snapshot. The RebuildRacesPinnedQueries test is the TSan CI step's race
-// surface: concurrent Publish against pinned readers.
+// ColumnStore unit tests (DESIGN.md §13): chunk builds, per-epoch delta
+// generations, folds into the base chunks, residual top-up at every
+// snapshot shape, tombstone overlays, irregular-row overflow, generation
+// pruning — each asserted provably identical to the row store's
+// ScanVisible/DigestAt at the same snapshot. The ColumnStoreRaceTest suite
+// is the TSan CI step's race surface: concurrent Publish against pinned
+// readers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "aets/catalog/catalog.h"
 #include "aets/common/rng.h"
+#include "aets/obs/metrics.h"
 #include "aets/storage/column_store.h"
 #include "aets/storage/memtable.h"
 #include "aets/storage/table_store.h"
@@ -62,12 +66,22 @@ struct Rig {
              {1, Value(static_cast<double>(key) * 0.5)},
              {2, Value("r" + std::to_string(key))}}),
         ts);
-    columns->NoteDirty(kT, key, ts);
+    columns->NoteDirty(kT, {key}, ts);
+  }
+
+  /// Overwrites column a of an existing row: each call leaves a distinct
+  /// newest image.
+  void Update(int64_t key, Timestamp ts, int64_t a) {
+    store.GetTable(kT)->ApplyCommitted(
+        LogRecord::Dml(LogRecordType::kUpdate, static_cast<Lsn>(ts), 1, ts, kT,
+                       key, {{0, Value(a)}}),
+        ts);
+    columns->NoteDirty(kT, {key}, ts);
   }
 
   void Delete(int64_t key, Timestamp ts) {
     store.GetTable(kT)->ApplyCommitted(Del(key, ts), ts);
-    columns->NoteDirty(kT, key, ts);
+    columns->NoteDirty(kT, {key}, ts);
   }
 
   /// Column snapshot vs row-store ScanVisible at `qts`: same rows, same
@@ -97,6 +111,25 @@ struct Rig {
   TableStore store;
   std::unique_ptr<ColumnStore> columns;
 };
+
+/// Every chunk is sorted; base chunks are also disjoint and ascending.
+void ExpectChunkLayout(const ColumnSnapshot& snap) {
+  const auto& chunks = snap.chunks();
+  ASSERT_LE(snap.base_chunks(), chunks.size());
+  for (size_t ci = 0; ci < chunks.size(); ++ci) {
+    const auto& keys = chunks[ci].data->keys;
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << "chunk " << ci;
+    EXPECT_GT(chunks[ci].live, 0u) << "dead chunk " << ci << " retained";
+    if (ci > 0 && ci < snap.base_chunks()) {
+      EXPECT_LT(chunks[ci - 1].max_key(), chunks[ci].min_key())
+          << "base chunks " << ci - 1 << " and " << ci << " overlap";
+    }
+  }
+}
+
+bool HasDeltas(const ColumnSnapshot& snap) {
+  return snap.chunks().size() > snap.base_chunks();
+}
 
 TEST(ColumnStoreTest, SeedMatchesRowStoreAcrossChunks) {
   Rig rig(/*chunk_rows=*/4);
@@ -189,13 +222,13 @@ TEST(ColumnStoreTest, IrregularRowsStayExact) {
   // the irregular overflow (or null bitmap) without perturbing digests.
   rig.store.GetTable(kT)->ApplyCommitted(
       Ins(7, 10, {{0, Value("not-an-int")}, {1, Value(0.5)}}), 10);
-  rig.columns->NoteDirty(kT, 7, 10);
+  rig.columns->NoteDirty(kT, {7}, 10);
   rig.store.GetTable(kT)->ApplyCommitted(
       Ins(8, 10, {{0, Value(int64_t{80})}, {9, Value(int64_t{1})}}), 10);
-  rig.columns->NoteDirty(kT, 8, 10);
+  rig.columns->NoteDirty(kT, {8}, 10);
   rig.store.GetTable(kT)->ApplyCommitted(
       Ins(9, 10, {{0, Value(int64_t{90})}, {1, Value()}}), 10);
-  rig.columns->NoteDirty(kT, 9, 10);
+  rig.columns->NoteDirty(kT, {9}, 10);
   rig.columns->SeedFromRows(10);
   rig.ExpectParity(10);
   // An irregular row updated back to a regular shape leaves the overflow.
@@ -230,33 +263,172 @@ TEST(ColumnStoreTest, PublishWithoutDirtyKeysPublishesNothing) {
   rig.ExpectParity(20);  // still exact via the empty residual
 }
 
-// The TSan CI step's target: one commit-context thread rebuilding
+TEST(ColumnStoreTest, ResidualIsOneEpochOfKeys) {
+  Rig rig(/*chunk_rows=*/16);
+  for (int64_t k = 0; k < 64; ++k) rig.Apply(k, 10);
+  rig.columns->SeedFromRows(10);
+  const std::set<int64_t> first = {3, 17, 40};
+  rig.Update(3, 12, 1);
+  rig.Update(17, 15, 2);
+  rig.Delete(40, 20);
+  rig.columns->Publish(20);
+  ColumnSnapshot exact = rig.columns->SnapshotAt(kT, 20);
+  ASSERT_TRUE(exact.valid());
+  EXPECT_TRUE(exact.residual_keys().empty());
+  EXPECT_TRUE(HasDeltas(exact));  // one delta, not a rewrite
+
+  // Noted but not yet published: a query ahead of the newest generation
+  // re-resolves only this epoch's keys.
+  const std::set<int64_t> second = {5, 17, 70};
+  rig.Update(5, 22, 3);
+  rig.Update(17, 25, 4);
+  rig.Apply(70, 30);
+  auto expect_residual_within = [&](Timestamp qts,
+                                    const std::set<int64_t>& noted) {
+    ColumnSnapshot snap = rig.columns->SnapshotAt(kT, qts);
+    ASSERT_TRUE(snap.valid()) << "qts " << qts;
+    for (int64_t key : snap.residual_keys()) {
+      EXPECT_TRUE(noted.count(key)) << "qts " << qts << " key " << key;
+    }
+    rig.ExpectParity(qts);
+  };
+  for (Timestamp qts = 21; qts <= 30; ++qts) {
+    expect_residual_within(qts, second);
+  }
+  rig.columns->Publish(30);
+  EXPECT_TRUE(rig.columns->SnapshotAt(kT, 30).residual_keys().empty());
+  // Between two generations the residual is the newer one's dirty set.
+  for (Timestamp qts = 11; qts < 20; ++qts) expect_residual_within(qts, first);
+  for (Timestamp qts = 21; qts < 30; ++qts) expect_residual_within(qts, second);
+}
+
+TEST(ColumnStoreTest, KeyUpdatedEveryEpochScansOnceWithNewestImage) {
+  Rig rig(/*chunk_rows=*/16);
+  for (int64_t k = 0; k < 64; ++k) rig.Apply(k, 10);
+  rig.columns->SeedFromRows(10);
+  constexpr int64_t kHot = 7;
+  for (int64_t e = 1; e <= 6; ++e) {
+    Timestamp ts = 10 + 10 * e;
+    rig.Update(kHot, ts - 5, 1000 + e);
+    rig.Update(20 + e, ts, 2000 + e);  // a second, cold key per epoch
+    rig.columns->Publish(ts);
+    ColumnSnapshot snap = rig.columns->SnapshotAt(kT, ts);
+    ASSERT_TRUE(snap.valid());
+    ASSERT_TRUE(HasDeltas(snap)) << "epoch " << e << " folded early";
+    ExpectChunkLayout(snap);
+    snap.LoadResidual();
+    int seen = 0;
+    snap.ScanRows([&](int64_t key, const Row& row) {
+      if (key == kHot) {
+        ++seen;
+        const Value* a = row.Find(0);
+        EXPECT_TRUE(a != nullptr && a->as_int64() == 1000 + e);
+      }
+      return true;
+    });
+    EXPECT_EQ(seen, 1) << "epoch " << e;
+  }
+  // At every chunk_ts and between them.
+  for (Timestamp qts = 10; qts <= 70; ++qts) rig.ExpectParity(qts);
+}
+
+TEST(ColumnStoreTest, FoldLeavesDeltaFreeGenerationWithSameRows) {
+  Rig rig(/*chunk_rows=*/4);
+  for (int64_t k = 0; k < 40; ++k) rig.Apply(k, 10);
+  rig.columns->SeedFromRows(10);
+  obs::Counter* rebuilt = obs::GetCounter("column.chunks_rebuilt");
+  const uint64_t rebuilt_before = rebuilt->value();
+  bool saw_delta = false;
+  bool folded = false;
+  for (Timestamp ts = 11; ts < 51 && !folded; ++ts) {
+    rig.Update(static_cast<int64_t>(ts * 7 % 40), ts, static_cast<int64_t>(ts));
+    rig.columns->Publish(ts);
+    ColumnSnapshot snap = rig.columns->SnapshotAt(kT, ts);
+    ASSERT_TRUE(snap.valid());
+    ExpectChunkLayout(snap);
+    if (HasDeltas(snap)) {
+      saw_delta = true;
+    } else if (saw_delta) {
+      folded = true;
+    }
+    rig.ExpectParity(ts);
+    rig.ExpectParity(ts - 1);
+  }
+  EXPECT_TRUE(saw_delta);
+  EXPECT_TRUE(folded) << "deltas never folded into the base";
+  EXPECT_GT(rebuilt->value(), rebuilt_before);
+}
+
+TEST(ColumnStoreTest, IrregularRowsSurviveDeltaAndFold) {
+  Rig rig(/*chunk_rows=*/4);
+  for (int64_t k = 0; k < 40; ++k) rig.Apply(k, 10);
+  rig.columns->SeedFromRows(10);
+  // One delta carrying every shape the typed vectors cannot hold as-is: a
+  // wrong-typed column, an unknown column id, a NULL, and absent columns.
+  // The keys sit in different base chunks, so none turns sparse and folds.
+  auto put = [&](int64_t key, std::vector<ColumnValue> values) {
+    rig.store.GetTable(kT)->ApplyCommitted(Ins(key, 11, std::move(values)), 11);
+    rig.columns->NoteDirty(kT, {key}, 11);
+  };
+  put(5, {{0, Value("not-an-int")}, {1, Value(0.5)}});
+  put(14, {{0, Value(int64_t{140})}, {9, Value(int64_t{1})}});
+  put(23, {{0, Value(int64_t{230})}, {1, Value()}});
+  put(100, {{2, Value("only-s")}});
+  rig.columns->Publish(11);
+  ColumnSnapshot snap = rig.columns->SnapshotAt(kT, 11);
+  ASSERT_TRUE(snap.valid());
+  ASSERT_TRUE(HasDeltas(snap));
+  EXPECT_TRUE(snap.chunks().back().data->irregular.Any());
+  rig.ExpectParity(10);
+  rig.ExpectParity(11);
+  // Push unrelated updates until the deltas fold; the odd rows must come
+  // through the column-wise copy bit-identical.
+  for (Timestamp ts = 12; ts < 40 && HasDeltas(snap); ++ts) {
+    rig.Update(20 + static_cast<int64_t>(ts % 16), ts,
+               static_cast<int64_t>(ts));
+    rig.columns->Publish(ts);
+    snap = rig.columns->SnapshotAt(kT, ts);
+    ASSERT_TRUE(snap.valid());
+    rig.ExpectParity(ts);
+  }
+  ASSERT_FALSE(HasDeltas(snap)) << "deltas never folded";
+  ExpectChunkLayout(snap);
+  bool irregular_in_base = false;
+  for (const ColumnChunk& chunk : snap.chunks()) {
+    irregular_in_base |= chunk.data->irregular.Any();
+  }
+  EXPECT_TRUE(irregular_in_base);
+}
+
+// The TSan CI step's target: one commit-context thread publishing
 // generations while reader threads pin snapshots, load residuals, and
 // digest chunks. Readers only use timestamps at or below the published
 // watermark they observed, so every comparison is deterministic even
-// though Publish races the scans.
-TEST(ColumnStoreRaceTest, RebuildRacesPinnedQueries) {
-  Rig rig(/*chunk_rows=*/8);
-  for (int64_t k = 0; k < 32; ++k) rig.Apply(k, 1);
+// though Publish races the scans. `seed_keys` rows start in the base;
+// writes land on keys [0, seed_keys * 3 / 2) at timestamps 2..last_ts.
+void RacePublishAgainstPinnedQueries(size_t chunk_rows, int64_t seed_keys,
+                                     Timestamp publish_every,
+                                     Timestamp last_ts) {
+  Rig rig(chunk_rows);
+  for (int64_t k = 0; k < seed_keys; ++k) rig.Apply(k, 1);
   rig.columns->SeedFromRows(1);
 
-  constexpr Timestamp kLastTs = 400;
   std::atomic<bool> done{false};
   std::thread writer([&] {
     Rng rng(test::DeriveSeed(42));
-    for (Timestamp ts = 2; ts <= kLastTs; ++ts) {
+    for (Timestamp ts = 2; ts <= last_ts; ++ts) {
       int writes = static_cast<int>(rng.UniformInt(1, 4));
       for (int w = 0; w < writes; ++w) {
-        int64_t key = rng.UniformInt(0, 47);
+        int64_t key = rng.UniformInt(0, seed_keys * 3 / 2 - 1);
         if (rng.UniformInt(0, 9) < 8) {
           rig.Apply(key, ts);
         } else {
           rig.Delete(key, ts);
         }
       }
-      if (ts % 3 == 0) rig.columns->Publish(ts);
+      if (ts % publish_every == 0) rig.columns->Publish(ts);
     }
-    rig.columns->Publish(kLastTs);
+    rig.columns->Publish(last_ts);
     done.store(true, std::memory_order_release);
   });
 
@@ -289,7 +461,20 @@ TEST(ColumnStoreRaceTest, RebuildRacesPinnedQueries) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_GT(checked.load(), 0u);
-  rig.ExpectParity(kLastTs);
+  rig.ExpectParity(last_ts);
+}
+
+// Small chunks over a small table: nearly every publish folds.
+TEST(ColumnStoreRaceTest, RebuildRacesPinnedQueries) {
+  RacePublishAgainstPinnedQueries(/*chunk_rows=*/8, /*seed_keys=*/32,
+                                  /*publish_every=*/3, /*last_ts=*/400);
+}
+
+// Large chunks: a publish per timestamp stacks up delta chunks (and
+// tombstone overlays on them) between folds while readers scan them.
+TEST(ColumnStoreRaceTest, DeltaChainRacesPinnedQueries) {
+  RacePublishAgainstPinnedQueries(/*chunk_rows=*/32, /*seed_keys=*/128,
+                                  /*publish_every=*/1, /*last_ts=*/150);
 }
 
 }  // namespace

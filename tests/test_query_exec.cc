@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aets/obs/metrics.h"
 #include "aets/replay/aets_replayer.h"
 #include "aets/replication/log_shipper.h"
 #include "aets/workload/driver.h"
@@ -165,13 +166,62 @@ TEST_F(QueryExecTest, MismatchedColumnsAreCountedNotSilentlyCoerced) {
   // amount lands in the chunk's irregular overflow, the missing quantity
   // in the has-bitmap check.
   storage::ColumnStore columns(&ch_->catalog(), &store);
-  for (int64_t key : {1, 2, 3}) columns.NoteDirty(ol, key, kTs);
+  columns.NoteDirty(ol, {1, 2, 3}, kTs);
   columns.SeedFromRows(kTs);
   ChQueryExecutor vec(ch_.get(), &store, &columns);
   auto q6_vec = vec.RunQ6(kTs, 1, 10);
   EXPECT_TRUE(q6_vec == q6);
   EXPECT_EQ(vec.column_type_mismatches(), 2u);
   EXPECT_TRUE(vec.error().IsCorruption());
+}
+
+// With a generation per epoch, max_generations (8) covers only ~8 epochs of
+// history. A snapshot pinned further back must still answer exactly — on
+// the ~200x slower row path — and that fallback must be counted, not
+// silent.
+TEST_F(QueryExecTest, SnapshotOlderThanRetainedGenerationsFallsBackExactly) {
+  TableStore store(ch_->catalog());
+  TableId ol = ch_->tpcc().orderline();
+  storage::ColumnStore columns(&ch_->catalog(), &store);
+  auto write = [&](LogRecordType type, int64_t key, Timestamp ts,
+                   std::vector<ColumnValue> values) {
+    store.GetTable(ol)->ApplyCommitted(
+        LogRecord::Dml(type, static_cast<Lsn>(ts), 1, ts, ol, key,
+                       std::move(values)),
+        ts);
+    columns.NoteDirty(ol, {key}, ts);
+  };
+  constexpr Timestamp kPinned = 10;
+  for (int64_t key = 1; key <= 20; ++key) {
+    write(LogRecordType::kInsert, key, kPinned,
+          {{1, Value(key % 3)},
+           {4, Value(key % 10 + 1)},
+           {5, Value(static_cast<double>(key) * 1.5)},
+           {6, Value(int64_t{0})}});
+  }
+  columns.SeedFromRows(kPinned);
+  ChQueryExecutor rows(ch_.get(), &store);
+  ChQueryExecutor cols(ch_.get(), &store, &columns);
+  const auto pinned_answer = rows.RunQ6(kPinned, 1, 5);
+
+  // Twelve epochs, one generation each: the pinned snapshot's is pruned.
+  for (int64_t e = 1; e <= 12; ++e) {
+    Timestamp ts = kPinned + static_cast<Timestamp>(e);
+    write(LogRecordType::kUpdate, e, ts, {{4, Value(int64_t{3})}});
+    columns.Publish(ts);
+  }
+  obs::Counter* fallbacks = obs::GetCounter("column.row_fallbacks");
+  uint64_t before = fallbacks->value();
+  auto answer = cols.RunQ6(kPinned, 1, 5);
+  EXPECT_TRUE(answer == pinned_answer);
+  EXPECT_GT(fallbacks->value(), before);
+
+  // A snapshot a retained generation covers stays columnar: not counted.
+  before = fallbacks->value();
+  Timestamp recent = kPinned + 10;
+  EXPECT_TRUE(cols.RunQ6(recent, 1, 5) == rows.RunQ6(recent, 1, 5));
+  EXPECT_EQ(fallbacks->value(), before);
+  EXPECT_TRUE(cols.error().ok());
 }
 
 TEST_F(QueryExecTest, Q1DeliveryCutoffFilters) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "aets/catalog/catalog.h"
 #include "aets/storage/memtable.h"
 #include "aets/storage/table_store.h"
@@ -60,6 +64,38 @@ TEST(VersionChainTest, TombstoneHidesRowThenReinsertRevives) {
   Row revived = *node.ReadVisible(35);
   EXPECT_EQ(revived.at(0).as_int64(), 9);
   EXPECT_EQ(revived.size(), 1u);  // pre-delete columns do not leak through
+}
+
+// Rolling an image forward from an earlier snapshot equals folding the
+// whole chain, across updates, deletes and re-inserts — and still does
+// after GC folds the history below the base snapshot into one full image.
+TEST(VersionChainTest, ReadVisibleFromMatchesFullFold) {
+  MemNode node(1);
+  node.AppendVersion(Cell(10, 1, {{0, Value(int64_t{1})}, {1, Value("a")}}));
+  node.AppendVersion(Cell(20, 2, {{1, Value("b")}}));
+  node.AppendVersion(Cell(30, 3, {}, /*is_delete=*/true));
+  node.AppendVersion(Cell(40, 4, {{2, Value(2.5)}}));
+  node.AppendVersion(Cell(50, 5, {{0, Value(int64_t{5})}}));
+  std::vector<std::optional<Row>> exact(61);
+  for (Timestamp ts = 0; ts <= 60; ++ts) exact[ts] = node.ReadVisible(ts);
+  auto expect_roll_forward = [&] {
+    for (Timestamp base = 0; base <= 60; base += 5) {
+      for (Timestamp ts = base; ts <= 60; ++ts) {
+        EXPECT_EQ(node.ReadVisibleFrom(base, exact[base], ts), exact[ts])
+            << "base " << base << " ts " << ts;
+      }
+    }
+  };
+  expect_roll_forward();
+  // GC up to 45: exact reads at ts >= 45 are unchanged, and a base image
+  // taken before the truncation still rolls forward to them.
+  ASSERT_GT(node.TruncateBefore(45), 0u);
+  for (Timestamp base = 0; base <= 60; base += 5) {
+    for (Timestamp ts = std::max<Timestamp>(base, 45); ts <= 60; ++ts) {
+      EXPECT_EQ(node.ReadVisibleFrom(base, exact[base], ts), exact[ts])
+          << "after GC: base " << base << " ts " << ts;
+    }
+  }
 }
 
 TEST(VersionChainTest, LastWriterAndTs) {
