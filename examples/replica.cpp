@@ -208,11 +208,14 @@ void RunWorkload(const Config& cfg, PrimaryDb* db, bool paced,
 // ---------------------------------------------------------------------------
 // The backup node.
 
-// One lane: an AetsReplayer reading `channel`. The recovery window is sized
-// for a lane fed over TCP, where a reconnect can leave a long gap to NACK.
+// Lane `shard`: an AetsReplayer reading `channel`, named AETS.s<shard> so
+// its replay.* counters also export as a per-lane series. The recovery
+// window is sized for a lane fed over TCP, where a reconnect can leave a
+// long gap to NACK.
 std::unique_ptr<AetsReplayer> NewLane(const Catalog* catalog,
-                                      EpochChannel* channel) {
+                                      EpochChannel* channel, int shard) {
   AetsOptions options;
+  options.name = "AETS.s" + std::to_string(shard);
   options.replay_threads = 2;
   options.commit_threads = 2;
   options.grouping = GroupingMode::kPerTable;
@@ -326,7 +329,7 @@ int RunMode(const Config& cfg, bool paced) {
     shipper.AttachShardSegmentStore(s, stores[s].get());
     channels.push_back(std::make_unique<EpochChannel>());
     shipper.AttachShardChannel(s, channels.back().get());
-    lanes.push_back(NewLane(&catalog, channels.back().get()));
+    lanes.push_back(NewLane(&catalog, channels.back().get(), s));
     sources.push_back(shipper.shard_source(s));
   }
   primary.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
@@ -494,7 +497,7 @@ int RecoverMode(const Config& cfg) {
     Result<RestartPoint> point = ChooseRestartPoint(
         LaneDir(cfg, s), stores[s]->first_epoch(), stores[s]->next_epoch(),
         [&](const std::string& image) -> Result<EpochId> {
-          lane = NewLane(&catalog, &closed_channel);
+          lane = NewLane(&catalog, &closed_channel, s);
           Status st = lane->Bootstrap(image);
           if (!st.ok()) return st;
           return lane->next_expected_epoch();
@@ -508,7 +511,7 @@ int RecoverMode(const Config& cfg) {
       std::fprintf(stderr, "shard %d skipped %s\n", s, why.c_str());
     }
     if (point->image.empty()) {
-      lane = NewLane(&catalog, &closed_channel);
+      lane = NewLane(&catalog, &closed_channel, s);
     } else {
       std::printf("BOOTSTRAP shard=%d %s epoch=%" PRIu64 "\n", s,
                   point->image.c_str(),
@@ -719,7 +722,7 @@ int BackupMode(const Config& cfg) {
       std::fprintf(stderr, "connect: %s\n", st.ToString().c_str());
       return 2;
     }
-    lanes.push_back(NewLane(&catalog, sinks.back().get()));
+    lanes.push_back(NewLane(&catalog, sinks.back().get(), s));
     sources.push_back(tcp_sources.back().get());
   }
   std::unique_ptr<ShardedBackup> backup =

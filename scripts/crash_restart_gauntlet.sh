@@ -2,7 +2,9 @@
 # Crash-restart gauntlet: kill -9 a paced replay run at a seeded random
 # point, restart, and demand the recovered snapshot digest equal the
 # uninterrupted reference run's digest at the same epoch (plus the sim
-# oracle's row-exactness probe, which `recover` mode runs internally).
+# oracle's row-exactness probe, which `recover` mode runs internally). The
+# kill point is a seeded 15-85 % of one timed uninterrupted run, so every
+# seed kills mid-stream; a kill that lands after the run's FINAL line fails.
 #
 #   scripts/crash_restart_gauntlet.sh          # kill/recover, seeds $SEEDS
 #   scripts/crash_restart_gauntlet.sh --chaos  # + torn-write / truncated-
@@ -21,6 +23,19 @@ CHAOS=${1:-}
 fail() { echo "FAIL: $*" >&2; exit 1; }
 [ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build replica)"
 
+# Wall time in ms of one uninterrupted `run` (into a throwaway dir).
+time_run() {
+  local seed=$1 dir="$WORK/timed-$seed"
+  rm -rf "$dir"
+  local t0 t1
+  t0=$(date +%s%N)
+  "$BIN" run --dir "$dir" --seed "$seed" --txns "$TXNS" >/dev/null 2>&1 \
+      || fail "seed $seed: timing run failed"
+  t1=$(date +%s%N)
+  rm -rf "$dir"
+  echo $(( (t1 - t0) / 1000000 ))
+}
+
 # Runs `run` mode, kills it after $2 ms, recovers, and checks the recovered
 # digest against the reference table in $3. Echoes the recovered fetch count.
 kill_and_recover() {
@@ -30,12 +45,13 @@ kill_and_recover() {
       > "$WORK/run-$seed.txt" 2>&1 &
   local pid=$!
   sleep "$(awk "BEGIN{print $delay_ms/1000}")"
-  if kill -9 "$pid" 2>/dev/null; then
-    echo "seed $seed: killed after ${delay_ms}ms" >&2
-  else
-    echo "seed $seed: run completed before the kill (still a valid case)" >&2
-  fi
+  local was_killed=0
+  kill -9 "$pid" 2>/dev/null && was_killed=1
   wait "$pid" 2>/dev/null
+  if [ "$was_killed" -eq 0 ] || grep -q '^FINAL' "$WORK/run-$seed.txt"; then
+    fail "seed $seed: the kill at ${delay_ms}ms landed after FINAL"
+  fi
+  echo "seed $seed: killed after ${delay_ms}ms" >&2
 
   local out
   out=$("$BIN" recover --dir "$dir" --seed "$seed" 2>"$WORK/recover-$seed.err") \
@@ -69,7 +85,9 @@ for seed in $SEEDS; do
   ref="$WORK/ref-$seed.txt"
   "$BIN" digest --dir "$WORK/ref-$seed" --seed "$seed" --txns "$TXNS" > "$ref" \
       || fail "seed $seed: reference run failed"
-  delay_ms=$(( 400 + (seed * 7919) % 1600 ))
+  full_ms=$(time_run "$seed")
+  delay_ms=$(( full_ms * (15 + (seed * 7919) % 71) / 100 ))
+  echo "seed $seed: uninterrupted run took ${full_ms}ms" >&2
   fetches=$(kill_and_recover "$seed" "$delay_ms" "$ref" "$WORK/crash-$seed")
   total_fetches=$(( total_fetches + fetches ))
 done

@@ -239,7 +239,9 @@ EpochStreamClient::EpochStreamClient(std::string host, uint16_t port,
       port_(port),
       shard_(shard),
       sink_(sink),
-      options_(options) {}
+      options_(options),
+      exported_("", {{"net.epochs_received", &epochs_received_},
+                     {"net.reconnects", &reconnects_}}) {}
 
 EpochStreamClient::~EpochStreamClient() { Stop(); }
 
@@ -287,8 +289,6 @@ void EpochStreamClient::Stop() {
 }
 
 void EpochStreamClient::ReadLoop() {
-  static obs::Counter* received = obs::GetCounter("net.epochs_received");
-  static obs::Counter* reconnect_count = obs::GetCounter("net.reconnects");
   FrameDecoder decoder;
   while (!stop_.load(std::memory_order_relaxed)) {
     Frame frame;
@@ -311,7 +311,6 @@ void EpochStreamClient::ReadLoop() {
             break;
           }
           epochs_received_.fetch_add(1, std::memory_order_relaxed);
-          received->Add(1);
           // A full sink blocks here, which stops reading, which closes the
           // TCP window — backpressure without unbounded buffering. A closed
           // sink means the consumer is gone; just stop.
@@ -344,7 +343,6 @@ void EpochStreamClient::ReadLoop() {
         socket_ = std::move(fresh);
         connected = true;
         reconnects_.fetch_add(1, std::memory_order_relaxed);
-        reconnect_count->Add(1);
         break;
       }
     }

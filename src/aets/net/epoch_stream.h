@@ -13,6 +13,7 @@
 #include "aets/common/status.h"
 #include "aets/net/frame.h"
 #include "aets/net/socket.h"
+#include "aets/obs/metrics.h"
 #include "aets/replication/channel.h"
 #include "aets/replication/log_shipper.h"
 
@@ -172,6 +173,7 @@ class EpochStreamClient {
   std::atomic<bool> clean_end_{false};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> epochs_received_{0};
+  obs::ExportedCounters exported_;
 };
 
 }  // namespace net

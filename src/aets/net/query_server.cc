@@ -23,7 +23,9 @@ QueryServer::QueryServer(Replayer* backup,
     : backup_(backup),
       coordinator_(coordinator),
       options_(options),
-      admission_(options.admission_queue) {}
+      admission_(options.admission_queue),
+      exported_("", {{"net.queries_served", &queries_served_},
+                     {"net.admission_rejects", &admission_rejects_}}) {}
 
 QueryServer::~QueryServer() { Stop(); }
 
@@ -58,7 +60,6 @@ void QueryServer::Stop() {
 }
 
 void QueryServer::AcceptLoop() {
-  static obs::Counter* rejects = obs::GetCounter("net.admission_rejects");
   while (!stop_.load(std::memory_order_relaxed)) {
     Result<TcpSocket> accepted = listener_.Accept(kIdleSliceMs);
     if (!accepted.ok()) {
@@ -76,7 +77,6 @@ void QueryServer::AcceptLoop() {
       // short best-effort write — the accept loop must not park behind a
       // dead client).
       admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-      rejects->Add(1);
       WriteFrame(&socket, FrameType::kBusy, "", /*io_timeout_ms=*/50);
     }
   }
@@ -93,7 +93,6 @@ void QueryServer::SessionLoop() {
 }
 
 void QueryServer::ServeOne(TcpSocket socket) {
-  static obs::Counter* served = obs::GetCounter("net.queries_served");
   static Histogram* query_us = obs::GetHistogram("net.query_us");
   FrameDecoder decoder;
   std::string body;
@@ -122,7 +121,6 @@ void QueryServer::ServeOne(TcpSocket socket) {
     }
     if (!s.ok()) return;  // slow or gone reader: drop the session
     queries_served_.fetch_add(1, std::memory_order_relaxed);
-    served->Add(1);
     query_us->Record(MonotonicMicros() - start_us);
   }
 }

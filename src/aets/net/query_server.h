@@ -11,6 +11,7 @@
 #include "aets/common/status.h"
 #include "aets/net/frame.h"
 #include "aets/net/socket.h"
+#include "aets/obs/metrics.h"
 #include "aets/replay/replayer.h"
 #include "aets/replay/snapshot_coordinator.h"
 
@@ -89,6 +90,7 @@ class QueryServer {
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> admission_rejects_{0};
+  obs::ExportedCounters exported_;
 };
 
 /// Blocking client for the QueryServer protocol — the test rig, the bench

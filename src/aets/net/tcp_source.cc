@@ -4,14 +4,17 @@
 #include <utility>
 
 #include "aets/net/frame_io.h"
-#include "aets/obs/metrics.h"
 
 namespace aets {
 namespace net {
 
 TcpEpochSource::TcpEpochSource(std::string host, uint16_t port, uint32_t shard,
                                TcpEpochSourceOptions options)
-    : host_(std::move(host)), port_(port), shard_(shard), options_(options) {}
+    : host_(std::move(host)),
+      port_(port),
+      shard_(shard),
+      options_(options),
+      exported_("", {{"net.nack_rpc_failures", &rpc_failures_}}) {}
 
 TcpEpochSource::~TcpEpochSource() {
   stop_.store(true, std::memory_order_release);
@@ -38,7 +41,6 @@ Status TcpEpochSource::EnsureConnectedLocked() const {
 Status TcpEpochSource::RoundTripLocked(FrameType request_type,
                                        std::string_view body,
                                        Frame* reply) const {
-  static obs::Counter* failures = obs::GetCounter("net.nack_rpc_failures");
   Status last = Status::Internal("no RPC attempt made");
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (stop_.load(std::memory_order_relaxed)) {
@@ -60,7 +62,6 @@ Status TcpEpochSource::RoundTripLocked(FrameType request_type,
     socket_.Close();
     decoder_.Reset();
     rpc_failures_.fetch_add(1, std::memory_order_relaxed);
-    failures->Add(1);
     last = std::move(s);
   }
   return last;

@@ -10,6 +10,7 @@
 #include "aets/common/status.h"
 #include "aets/net/frame.h"
 #include "aets/net/socket.h"
+#include "aets/obs/metrics.h"
 #include "aets/replication/epoch_source.h"
 
 namespace aets {
@@ -80,6 +81,7 @@ class TcpEpochSource : public EpochSource {
   mutable EpochId cached_floor_ = 0;
   mutable std::atomic<uint64_t> rpc_failures_{0};
   std::atomic<bool> stop_{false};
+  obs::ExportedCounters exported_;
 };
 
 }  // namespace net

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "aets/common/histogram.h"
 
@@ -49,17 +50,22 @@ struct MetricsSnapshot {
   std::map<std::string, Histogram::Stats> histograms;
 };
 
-/// Process-wide registry of named Counters, Gauges, and Histograms.
+class ExportedCounters;
+
+/// Process-wide registry of named Counters, Gauges, and Histograms, plus
+/// the counters components own and export through ExportedCounters.
 ///
 /// Lookup takes a mutex and allocates on first use, so call sites resolve
 /// their instrument pointer ONCE (constructor, static local, or member) and
 /// then update through the pointer on the hot path — returned pointers are
 /// stable for the process lifetime; instruments are never unregistered.
 ///
-/// The registry aggregates across every component instance in the process:
-/// a comparison bench that runs four replayers sequentially accumulates all
-/// four into the same `replay.*` series (use ResetAll between phases when
-/// per-phase numbers are needed).
+/// A counter name is either registry-owned (GetCounter) or component-owned
+/// (ExportedCounters), never both: a component that already keeps a counter
+/// for its own accessors exports that counter instead of bumping a second
+/// copy here. Snapshot() reports a component-owned name summed over every
+/// live owner plus the final values of destroyed ones, and, per scoped
+/// owner, a `name{scope}` series.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Instance();
@@ -67,24 +73,65 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Finds or creates the named instrument. Never returns nullptr.
+  /// Finds or creates the named instrument. Never returns nullptr. Aborts
+  /// when `name` is a component-owned counter.
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every registered instrument (names stay registered). Tests and
-  /// multi-phase benches use this to scope measurements.
+  /// Zeroes every registry-owned instrument and the retired totals of
+  /// destroyed component owners (names stay registered). Live components'
+  /// counters are theirs and are not touched. Tests use this to scope
+  /// measurements.
   void ResetAll();
 
  private:
+  friend class ExportedCounters;
+
   MetricsRegistry();
+
+  void Register(const ExportedCounters* owner);
+  void Unregister(const ExportedCounters* owner);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  /// Live component owners, and the folded final values of destroyed ones
+  /// keyed by exported series name. Every component-owned series ever
+  /// registered has a key here, which is what GetCounter checks against.
+  std::vector<const ExportedCounters*> owners_;
+  std::map<std::string, uint64_t, std::less<>> retired_;
+};
+
+/// RAII export of counters a component already owns: registers
+/// (name, counter) pairs with the registry for the handle's lifetime, so
+/// the registry reads the component's own atomics instead of keeping a
+/// second copy. On destruction the final values fold into retired totals,
+/// so process-wide series never go backwards. Declare the handle after the
+/// counters it exports, so it unregisters before they are destroyed.
+class ExportedCounters {
+ public:
+  struct Entry {
+    std::string name;
+    const std::atomic<uint64_t>* value;
+  };
+
+  /// A non-empty `scope` (a replayer name, a shipper lane) also exports
+  /// each counter as `name{scope}`.
+  ExportedCounters(std::string scope, std::vector<Entry> entries);
+  ~ExportedCounters();
+
+  ExportedCounters(const ExportedCounters&) = delete;
+  ExportedCounters& operator=(const ExportedCounters&) = delete;
+
+ private:
+  friend class MetricsRegistry;
+
+  std::string scope_;
+  std::vector<Entry> entries_;
 };
 
 /// Shorthands for instrument resolution at initialization time.

@@ -14,18 +14,17 @@ ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
       channel_(channel),
       store_(*catalog),
       name_(std::move(name)),
-      epochs_applied_metric_(obs::GetCounter("replay.epochs_applied")),
-      txns_applied_metric_(obs::GetCounter("replay.txns_applied")),
-      records_applied_metric_(obs::GetCounter("replay.records_applied")),
-      bytes_applied_metric_(obs::GetCounter("replay.bytes_applied")),
-      heartbeats_applied_metric_(
-          obs::GetCounter("replay.heartbeats_applied")),
-      epochs_retried_metric_(obs::GetCounter("replay.epochs_retried")),
-      duplicates_dropped_metric_(
-          obs::GetCounter("replay.epochs_duplicate_dropped")),
-      corrupt_dropped_metric_(
-          obs::GetCounter("replay.epochs_corrupt_dropped")),
-      pipeline_stalls_metric_(obs::GetCounter("pipeline.stalls")),
+      exported_(name_,
+                {{"replay.epochs_applied", &stats_.epochs},
+                 {"replay.txns_applied", &stats_.txns},
+                 {"replay.records_applied", &stats_.records},
+                 {"replay.bytes_applied", &stats_.bytes},
+                 {"replay.heartbeats_applied", &stats_.heartbeats},
+                 {"replay.epochs_retried", &stats_.epochs_retried},
+                 {"replay.epochs_duplicate_dropped",
+                  &stats_.duplicates_dropped},
+                 {"replay.epochs_corrupt_dropped", &stats_.corrupt_dropped},
+                 {"pipeline.stalls", &stats_.pipeline_stalls}}),
       pipeline_depth_metric_(obs::GetGauge("pipeline.depth")),
       pipeline_occupancy_metric_(obs::GetGauge("pipeline.occupancy")) {}
 
@@ -131,7 +130,6 @@ void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
   ++expected_epoch_;
   if (retransmitted) {
     stats_.epochs_retried.fetch_add(1, std::memory_order_relaxed);
-    epochs_retried_metric_->Add(1);
   }
   if (stats_.wall_start_us.load() == 0) {
     stats_.wall_start_us.store(MonotonicMicros());
@@ -154,7 +152,6 @@ void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
       // Backpressure: the commit stage is the bottleneck — block instead of
       // letting prepared epochs (and their pinned payloads) pile up.
       stats_.pipeline_stalls.fetch_add(1, std::memory_order_relaxed);
-      pipeline_stalls_metric_->Add(1);
       pipe_space_cv_.wait(lk, [&] {
         return pipe_.size() + static_cast<size_t>(in_commit_) < depth;
       });
@@ -172,7 +169,6 @@ void ReplayerBase::CommitItem(PipelineItem item) {
     if (item.epoch.is_heartbeat()) {
       ProcessHeartbeat(item.epoch);
       stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
-      heartbeats_applied_metric_->Add(1);
     } else {
       CommitEpoch(item.epoch, std::move(item.prepared));
       if (!HasError()) {
@@ -189,10 +185,6 @@ void ReplayerBase::CommitItem(PipelineItem item) {
                                  std::memory_order_relaxed);
         stats_.bytes.fetch_add(item.epoch.ByteSize(),
                                std::memory_order_relaxed);
-        epochs_applied_metric_->Add(1);
-        txns_applied_metric_->Add(item.epoch.num_txns);
-        records_applied_metric_->Add(item.epoch.num_records);
-        bytes_applied_metric_->Add(item.epoch.ByteSize());
       }
     }
   }
@@ -231,7 +223,6 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
     // lives in the shipper's retention buffer and the gap machinery will
     // NACK it back. Without a source there is no way to recover — latch.
     stats_.corrupt_dropped.fetch_add(1, std::memory_order_relaxed);
-    corrupt_dropped_metric_->Add(1);
     if (source_ == nullptr) {
       SetError(Status::Corruption(
           "epoch " + std::to_string(epoch.epoch_id) +
@@ -242,7 +233,6 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
   if (epoch.epoch_id < expected_epoch_) {
     // Already applied — a link-level duplicate or a redundant retransmit.
     stats_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
-    duplicates_dropped_metric_->Add(1);
     return;
   }
   if (epoch.epoch_id > expected_epoch_) {
@@ -256,7 +246,6 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
     auto [it, inserted] = pending->emplace(epoch.epoch_id, std::move(epoch));
     if (!inserted) {
       stats_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
-      duplicates_dropped_metric_->Add(1);
     } else if (pending->size() > recovery_.max_pending) {
       SetError(Status::Corruption(
           "reorder buffer overflow: " + std::to_string(pending->size()) +

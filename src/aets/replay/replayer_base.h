@@ -262,16 +262,9 @@ class ReplayerBase : public Replayer {
   int pipeline_depth_ = 1;
   std::function<void(const ShippedEpoch&)> commit_hook_;
 
-  /// Observability (resolved once per instrument; aggregated process-wide).
-  obs::Counter* epochs_applied_metric_;
-  obs::Counter* txns_applied_metric_;
-  obs::Counter* records_applied_metric_;
-  obs::Counter* bytes_applied_metric_;
-  obs::Counter* heartbeats_applied_metric_;
-  obs::Counter* epochs_retried_metric_;
-  obs::Counter* duplicates_dropped_metric_;
-  obs::Counter* corrupt_dropped_metric_;
-  obs::Counter* pipeline_stalls_metric_;
+  /// Observability: stats_ exported as `replay.*` under this replayer's
+  /// name; gauges resolved once and aggregated process-wide.
+  obs::ExportedCounters exported_;
   obs::Gauge* pipeline_depth_metric_;
   obs::Gauge* pipeline_occupancy_metric_;
 

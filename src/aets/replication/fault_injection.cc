@@ -13,11 +13,11 @@ FaultInjectingChannel::FaultInjectingChannel(FaultProfile profile,
     : EpochChannel(capacity),
       profile_(profile),
       rng_(profile.seed),
-      drops_metric_(obs::GetCounter("fault.drops")),
-      duplicates_metric_(obs::GetCounter("fault.duplicates")),
-      reorders_metric_(obs::GetCounter("fault.reorders")),
-      corruptions_metric_(obs::GetCounter("fault.corruptions")),
-      delays_metric_(obs::GetCounter("fault.delays")) {}
+      exported_("", {{"fault.drops", &drops_},
+                     {"fault.duplicates", &duplicates_},
+                     {"fault.reorders", &reorders_},
+                     {"fault.corruptions", &corruptions_},
+                     {"fault.delays", &delays_}}) {}
 
 FaultInjectingChannel::~FaultInjectingChannel() = default;
 
@@ -42,7 +42,6 @@ bool FaultInjectingChannel::Send(ShippedEpoch epoch) {
 
   if (delay) {
     delays_.fetch_add(1, std::memory_order_relaxed);
-    delays_metric_->Add(1);
     std::this_thread::sleep_for(std::chrono::microseconds(profile_.delay_us));
   }
   if (drop) {
@@ -50,24 +49,20 @@ bool FaultInjectingChannel::Send(ShippedEpoch epoch) {
     // the sender's accounting must not see this — recovery is entirely the
     // receiver's NACK protocol.
     drops_.fetch_add(1, std::memory_order_relaxed);
-    drops_metric_->Add(1);
     return true;
   }
   if (corrupt && !epoch.is_heartbeat() && epoch.ByteSize() > 0) {
     corruptions_.fetch_add(1, std::memory_order_relaxed);
-    corruptions_metric_->Add(1);
     CorruptPayload(&epoch);
   }
   if (reorder && !held_) {
     reorders_.fetch_add(1, std::memory_order_relaxed);
-    reorders_metric_->Add(1);
     held_ = std::move(epoch);
     return true;
   }
   bool ok = Enqueue(epoch);
   if (duplicate) {
     duplicates_.fetch_add(1, std::memory_order_relaxed);
-    duplicates_metric_->Add(1);
     Enqueue(epoch);
   }
   if (held_) {

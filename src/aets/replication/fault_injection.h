@@ -87,11 +87,7 @@ class FaultInjectingChannel : public EpochChannel {
   std::atomic<uint64_t> corruptions_{0};
   std::atomic<uint64_t> delays_{0};
 
-  obs::Counter* drops_metric_;
-  obs::Counter* duplicates_metric_;
-  obs::Counter* reorders_metric_;
-  obs::Counter* corruptions_metric_;
-  obs::Counter* delays_metric_;
+  obs::ExportedCounters exported_;
 };
 
 }  // namespace aets

@@ -2,29 +2,33 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "aets/common/macros.h"
 
 namespace aets {
 
+LogShipper::Lane::Lane(int shard)
+    : exported("lane" + std::to_string(shard),
+               {{"shipper.epochs_produced", &produced},
+                {"shipper.epochs_shipped", &shipped},
+                {"shipper.epochs_dropped", &dropped},
+                {"shipper.send_failures", &send_failures},
+                {"shipper.retransmits", &retransmits},
+                {"shipper.txns_shipped", &txns_shipped},
+                {"shipper.bytes_shipped", &bytes_shipped},
+                {"segment.spills", &spilled},
+                {"segment.spill_failures", &spill_failures},
+                {"segment.spills_below_floor", &spills_below_floor},
+                {"segment.budget_triggers", &budget_triggers}}) {}
+
 LogShipper::LogShipper(size_t epoch_size, size_t retention_capacity)
     : builder_(epoch_size),
+      exported_("", {{"shipper.heartbeats_shipped", &heartbeats_}}),
       retention_capacity_(retention_capacity),
-      epochs_shipped_metric_(obs::GetCounter("shipper.epochs_shipped")),
-      heartbeats_shipped_metric_(obs::GetCounter("shipper.heartbeats_shipped")),
-      bytes_shipped_metric_(obs::GetCounter("shipper.bytes_shipped")),
-      txns_shipped_metric_(obs::GetCounter("shipper.txns_shipped")),
-      send_failures_metric_(obs::GetCounter("shipper.send_failures")),
-      epochs_dropped_metric_(obs::GetCounter("shipper.epochs_dropped")),
-      retransmits_metric_(obs::GetCounter("shipper.retransmits")),
-      epochs_produced_metric_(obs::GetCounter("shipper.epochs_produced")),
-      spills_metric_(obs::GetCounter("segment.spills")),
-      spill_failures_metric_(obs::GetCounter("segment.spill_failures")),
-      spills_below_floor_metric_(obs::GetCounter("segment.spills_below_floor")),
-      budget_triggers_metric_(obs::GetCounter("segment.budget_triggers")),
       batch_latency_us_metric_(obs::GetHistogram("shipper.batch_latency_us")) {
   AETS_CHECK(retention_capacity_ > 0);
-  lanes_.resize(1);
+  lanes_.push_back(std::make_unique<Lane>(0));
   sources_.push_back(std::make_unique<ShardSource>(this, 0));
 }
 
@@ -36,14 +40,15 @@ void LogShipper::SetShardMap(const ShardMap* map) {
   AETS_CHECK_MSG(builder_.next_epoch_id() == 0 && retained_.empty() &&
                      !finished_,
                  "shard map must be installed before the first epoch ships");
-  for (const Lane& lane : lanes_) {
-    AETS_CHECK_MSG(lane.channels.empty() && lane.segment_store == nullptr,
+  for (const auto& lane : lanes_) {
+    AETS_CHECK_MSG(lane->channels.empty() && lane->segment_store == nullptr,
                    "shard map must be installed before channels or stores");
   }
   shard_map_ = map;
-  lanes_.assign(static_cast<size_t>(map->num_shards()), Lane{});
+  lanes_.clear();
   sources_.clear();
   for (int s = 0; s < map->num_shards(); ++s) {
+    lanes_.push_back(std::make_unique<Lane>(s));
     sources_.push_back(std::make_unique<ShardSource>(this, s));
   }
 }
@@ -60,15 +65,15 @@ void LogShipper::AttachChannel(EpochChannel* channel) {
 void LogShipper::AttachShardChannel(int shard, EpochChannel* channel) {
   std::lock_guard<std::mutex> lk(mu_);
   AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  lanes_[shard].channels.push_back(channel);
+  lanes_[shard]->channels.push_back(channel);
 }
 
 void LogShipper::DetachChannel(EpochChannel* channel) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (Lane& lane : lanes_) {
-    lane.channels.erase(
-        std::remove(lane.channels.begin(), lane.channels.end(), channel),
-        lane.channels.end());
+  for (auto& lane : lanes_) {
+    lane->channels.erase(
+        std::remove(lane->channels.begin(), lane->channels.end(), channel),
+        lane->channels.end());
   }
 }
 
@@ -77,19 +82,17 @@ bool LogShipper::finished() const {
   return finished_;
 }
 
-void LogShipper::AttachSegmentStore(SegmentStore* store, bool retention_spill) {
-  AttachShardSegmentStore(0, store, retention_spill);
+void LogShipper::AttachSegmentStore(SegmentStore* store) {
+  AttachShardSegmentStore(0, store);
 }
 
-void LogShipper::AttachShardSegmentStore(int shard, SegmentStore* store,
-                                         bool retention_spill) {
+void LogShipper::AttachShardSegmentStore(int shard, SegmentStore* store) {
   std::lock_guard<std::mutex> lk(mu_);
   AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
   AETS_CHECK_MSG(store == nullptr || store->empty() ||
                      store->next_epoch() == builder_.next_epoch_id(),
                  "segment store out of step with the epoch sequence");
-  lanes_[shard].segment_store = store;
-  lanes_[shard].retention_spill = retention_spill;
+  lanes_[shard]->segment_store = store;
 }
 
 void LogShipper::SetCheckpointTrigger(CheckpointTrigger trigger) {
@@ -162,7 +165,7 @@ void LogShipper::HeartbeatLoop() {
         EpochId id = builder_.ConsumeEpochId();
         std::vector<ShippedEpoch> subs(lanes_.size(),
                                        MakeHeartbeatEpoch(id, hb_ts));
-        if (DeliverLocked(id, std::move(subs)) > 0) ++heartbeats_;
+        if (DeliverLocked(id, std::move(subs)) > 0) Bump(heartbeats_);
       }
       last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
     }
@@ -188,7 +191,7 @@ void LogShipper::ShipHeartbeat(Timestamp ts) {
     if (sealed) ShipLocked(std::move(*sealed));
     EpochId id = builder_.ConsumeEpochId();
     std::vector<ShippedEpoch> subs(lanes_.size(), MakeHeartbeatEpoch(id, ts));
-    if (DeliverLocked(id, std::move(subs)) > 0) ++heartbeats_;
+    if (DeliverLocked(id, std::move(subs)) > 0) Bump(heartbeats_);
     last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
   }
   FirePendingTriggers();
@@ -205,12 +208,12 @@ void LogShipper::Finish() {
     finished_ = true;
     auto sealed = builder_.Flush();
     if (sealed) ShipLocked(std::move(*sealed));
-    for (Lane& lane : lanes_) {
-      for (auto* ch : lane.channels) ch->Close();
+    for (auto& lane : lanes_) {
+      for (auto* ch : lane->channels) ch->Close();
       // Clean-shutdown durability: force the active segment out regardless
       // of the per-epoch fsync policy (one fsync at the end is always
       // affordable).
-      if (lane.segment_store != nullptr) lane.segment_store->Sync();
+      if (lane->segment_store != nullptr) lane->segment_store->Sync();
     }
   }
   FirePendingTriggers();
@@ -303,16 +306,14 @@ size_t LogShipper::DeliverLocked(EpochId id, std::vector<ShippedEpoch> subs) {
   // can have seen it. The payload is shared, so this costs one sequential
   // write per lane, not a copy held in RAM.
   for (size_t s = 0; s < lanes_.size(); ++s) {
-    Lane& lane = lanes_[s];
-    ++lane.produced;
-    epochs_produced_metric_->Add(1);
+    Lane& lane = *lanes_[s];
+    Bump(lane.produced);
     if (lane.segment_store != nullptr) {
       Status st = lane.segment_store->Append(subs[s]);
       if (st.ok()) {
         entry.durable[s] = 1;
       } else {
-        ++lane.spill_failures;
-        spill_failures_metric_->Add(1);
+        Bump(lane.spill_failures);
       }
       // Disk-budget edge detection: fire one checkpoint request per
       // over-budget episode. The callback runs outside mu_ (see
@@ -321,8 +322,7 @@ size_t LogShipper::DeliverLocked(EpochId id, std::vector<ShippedEpoch> subs) {
       if (lane.segment_store->over_budget()) {
         if (lane.budget_trigger_armed) {
           lane.budget_trigger_armed = false;
-          ++lane.budget_triggers;
-          budget_triggers_metric_->Add(1);
+          Bump(lane.budget_triggers);
           pending_triggers_.push_back(PendingTrigger{
               static_cast<int>(s), id + 1, lane.segment_store->disk_bytes()});
         }
@@ -346,14 +346,12 @@ size_t LogShipper::DeliverLocked(EpochId id, std::vector<ShippedEpoch> subs) {
     // truncation by construction.
     for (size_t s = 0; s < lanes_.size(); ++s) {
       if (!retained_.front().durable[s]) continue;
-      Lane& lane = lanes_[s];
+      Lane& lane = *lanes_[s];
       if (lane.segment_store != nullptr &&
           retained_.front().id < lane.segment_store->first_epoch()) {
-        ++lane.spills_below_floor;
-        spills_below_floor_metric_->Add(1);
+        Bump(lane.spills_below_floor);
       } else {
-        ++lane.spilled;
-        spills_metric_->Add(1);
+        Bump(lane.spilled);
       }
     }
     retained_.pop_front();
@@ -361,30 +359,25 @@ size_t LogShipper::DeliverLocked(EpochId id, std::vector<ShippedEpoch> subs) {
   size_t lanes_delivered = 0;
   const Retained& kept = retained_.back();
   for (size_t s = 0; s < lanes_.size(); ++s) {
-    Lane& lane = lanes_[s];
+    Lane& lane = *lanes_[s];
     const ShippedEpoch& sub = kept.sub[s];
     size_t delivered = 0;
     for (auto* ch : lane.channels) {
       if (ch->Send(sub)) {
         ++delivered;
       } else {
-        ++lane.send_failures;
-        send_failures_metric_->Add(1);
+        Bump(lane.send_failures);
       }
     }
     if (!lane.channels.empty() && delivered == 0) {
-      ++lane.dropped;
-      epochs_dropped_metric_->Add(1);
+      Bump(lane.dropped);
       continue;
     }
-    ++lane.shipped;
+    Bump(lane.shipped);
     ++lanes_delivered;
-    if (sub.is_heartbeat()) {
-      heartbeats_shipped_metric_->Add(1);
-    } else {
-      epochs_shipped_metric_->Add(1);
-      txns_shipped_metric_->Add(sub.num_txns);
-      bytes_shipped_metric_->Add(sub.ByteSize());
+    if (!sub.is_heartbeat()) {
+      Bump(lane.txns_shipped, sub.num_txns);
+      Bump(lane.bytes_shipped, sub.ByteSize());
     }
   }
   return lanes_delivered;
@@ -406,21 +399,19 @@ std::optional<ShippedEpoch> LogShipper::FetchEpoch(EpochId id) {
 std::optional<ShippedEpoch> LogShipper::FetchShardEpoch(int shard, EpochId id) {
   std::lock_guard<std::mutex> lk(mu_);
   AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  Lane& lane = lanes_[static_cast<size_t>(shard)];
+  Lane& lane = *lanes_[static_cast<size_t>(shard)];
   if (!retained_.empty() && id >= retained_.front().id &&
       id <= retained_.back().id) {
-    ++lane.retransmits;
-    retransmits_metric_->Add(1);
+    Bump(lane.retransmits);
     return retained_[id - retained_.front().id].sub[static_cast<size_t>(shard)];
   }
-  // Evicted from RAM: with the durable tier spilling, the NACK path falls
+  // Evicted from RAM: with the durable tier attached, the NACK path falls
   // through to a disk fetch (counted in segment.fetches_from_disk) and the
   // old terminal eviction error never fires for durable epochs.
-  if (lane.segment_store != nullptr && lane.retention_spill) {
+  if (lane.segment_store != nullptr) {
     auto from_disk = lane.segment_store->Read(id);
     if (from_disk) {
-      ++lane.retransmits;
-      retransmits_metric_->Add(1);
+      Bump(lane.retransmits);
       return from_disk;
     }
   }
@@ -437,8 +428,8 @@ EpochId LogShipper::FloorEpochId() const { return ShardFloorEpochId(0); }
 EpochId LogShipper::ShardFloorEpochId(int shard) const {
   std::lock_guard<std::mutex> lk(mu_);
   AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  const Lane& lane = lanes_[static_cast<size_t>(shard)];
-  if (lane.segment_store == nullptr || !lane.retention_spill) return 0;
+  const Lane& lane = *lanes_[static_cast<size_t>(shard)];
+  if (lane.segment_store == nullptr) return 0;
   return lane.segment_store->first_epoch();
 }
 
@@ -448,96 +439,21 @@ EpochSource* LogShipper::shard_source(int shard) {
   return sources_[static_cast<size_t>(shard)].get();
 }
 
-EpochId LogShipper::epochs_shipped() const {
+uint64_t LogShipper::SumLanes(std::atomic<uint64_t> Lane::*counter) const {
   std::lock_guard<std::mutex> lk(mu_);
   uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.shipped;
+  for (const auto& lane : lanes_) {
+    total += ((*lane).*counter).load(std::memory_order_relaxed);
+  }
   return total;
 }
 
-uint64_t LogShipper::heartbeats_shipped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return heartbeats_;
-}
-
-uint64_t LogShipper::send_failures() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.send_failures;
-  return total;
-}
-
-uint64_t LogShipper::epochs_dropped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.dropped;
-  return total;
-}
-
-uint64_t LogShipper::retransmits() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.retransmits;
-  return total;
-}
-
-uint64_t LogShipper::epochs_produced() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.produced;
-  return total;
-}
-
-uint64_t LogShipper::epochs_spilled() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.spilled;
-  return total;
-}
-
-uint64_t LogShipper::spill_failures() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.spill_failures;
-  return total;
-}
-
-uint64_t LogShipper::spills_below_floor() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.spills_below_floor;
-  return total;
-}
-
-uint64_t LogShipper::budget_triggers() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.budget_triggers;
-  return total;
-}
-
-uint64_t LogShipper::shard_produced(int shard) const {
+uint64_t LogShipper::LaneValue(int shard,
+                               std::atomic<uint64_t> Lane::*counter) const {
   std::lock_guard<std::mutex> lk(mu_);
   AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  return lanes_[static_cast<size_t>(shard)].produced;
-}
-
-uint64_t LogShipper::shard_shipped(int shard) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  return lanes_[static_cast<size_t>(shard)].shipped;
-}
-
-uint64_t LogShipper::shard_dropped(int shard) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  return lanes_[static_cast<size_t>(shard)].dropped;
-}
-
-uint64_t LogShipper::shard_spilled(int shard) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  AETS_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()));
-  return lanes_[static_cast<size_t>(shard)].spilled;
+  return ((*lanes_[static_cast<size_t>(shard)]).*counter)
+      .load(std::memory_order_relaxed);
 }
 
 }  // namespace aets

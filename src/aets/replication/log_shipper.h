@@ -104,11 +104,9 @@ class LogShipper : public EpochSource {
   /// epoch — heartbeats included — is appended to `store` at deliver time,
   /// so the sequential segment log always holds the full epoch sequence.
   /// The RAM retention buffer then *spills* on overflow instead of losing:
-  /// evicting a durable entry is a RAM→disk-only transition, and when
-  /// `retention_spill` is true FetchEpoch falls through to the store for
-  /// evicted ids, turning the old terminal eviction error into a disk fetch.
-  /// (`retention_spill = false` keeps the legacy eviction semantics while
-  /// still recording the durable log for restart recovery.)
+  /// evicting a durable entry is a RAM→disk-only transition, and FetchEpoch
+  /// falls through to the store for evicted ids, turning the old terminal
+  /// eviction error into a disk fetch.
   ///
   /// An append failure (full disk) marks that epoch non-durable and counts
   /// `spill_failures`; evicting a non-durable entry is the legacy terminal
@@ -116,13 +114,12 @@ class LogShipper : public EpochSource {
   ///
   /// Call before the first epoch ships; `store` must be empty or positioned
   /// at this shipper's next epoch id, and must outlive the shipper.
-  void AttachSegmentStore(SegmentStore* store, bool retention_spill = true);
+  void AttachSegmentStore(SegmentStore* store);
 
   /// Per-shard durable tier: each lane can have its own segment store (its
   /// own directory), holding that shard's sub-epoch sequence. Same contract
   /// as AttachSegmentStore.
-  void AttachShardSegmentStore(int shard, SegmentStore* store,
-                               bool retention_spill = true);
+  void AttachShardSegmentStore(int shard, SegmentStore* store);
 
   /// Installs the disk-budget callback (see CheckpointTrigger). Lanes whose
   /// stores carry disk_budget_bytes == 0 never fire it.
@@ -165,7 +162,7 @@ class LogShipper : public EpochSource {
   EpochId FloorEpochId() const override;
 
   /// The durable truncation floor of one lane: its segment store's
-  /// first_epoch() when a spilling store is attached, 0 otherwise. A NACK
+  /// first_epoch() when a store is attached, 0 otherwise. A NACK
   /// for an id below this that misses RAM is "already checkpointed", not
   /// loss — the replayer reports BelowCheckpoint instead of Corruption.
   EpochId ShardFloorEpochId(int shard) const;
@@ -183,67 +180,93 @@ class LogShipper : public EpochSource {
   /// Sub-epochs delivered across all lanes (data and heartbeat frames; one
   /// per epoch id per shard). Unsharded this is the classic "epochs shipped
   /// plus heartbeats" count.
-  EpochId epochs_shipped() const;
+  EpochId epochs_shipped() const { return SumLanes(&Lane::shipped); }
   /// Heartbeat epoch *ids* shipped (idle heartbeats; synthetic per-shard
   /// fillers inside data epochs are counted in epochs_shipped per lane, not
   /// here).
-  uint64_t heartbeats_shipped() const;
+  uint64_t heartbeats_shipped() const {
+    return heartbeats_.load(std::memory_order_relaxed);
+  }
   /// Channel-level Send() rejections (closed channel), across all lanes.
-  uint64_t send_failures() const;
+  uint64_t send_failures() const { return SumLanes(&Lane::send_failures); }
   /// Sub-epochs that reached zero attached channels on their lane — lost at
   /// the send side.
-  uint64_t epochs_dropped() const;
+  uint64_t epochs_dropped() const { return SumLanes(&Lane::dropped); }
   /// Sub-epochs re-served through the NACK path (RAM or disk), all lanes.
-  uint64_t retransmits() const;
+  uint64_t retransmits() const { return SumLanes(&Lane::retransmits); }
   /// Every sub-epoch that entered delivery, heartbeats included (one per
   /// epoch id per lane). The conservation invariant
   /// `produced == shipped + dropped` always holds, globally and per shard;
   /// spills are a disjoint dimension (where a produced epoch lives), never
   /// double-counted against shipped.
-  uint64_t epochs_produced() const;
+  uint64_t epochs_produced() const { return SumLanes(&Lane::produced); }
   /// Durable sub-epochs evicted from the RAM retention buffer (now
   /// disk-only), all lanes.
-  uint64_t epochs_spilled() const;
+  uint64_t epochs_spilled() const { return SumLanes(&Lane::spilled); }
   /// Segment-store appends that failed (disk full); those sub-epochs are
   /// RAM-only and evicting them is the legacy terminal loss.
-  uint64_t spill_failures() const;
+  uint64_t spill_failures() const {
+    return SumLanes(&Lane::spill_failures);
+  }
   /// Durable sub-epochs evicted from RAM after truncation had already
   /// dropped them from disk: checkpoint-covered, so NOT counted as spilled
   /// (a spill promises a disk fetch; these promise a checkpoint image). The
   /// conserved `produced == shipped + dropped` invariant is untouched
   /// either way.
-  uint64_t spills_below_floor() const;
+  uint64_t spills_below_floor() const {
+    return SumLanes(&Lane::spills_below_floor);
+  }
   /// CheckpointTrigger firings across all lanes (one per over-budget
   /// episode per lane).
-  uint64_t budget_triggers() const;
+  uint64_t budget_triggers() const {
+    return SumLanes(&Lane::budget_triggers);
+  }
 
   /// Per-shard views of the conserved accounting (`produced == shipped +
   /// dropped` holds for each shard independently).
-  uint64_t shard_produced(int shard) const;
-  uint64_t shard_shipped(int shard) const;
-  uint64_t shard_dropped(int shard) const;
-  uint64_t shard_spilled(int shard) const;
+  uint64_t shard_produced(int s) const { return LaneValue(s, &Lane::produced); }
+  uint64_t shard_shipped(int s) const { return LaneValue(s, &Lane::shipped); }
+  uint64_t shard_dropped(int s) const { return LaneValue(s, &Lane::dropped); }
+  uint64_t shard_spilled(int s) const { return LaneValue(s, &Lane::spilled); }
 
  private:
   /// One shard's delivery lane: its channels, optional durable tier, and
-  /// the per-shard half of every conserved counter.
+  /// the per-shard half of every counter. The counters are written only
+  /// under mu_ (see Bump); they are atomics so the metrics registry can
+  /// read them without the shipper lock, exported as `shipper.*` and
+  /// `segment.*` with a `lane<i>` scope.
   struct Lane {
+    explicit Lane(int shard);
+
     std::vector<EpochChannel*> channels;
     SegmentStore* segment_store = nullptr;
-    bool retention_spill = true;
-    uint64_t produced = 0;
-    uint64_t shipped = 0;
-    uint64_t dropped = 0;
-    uint64_t send_failures = 0;
-    uint64_t spilled = 0;
-    uint64_t spill_failures = 0;
-    uint64_t spills_below_floor = 0;
-    uint64_t retransmits = 0;
-    uint64_t budget_triggers = 0;
+    std::atomic<uint64_t> produced{0};
+    std::atomic<uint64_t> shipped{0};
+    std::atomic<uint64_t> dropped{0};
+    std::atomic<uint64_t> send_failures{0};
+    std::atomic<uint64_t> spilled{0};
+    std::atomic<uint64_t> spill_failures{0};
+    std::atomic<uint64_t> spills_below_floor{0};
+    std::atomic<uint64_t> retransmits{0};
+    std::atomic<uint64_t> budget_triggers{0};
+    /// Data sub-epochs only (heartbeats carry no transactions or payload).
+    std::atomic<uint64_t> txns_shipped{0};
+    std::atomic<uint64_t> bytes_shipped{0};
     /// One CheckpointTrigger per over-budget episode: disarmed on fire,
     /// re-armed when the store drops back under budget.
     bool budget_trigger_armed = true;
+    obs::ExportedCounters exported;
   };
+
+  /// Adds to a counter whose only writer holds mu_: a plain load/store, no
+  /// read-modify-write on the commit-sink path.
+  static void Bump(std::atomic<uint64_t>& counter, uint64_t delta = 1) {
+    counter.store(counter.load(std::memory_order_relaxed) + delta,
+                  std::memory_order_relaxed);
+  }
+  /// The sum of one Lane counter over all lanes, and one lane's value.
+  uint64_t SumLanes(std::atomic<uint64_t> Lane::*counter) const;
+  uint64_t LaneValue(int shard, std::atomic<uint64_t> Lane::*counter) const;
 
   /// EpochSource view of one lane.
   class ShardSource : public EpochSource {
@@ -279,9 +302,11 @@ class LogShipper : public EpochSource {
   mutable std::mutex mu_;
   EpochBuilder builder_;
   const ShardMap* shard_map_ = nullptr;  // null = unsharded (one lane)
-  std::vector<Lane> lanes_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::unique_ptr<ShardSource>> sources_;
-  uint64_t heartbeats_ = 0;
+  /// Heartbeat epoch ids shipped; written under mu_.
+  std::atomic<uint64_t> heartbeats_{0};
+  obs::ExportedCounters exported_;
   bool finished_ = false;
 
   /// Recently delivered epochs, contiguous ids, newest at the back. Sized
@@ -308,20 +333,7 @@ class LogShipper : public EpochSource {
   CheckpointTrigger checkpoint_trigger_;
   std::vector<PendingTrigger> pending_triggers_;
 
-  /// Observability (resolved once; see obs::MetricsRegistry). Batch latency
-  /// is first-commit-in-epoch to ship.
-  obs::Counter* epochs_shipped_metric_;
-  obs::Counter* heartbeats_shipped_metric_;
-  obs::Counter* bytes_shipped_metric_;
-  obs::Counter* txns_shipped_metric_;
-  obs::Counter* send_failures_metric_;
-  obs::Counter* epochs_dropped_metric_;
-  obs::Counter* retransmits_metric_;
-  obs::Counter* epochs_produced_metric_;
-  obs::Counter* spills_metric_;
-  obs::Counter* spill_failures_metric_;
-  obs::Counter* spills_below_floor_metric_;
-  obs::Counter* budget_triggers_metric_;
+  /// Batch latency: first-commit-in-epoch to ship.
   Histogram* batch_latency_us_metric_;
   int64_t epoch_open_us_ = 0;  // first OnCommit of the open epoch; 0 = none
 

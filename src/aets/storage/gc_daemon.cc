@@ -12,7 +12,9 @@ GcDaemon::GcDaemon(TableStore* store, std::function<Timestamp()> watermark_sourc
     : store_(store),
       watermark_source_(std::move(watermark_source)),
       retention_(retention),
-      interval_us_(interval_us) {
+      interval_us_(interval_us),
+      exported_("", {{"gc.passes", &passes_},
+                     {"gc.versions_reclaimed", &total_reclaimed_}}) {
   AETS_CHECK(store != nullptr && watermark_source_ != nullptr);
 }
 
@@ -29,9 +31,6 @@ void GcDaemon::Stop() {
 }
 
 size_t GcDaemon::RunOnce() {
-  static obs::Counter* passes_metric = obs::GetCounter("gc.passes");
-  static obs::Counter* reclaimed_metric =
-      obs::GetCounter("gc.versions_reclaimed");
   static Histogram* pause_us_metric = obs::GetHistogram("gc.pause_us");
   Timestamp watermark = watermark_source_();
   if (watermark <= retention_) return 0;
@@ -40,8 +39,6 @@ size_t GcDaemon::RunOnce() {
   int64_t start_us = MonotonicMicros();
   size_t reclaimed = store_->GarbageCollect(horizon);
   pause_us_metric->Record(MonotonicMicros() - start_us);
-  passes_metric->Add(1);
-  reclaimed_metric->Add(reclaimed);
   total_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   passes_.fetch_add(1, std::memory_order_relaxed);
   if (post_pass_hook_) post_pass_hook_(horizon, reclaimed);

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "aets/common/clock.h"
+#include "aets/obs/metrics.h"
 #include "aets/storage/table_store.h"
 
 namespace aets {
@@ -63,6 +64,7 @@ class GcDaemon {
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> total_reclaimed_{0};
   std::atomic<uint64_t> passes_{0};
+  obs::ExportedCounters exported_;
   std::thread thread_;
 };
 

@@ -150,13 +150,14 @@ bool ParseSegmentName(const std::string& name, EpochId* first_epoch) {
 
 SegmentStore::SegmentStore(SegmentStoreOptions options)
     : options_(std::move(options)),
-      bytes_written_metric_(obs::GetCounter("segment.bytes_written")),
-      fetches_metric_(obs::GetCounter("segment.fetches_from_disk")),
-      fsyncs_metric_(obs::GetCounter("segment.fsyncs")),
-      torn_metric_(obs::GetCounter("segment.torn_frames_truncated")),
-      truncations_metric_(obs::GetCounter("segment.truncations")),
-      segments_deleted_metric_(obs::GetCounter("segment.segments_deleted")),
-      bytes_reclaimed_metric_(obs::GetCounter("segment.bytes_reclaimed")),
+      exported_("",
+                {{"segment.bytes_written", &bytes_written_},
+                 {"segment.fetches_from_disk", &fetches_from_disk_},
+                 {"segment.fsyncs", &fsyncs_},
+                 {"segment.torn_frames_truncated", &torn_truncated_},
+                 {"segment.truncations", &truncations_},
+                 {"segment.segments_deleted", &segments_deleted_},
+                 {"segment.bytes_reclaimed", &bytes_reclaimed_}}),
       segments_metric_(obs::GetGauge("segment.segments")),
       recovery_ms_metric_(obs::GetGauge("segment.recovery_ms")) {}
 
@@ -165,8 +166,7 @@ SegmentStore::~SegmentStore() {
   if (append_fd_ >= 0) {
     if (options_.fsync_policy != FsyncPolicy::kNone) {
       ::fsync(append_fd_);
-      ++fsyncs_;
-      fsyncs_metric_->Add(1);
+      fsyncs_.fetch_add(1, std::memory_order_relaxed);
     }
     ::close(append_fd_);
   }
@@ -340,8 +340,7 @@ Status SegmentStore::ScanSegmentLocked(size_t seg_idx, EpochId expected,
       return Status::Internal("cannot truncate torn tail of " + path + ": " +
                               ec.message());
     }
-    ++torn_truncated_;
-    torn_metric_->Add(1);
+    torn_truncated_.fetch_add(1, std::memory_order_relaxed);
   }
   meta.bytes = offset;
   disk_bytes_ += offset;
@@ -397,8 +396,7 @@ Status SegmentStore::WriteManifestLocked(size_t drop_prefix, int64_t new_first) 
     std::remove(tmp.c_str());
     return s;
   }
-  ++fsyncs_;
-  fsyncs_metric_->Add(1);
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
   if (std::rename(tmp.c_str(), ManifestPath().c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::Internal("manifest rename failed");
@@ -423,8 +421,7 @@ Status SegmentStore::FsyncActiveLocked() {
   if (::fsync(append_fd_) != 0) {
     return Status::Internal("segment fsync failed");
   }
-  ++fsyncs_;
-  fsyncs_metric_->Add(1);
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -498,9 +495,8 @@ Status SegmentStore::Append(const ShippedEpoch& epoch) {
                             static_cast<uint32_t>(frame.size())});
   meta.bytes += frame.size();
   ++meta.frames;
-  bytes_written_ += frame.size();
+  bytes_written_.fetch_add(frame.size(), std::memory_order_relaxed);
   disk_bytes_ += frame.size();
-  bytes_written_metric_->Add(frame.size());
   if (options_.fsync_policy == FsyncPolicy::kAlways) {
     return FsyncActiveLocked();
   }
@@ -539,7 +535,7 @@ std::optional<ShippedEpoch> SegmentStore::Read(EpochId id) {
   }
   ShippedEpoch epoch = DecodeBody(buf.data() + kFrameHeaderBytes, len);
   if (epoch.epoch_id != id) return std::nullopt;
-  fetches_metric_->Add(1);
+  fetches_from_disk_.fetch_add(1, std::memory_order_relaxed);
   return epoch;
 }
 
@@ -582,8 +578,7 @@ Status SegmentStore::TruncateBelow(EpochId floor) {
                index_.begin() + static_cast<size_t>(new_first - first_epoch_));
   for (auto& loc : index_) loc.segment -= static_cast<uint32_t>(drop);
   first_epoch_ = new_first;
-  ++truncations_;
-  truncations_metric_->Add(1);
+  truncations_.fetch_add(1, std::memory_order_relaxed);
   segments_metric_->Set(static_cast<int64_t>(segments_.size()));
 
   for (size_t i = 0; i < victims.size(); ++i) {
@@ -593,10 +588,8 @@ Status SegmentStore::TruncateBelow(EpochId floor) {
     }
     std::error_code ec;
     if (fs::remove(victims[i].first, ec) && !ec) {
-      ++segments_deleted_;
-      segments_deleted_metric_->Add(1);
-      bytes_reclaimed_ += victims[i].second;
-      bytes_reclaimed_metric_->Add(victims[i].second);
+      segments_deleted_.fetch_add(1, std::memory_order_relaxed);
+      bytes_reclaimed_.fetch_add(victims[i].second, std::memory_order_relaxed);
       disk_bytes_ -= victims[i].second;
     }
   }
@@ -623,21 +616,6 @@ size_t SegmentStore::num_segments() const {
   return segments_.size();
 }
 
-uint64_t SegmentStore::bytes_written() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return bytes_written_;
-}
-
-uint64_t SegmentStore::fsyncs() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return fsyncs_;
-}
-
-uint64_t SegmentStore::torn_frames_truncated() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return torn_truncated_;
-}
-
 uint64_t SegmentStore::disk_bytes() const {
   std::lock_guard<std::mutex> lk(mu_);
   return disk_bytes_;
@@ -647,21 +625,6 @@ bool SegmentStore::over_budget() const {
   std::lock_guard<std::mutex> lk(mu_);
   return options_.disk_budget_bytes > 0 &&
          disk_bytes_ > options_.disk_budget_bytes;
-}
-
-uint64_t SegmentStore::truncations() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return truncations_;
-}
-
-uint64_t SegmentStore::segments_deleted() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return segments_deleted_;
-}
-
-uint64_t SegmentStore::bytes_reclaimed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return bytes_reclaimed_;
 }
 
 }  // namespace aets

@@ -1,6 +1,7 @@
 #ifndef AETS_STORAGE_SEGMENT_STORE_H_
 #define AETS_STORAGE_SEGMENT_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -138,10 +139,10 @@ class SegmentStore {
   bool empty() const;
 
   size_t num_segments() const;
-  uint64_t bytes_written() const;
-  uint64_t fsyncs() const;
+  uint64_t bytes_written() const { return bytes_written_.load(); }
+  uint64_t fsyncs() const { return fsyncs_.load(); }
   /// Torn frames discarded by Open() across the store's lifetime on disk.
-  uint64_t torn_frames_truncated() const;
+  uint64_t torn_frames_truncated() const { return torn_truncated_.load(); }
 
   /// Live on-disk footprint: the byte total of every segment file currently
   /// listed in the manifest (grows with Append, shrinks with TruncateBelow).
@@ -150,9 +151,9 @@ class SegmentStore {
   bool over_budget() const;
   uint64_t disk_budget_bytes() const { return options_.disk_budget_bytes; }
   /// Truncation telemetry for this store instance.
-  uint64_t truncations() const;
-  uint64_t segments_deleted() const;
-  uint64_t bytes_reclaimed() const;
+  uint64_t truncations() const { return truncations_.load(); }
+  uint64_t segments_deleted() const { return segments_deleted_.load(); }
+  uint64_t bytes_reclaimed() const { return bytes_reclaimed_.load(); }
 
  private:
   struct SegmentMeta {
@@ -200,21 +201,17 @@ class SegmentStore {
   EpochId first_epoch_ = 0;
   int append_fd_ = -1;
 
-  uint64_t bytes_written_ = 0;
-  uint64_t fsyncs_ = 0;
-  uint64_t torn_truncated_ = 0;
   uint64_t disk_bytes_ = 0;
-  uint64_t truncations_ = 0;
-  uint64_t segments_deleted_ = 0;
-  uint64_t bytes_reclaimed_ = 0;
 
-  obs::Counter* bytes_written_metric_;
-  obs::Counter* fetches_metric_;
-  obs::Counter* fsyncs_metric_;
-  obs::Counter* torn_metric_;
-  obs::Counter* truncations_metric_;
-  obs::Counter* segments_deleted_metric_;
-  obs::Counter* bytes_reclaimed_metric_;
+  /// Telemetry, exported as `segment.*`: written under mu_, read lock-free.
+  std::atomic<uint64_t> bytes_written_{0};
+  std::atomic<uint64_t> fetches_from_disk_{0};
+  std::atomic<uint64_t> fsyncs_{0};
+  std::atomic<uint64_t> torn_truncated_{0};
+  std::atomic<uint64_t> truncations_{0};
+  std::atomic<uint64_t> segments_deleted_{0};
+  std::atomic<uint64_t> bytes_reclaimed_{0};
+  obs::ExportedCounters exported_;
   obs::Gauge* segments_metric_;
   obs::Gauge* recovery_ms_metric_;
 };

@@ -1,6 +1,7 @@
 // Tests for the aets::obs observability layer: concurrent counter/gauge
-// updates, registry snapshot consistency, span timing, and the JSON export
-// round-trip (parsed with a minimal JSON reader defined here).
+// updates, registry snapshot consistency, component-owned counter export,
+// span timing, and the JSON export round-trip (parsed with a minimal JSON
+// reader defined here).
 
 #include <gtest/gtest.h>
 
@@ -446,6 +447,110 @@ TEST(RegistryTest, ResetAllZeroesEverything) {
   EXPECT_EQ(GetCounter("test.reset_counter")->value(), 0u);
   EXPECT_EQ(GetGauge("test.reset_gauge")->value(), 0);
   EXPECT_EQ(GetHistogram("test.reset_hist")->count(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// ExportedCounters: component-owned counters read in place
+
+uint64_t SnapshotCounter(const std::string& name) {
+  MetricsSnapshot snap = MetricsRegistry::Instance().Snapshot();
+  auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(ExportedCountersTest, DestroyedOwnerFoldsIntoRetiredTotals) {
+  const uint64_t base = SnapshotCounter("test.exported_fold");
+  const uint64_t scoped_base = SnapshotCounter("test.exported_fold{s0}");
+  {
+    std::atomic<uint64_t> owned{0};
+    ExportedCounters owner("s0", {{"test.exported_fold", &owned}});
+    owned.store(5);
+    EXPECT_EQ(SnapshotCounter("test.exported_fold"), base + 5);
+    EXPECT_EQ(SnapshotCounter("test.exported_fold{s0}"), scoped_base + 5);
+  }
+  // The owner is gone; its final value stays in both series.
+  EXPECT_EQ(SnapshotCounter("test.exported_fold"), base + 5);
+  EXPECT_EQ(SnapshotCounter("test.exported_fold{s0}"), scoped_base + 5);
+  {
+    // A second, unscoped owner of the same name adds to the unscoped series
+    // only.
+    std::atomic<uint64_t> owned{3};
+    ExportedCounters owner("", {{"test.exported_fold", &owned}});
+    EXPECT_EQ(SnapshotCounter("test.exported_fold"), base + 8);
+    EXPECT_EQ(SnapshotCounter("test.exported_fold{s0}"), scoped_base + 5);
+  }
+  EXPECT_EQ(SnapshotCounter("test.exported_fold"), base + 8);
+}
+
+TEST(ExportedCountersTest, ResetAllZeroesRetiredTotalsNotLiveOwners) {
+  {
+    std::atomic<uint64_t> owned{7};
+    ExportedCounters owner("", {{"test.exported_reset", &owned}});
+  }
+  std::atomic<uint64_t> live{4};
+  ExportedCounters owner("", {{"test.exported_reset_live", &live}});
+  ASSERT_GE(SnapshotCounter("test.exported_reset"), 7u);
+  MetricsRegistry::Instance().ResetAll();
+  MetricsSnapshot snap = MetricsRegistry::Instance().Snapshot();
+  // The retired series is still listed, at zero; the live owner's counter
+  // belongs to it and keeps its value.
+  ASSERT_EQ(snap.counters.count("test.exported_reset"), 1u);
+  EXPECT_EQ(snap.counters.at("test.exported_reset"), 0u);
+  EXPECT_EQ(snap.counters.at("test.exported_reset_live"), 4u);
+}
+
+TEST(ExportedCountersDeathTest, NameIsRegistryOrComponentOwnedNeverBoth) {
+  GetCounter("test.registry_owned")->Add(1);
+  std::atomic<uint64_t> owned{0};
+  EXPECT_DEATH(
+      { ExportedCounters owner("", {{"test.registry_owned", &owned}}); },
+      "registry-owned");
+  ExportedCounters owner("lane0", {{"test.component_owned", &owned}});
+  EXPECT_DEATH(GetCounter("test.component_owned"), "component-owned");
+  EXPECT_DEATH(GetCounter("test.component_owned{lane0}"), "component-owned");
+}
+
+// Snapshot() racing owners being built and destroyed: every series stays
+// monotone, and once all owners are gone the total is exact. Run under TSan
+// in CI.
+TEST(ExportedCountersTest, SnapshotRacesOwnerLifetimes) {
+  constexpr int kThreads = 4;
+  constexpr int kOwnersPerThread = 500;
+  constexpr uint64_t kAddsPerOwner = 10;
+  const std::string name = "test.exported_lifetime";
+  const uint64_t base = SnapshotCounter(name);
+  auto scoped = [&](int t) { return name + "{t" + std::to_string(t) + "}"; };
+  std::vector<uint64_t> scoped_base;
+  for (int t = 0; t < kThreads; ++t) {
+    scoped_base.push_back(SnapshotCounter(scoped(t)));
+  }
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOwnersPerThread; ++i) {
+        std::atomic<uint64_t> owned{0};
+        ExportedCounters owner("t" + std::to_string(t), {{name, &owned}});
+        for (uint64_t k = 0; k < kAddsPerOwner; ++k) {
+          owned.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      done.fetch_add(1);
+    });
+  }
+  uint64_t last = base;
+  while (done.load() < kThreads) {
+    uint64_t now = SnapshotCounter(name);
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(SnapshotCounter(name),
+            base + kThreads * kOwnersPerThread * kAddsPerOwner);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(SnapshotCounter(scoped(t)),
+              scoped_base[t] + kOwnersPerThread * kAddsPerOwner);
+  }
 }
 
 }  // namespace

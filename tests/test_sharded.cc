@@ -501,6 +501,134 @@ TEST(ShardedBackupTest, ChaosPerShardLinksRecoverViaShardSources) {
   ExpectConserved(shipper);
 }
 
+// The metrics registry reads the components' own counters: with faults on
+// every lane and idle heartbeats between bursts, each exported series equals
+// the accessor it mirrors, both summed and per shard/lane.
+TEST(ShardedBackupTest, ExportedSeriesEqualComponentAccessors) {
+  constexpr int kTables = 5;
+  constexpr int kShards = 3;
+  // Retired totals from earlier tests would offset the sums; every owner
+  // below stays alive until the snapshot.
+  obs::MetricsRegistry::Instance().ResetAll();
+  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+  ShardMap map = ShardMap::Hash(kTables, kShards);
+  LogicalClock clock;
+  PrimaryDb db(catalog.get(), &clock);
+  LogShipper shipper(/*epoch_size=*/8, /*retention_capacity=*/8192);
+  shipper.SetShardMap(&map);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+
+  std::vector<std::unique_ptr<FaultInjectingChannel>> channels;
+  std::vector<EpochChannel*> raw;
+  for (int s = 0; s < kShards; ++s) {
+    FaultProfile profile;
+    profile.drop = 0.05;
+    profile.duplicate = 0.05;
+    profile.corrupt = 0.01;
+    profile.reorder = 0.03;
+    profile.seed = test::DeriveSeed(950u + static_cast<uint64_t>(s));
+    channels.push_back(
+        std::make_unique<FaultInjectingChannel>(profile, /*capacity=*/4096));
+    shipper.AttachShardChannel(s, channels.back().get());
+    raw.push_back(channels.back().get());
+  }
+  auto backup =
+      MakeShardedAetsBackup(catalog.get(), &map, raw, BaseOptions(kTables));
+  for (int s = 0; s < kShards; ++s) {
+    backup->SetShardEpochSource(s, shipper.shard_source(s));
+    dynamic_cast<ReplayerBase*>(backup->shard(s))
+        ->SetRecoveryOptions(FastRecovery());
+  }
+  ASSERT_TRUE(backup->Start().ok());
+  for (int burst = 0; burst < 4; ++burst) {
+    RunRandomWorkload(&db, kTables, 150,
+                      test::DeriveSeed(951u + static_cast<uint64_t>(burst)));
+    // Idle gap: the partial epoch flushes and heartbeat epoch ids follow.
+    for (int hb = 0; hb < 3; ++hb) {
+      shipper.ShipHeartbeat(db.AcquireHeartbeatTs());
+    }
+  }
+  shipper.Finish();
+  backup->Stop();
+  for (int s = 0; s < kShards; ++s) {
+    auto* base = dynamic_cast<ReplayerBase*>(backup->shard(s));
+    ASSERT_TRUE(base->error().ok()) << "shard " << s;
+  }
+
+  obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
+  auto series = [&](const std::string& name) -> uint64_t {
+    auto it = snap.counters.find(name);
+    EXPECT_NE(it, snap.counters.end()) << name;
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+
+  // replay.*: the sum over shards and each shard's {AETS.s<i>} series.
+  using StatField = std::atomic<uint64_t> ReplayStats::*;
+  const std::vector<std::pair<std::string, StatField>> replay = {
+      {"replay.epochs_applied", &ReplayStats::epochs},
+      {"replay.txns_applied", &ReplayStats::txns},
+      {"replay.records_applied", &ReplayStats::records},
+      {"replay.bytes_applied", &ReplayStats::bytes},
+      {"replay.heartbeats_applied", &ReplayStats::heartbeats},
+      {"replay.epochs_retried", &ReplayStats::epochs_retried},
+      {"replay.epochs_duplicate_dropped", &ReplayStats::duplicates_dropped},
+      {"replay.epochs_corrupt_dropped", &ReplayStats::corrupt_dropped},
+      {"pipeline.stalls", &ReplayStats::pipeline_stalls}};
+  for (const auto& [name, field] : replay) {
+    uint64_t sum = 0;
+    for (int s = 0; s < kShards; ++s) {
+      const uint64_t v = (backup->shard(s)->stats().*field).load();
+      EXPECT_EQ(series(name + "{AETS.s" + std::to_string(s) + "}"), v)
+          << name << " shard " << s;
+      sum += v;
+    }
+    EXPECT_EQ(series(name), sum) << name;
+  }
+  // The facade's aggregate is the same sum.
+  EXPECT_EQ(series("replay.txns_applied"), backup->stats().txns.load());
+
+  // shipper.* and segment.*: accessor sums, and per-lane {lane<i>} series.
+  EXPECT_GT(shipper.heartbeats_shipped(), 0u);
+  EXPECT_EQ(series("shipper.epochs_shipped"), shipper.epochs_shipped());
+  EXPECT_EQ(series("shipper.heartbeats_shipped"), shipper.heartbeats_shipped());
+  EXPECT_EQ(series("shipper.epochs_produced"), shipper.epochs_produced());
+  EXPECT_EQ(series("shipper.epochs_dropped"), shipper.epochs_dropped());
+  EXPECT_EQ(series("shipper.send_failures"), shipper.send_failures());
+  EXPECT_EQ(series("shipper.retransmits"), shipper.retransmits());
+  EXPECT_EQ(series("segment.spills"), shipper.epochs_spilled());
+  EXPECT_EQ(series("segment.spill_failures"), shipper.spill_failures());
+  EXPECT_EQ(series("segment.spills_below_floor"),
+            shipper.spills_below_floor());
+  EXPECT_EQ(series("segment.budget_triggers"), shipper.budget_triggers());
+  for (int s = 0; s < kShards; ++s) {
+    const std::string lane = "{lane" + std::to_string(s) + "}";
+    EXPECT_EQ(series("shipper.epochs_shipped" + lane),
+              shipper.shard_shipped(s));
+    EXPECT_EQ(series("shipper.epochs_produced" + lane),
+              shipper.shard_produced(s));
+    EXPECT_EQ(series("shipper.epochs_dropped" + lane),
+              shipper.shard_dropped(s));
+    EXPECT_EQ(series("segment.spills" + lane), shipper.shard_spilled(s));
+  }
+
+  // fault.*: summed over the three links.
+  uint64_t drops = 0, duplicates = 0, reorders = 0, corruptions = 0,
+           delays = 0;
+  for (const auto& ch : channels) {
+    drops += ch->drops();
+    duplicates += ch->duplicates();
+    reorders += ch->reorders();
+    corruptions += ch->corruptions();
+    delays += ch->delays();
+  }
+  EXPECT_GT(drops + duplicates + reorders + corruptions, 0u);
+  EXPECT_EQ(series("fault.drops"), drops);
+  EXPECT_EQ(series("fault.duplicates"), duplicates);
+  EXPECT_EQ(series("fault.reorders"), reorders);
+  EXPECT_EQ(series("fault.corruptions"), corruptions);
+  EXPECT_EQ(series("fault.delays"), delays);
+}
+
 TEST(ShardedBackupTest, StalledShardBoundsGlobalSafeTimestamp) {
   constexpr int kTables = 4;
   constexpr int kShards = 2;
