@@ -154,23 +154,27 @@ void LogShipper::HeartbeatLoop() {
     // source holds the primary's commit mutex, so locking it under mu_
     // while a committing transaction waits to deliver into OnCommit would
     // invert the lock order. Everything committed below hb_ts has already
-    // been sunk when the source returns, and the flush below ships it.
+    // been sunk when the source returns, and the flush ships it.
     Timestamp hb_ts = heartbeat_ts_source_();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (finished_) return;
-      auto sealed = builder_.Flush();
-      if (sealed) ShipLocked(std::move(*sealed));
-      if (hb_ts != kInvalidTimestamp) {
-        EpochId id = builder_.ConsumeEpochId();
-        std::vector<ShippedEpoch> subs(lanes_.size(),
-                                       MakeHeartbeatEpoch(id, hb_ts));
-        if (DeliverLocked(id, std::move(subs)) > 0) Bump(heartbeats_);
-      }
-      last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
-    }
-    FirePendingTriggers();
+    if (!FlushAndHeartbeat(hb_ts)) return;
   }
+}
+
+bool LogShipper::FlushAndHeartbeat(Timestamp ts) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (finished_) return false;
+    auto sealed = builder_.Flush();
+    if (sealed) ShipLocked(std::move(*sealed));
+    if (ts != kInvalidTimestamp) {
+      EpochId id = builder_.ConsumeEpochId();
+      std::vector<ShippedEpoch> subs(lanes_.size(), MakeHeartbeatEpoch(id, ts));
+      if (DeliverLocked(id, std::move(subs)) > 0) Bump(heartbeats_);
+    }
+    last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
+  }
+  FirePendingTriggers();
+  return true;
 }
 
 void LogShipper::FlushEpoch() {
@@ -184,17 +188,7 @@ void LogShipper::FlushEpoch() {
 }
 
 void LogShipper::ShipHeartbeat(Timestamp ts) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (finished_ || ts == kInvalidTimestamp) return;
-    auto sealed = builder_.Flush();
-    if (sealed) ShipLocked(std::move(*sealed));
-    EpochId id = builder_.ConsumeEpochId();
-    std::vector<ShippedEpoch> subs(lanes_.size(), MakeHeartbeatEpoch(id, ts));
-    if (DeliverLocked(id, std::move(subs)) > 0) Bump(heartbeats_);
-    last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
-  }
-  FirePendingTriggers();
+  if (ts != kInvalidTimestamp) FlushAndHeartbeat(ts);
 }
 
 void LogShipper::Finish() {

@@ -298,6 +298,11 @@ class LogShipper : public EpochSource {
   /// accepted, matching the unsharded contract).
   size_t DeliverLocked(EpochId id, std::vector<ShippedEpoch> subs);
   void HeartbeatLoop();
+  /// Flushes the open epoch and, unless `ts` is kInvalidTimestamp, ships
+  /// one heartbeat epoch carrying `ts` to every lane. Takes mu_ itself, so
+  /// callers acquire `ts` (the primary's commit mutex) before the shipper
+  /// lock. False once Finish() has run.
+  bool FlushAndHeartbeat(Timestamp ts);
 
   mutable std::mutex mu_;
   EpochBuilder builder_;

@@ -38,12 +38,12 @@ struct EpochPlan {
 };
 
 enum class SimMode {
-  /// Single stepper thread: ship one epoch, wait until the replayer consumed
-  /// it, run the oracle between epochs. Fully deterministic — the mode the
+  /// Single stepper thread: ship one epoch to every shard, wait until each
+  /// shard consumed it, run the oracle between epochs. Fully deterministic — the mode the
   /// shrinker and the injected-bug acceptance test rely on.
   kLockstep,
-  /// Free-running: a fault-injecting link, concurrent prober threads, and
-  /// (optionally) a live GC daemon. Invariant checks stay sound under the
+  /// Free-running: a fault-injecting link and (optionally) a live GC daemon
+  /// per shard, and concurrent prober threads. Invariant checks stay sound under the
   /// races; the violation verdict is still seed-reproducible because the
   /// fault schedule and all probe draws are seeded.
   kConcurrent,
@@ -57,20 +57,21 @@ struct ScenarioSpec {
   SimMode mode = SimMode::kLockstep;
   std::vector<EpochPlan> epochs;
 
-  /// Fault plan (kConcurrent only; the lockstep link is clean).
+  /// Fault plan (kConcurrent only; the lockstep links are clean). Shard s
+  /// seeds its link with faults.seed + 0x9E3779B97F4A7C15 * s.
   FaultProfile faults;
-  /// Run a GC daemon against the replayer during kConcurrent replay.
+  /// Run a GC daemon against every shard during kConcurrent replay.
   bool with_gc = false;
   Timestamp gc_retention = 8;
   int probe_threads = 2;
 
-  /// Shards the backup (DESIGN.md §11): with shard_count > 1 the stream is
-  /// re-recorded through a sharded LogShipper (hash shard map over the
-  /// catalog), one replayer per shard is built behind a ShardedBackup, and
-  /// the oracle probes cross-shard snapshots through the facade. The
-  /// factory is invoked once per shard, in shard order 0..N-1 (a test that
-  /// must perturb one specific shard can count invocations). 1 = the
-  /// classic single-backup harness.
+  /// Backup shards (DESIGN.md §11), N >= 1: the stream is re-recorded
+  /// through a LogShipper split by a hash shard map over the catalog, one
+  /// replayer per shard is built behind a ShardedBackup, and the oracle
+  /// probes cross-shard snapshots through the facade. The factory is
+  /// invoked once per shard, in shard order 0..N-1 (a test that must
+  /// perturb one specific shard can count invocations). N = 1 is the
+  /// single-backup case, run through the same one-lane facade.
   int shard_count = 1;
 };
 
@@ -101,9 +102,9 @@ ScenarioSpec GenerateScenario(uint64_t seed);
 /// builds the reference model, replays the stream into `factory`'s replayer
 /// under the scenario's mode, and returns every invariant violation the
 /// oracle found. Deterministic for kLockstep specs: identical specs yield
-/// identical results. With spec.shard_count > 1 the replay side runs N
-/// shards behind a ShardedBackup (the reference model still consumes the
-/// unsharded stream — the ground truth is shard-free by construction).
+/// identical results. The replay side always runs spec.shard_count shards
+/// behind a ShardedBackup; the reference model consumes the unsharded
+/// stream (the ground truth is shard-free by construction).
 ScenarioResult RunScenario(const ScenarioSpec& spec,
                            const ReplayerFactory& factory);
 

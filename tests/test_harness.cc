@@ -41,23 +41,45 @@ TEST(HarnessTest, RecordWorkloadProducesOrderedEpochs) {
 TEST(HarnessTest, ReplayRecordedMatchesForEveryKind) {
   TpccWorkload tpcc(TinyTpcc());
   RecordedLog log = RecordWorkload(&tpcc, 150, 32, 4);
-  for (ReplayerKind kind :
-       {ReplayerKind::kAets, ReplayerKind::kAetsNoTwoStage,
-        ReplayerKind::kAetsNoac, ReplayerKind::kAetsSingleCommit,
-        ReplayerKind::kTplr, ReplayerKind::kAtr, ReplayerKind::kC5,
-        ReplayerKind::kSerial}) {
-    ReplayerSpec spec;
-    spec.kind = kind;
-    spec.threads = 2;
-    spec.grouping = GroupingMode::kStatic;
-    spec.hot_groups = tpcc.DefaultHotGroups();
-    BatchReplayResult r = ReplayRecorded(log, &tpcc.catalog(), spec);
-    EXPECT_TRUE(r.state_matches_primary) << KindName(kind);
-    EXPECT_GT(r.txns_per_sec, 0.0) << KindName(kind);
-    EXPECT_GT(r.wall_us, 0) << KindName(kind);
-    EXPECT_NEAR(r.dispatch_frac + r.replay_frac + r.commit_frac, 1.0, 1e-9)
-        << KindName(kind);
+  for (int shards : {1, 2}) {
+    for (ReplayerKind kind :
+         {ReplayerKind::kAets, ReplayerKind::kAetsNoTwoStage,
+          ReplayerKind::kAetsNoac, ReplayerKind::kAetsSingleCommit,
+          ReplayerKind::kTplr, ReplayerKind::kAtr, ReplayerKind::kC5,
+          ReplayerKind::kSerial}) {
+      SCOPED_TRACE(KindName(kind) + " shards=" + std::to_string(shards));
+      ReplayerSpec spec;
+      spec.kind = kind;
+      spec.threads = 2;
+      spec.grouping = GroupingMode::kStatic;
+      spec.hot_groups = tpcc.DefaultHotGroups();
+      spec.shard_count = shards;
+      BatchReplayResult r = ReplayRecorded(log, &tpcc.catalog(), spec);
+      EXPECT_EQ(r.name, KindName(kind));
+      EXPECT_TRUE(r.state_matches_primary);
+      EXPECT_GT(r.txns_per_sec, 0.0);
+      EXPECT_GT(r.wall_us, 0);
+      EXPECT_NEAR(r.dispatch_frac + r.replay_frac + r.commit_frac, 1.0, 1e-9);
+    }
   }
+}
+
+TEST(HarnessDeathTest, LiveAndCatchUpRejectShardCount) {
+  // RunLive and RunCatchUp replay through one bare replayer; a shard count
+  // they would silently ignore stops instead.
+  TpccWorkload tpcc(TinyTpcc());
+  RecordedLog log = RecordWorkload(&tpcc, 20, 16, 8);
+  ReplayerSpec spec;
+  spec.shard_count = 2;
+  EXPECT_DEATH(RunCatchUp(log, &tpcc, spec, CatchUpOptions{}),
+               "shard_count must be 1");
+  TpccConfig config = TinyTpcc();
+  EXPECT_DEATH(RunLive(
+                   [config]() -> std::unique_ptr<Workload> {
+                     return std::make_unique<TpccWorkload>(config);
+                   },
+                   spec, LiveRunOptions{}),
+               "shard_count must be 1");
 }
 
 TEST(HarnessTest, KindNamesAreDistinct) {
