@@ -62,11 +62,12 @@ std::string ViolationLog::Describe() const {
 }
 
 ConsistencyOracle::ConsistencyOracle(const ReferenceModel* model,
-                                     Replayer* replayer, ViolationLog* log)
+                                     ShardedBackup* backup, ViolationLog* log)
     : model_(model),
-      replayer_(replayer),
+      backup_(backup),
       log_(log),
-      last_table_ts_(model->num_tables(), 0) {}
+      last_table_ts_(model->num_tables(), 0),
+      last_lane_global_ts_(static_cast<size_t>(backup->num_shards()), 0) {}
 
 void ConsistencyOracle::RaiseGcFloor(Timestamp watermark) {
   Timestamp cur = gc_floor_.load(std::memory_order_relaxed);
@@ -81,7 +82,7 @@ bool ConsistencyOracle::CompareTable(TableId table, Timestamp qts,
   // StoreForTable, not store(): under a ShardedBackup each table's versions
   // live in its owning shard's store, and a cross-shard probe must read each
   // table where it actually lives.
-  const Memtable* mt = replayer_->StoreForTable(table)->GetTable(table);
+  const Memtable* mt = backup_->StoreForTable(table)->GetTable(table);
   AETS_CHECK(mt != nullptr);
   std::map<int64_t, Row> got;
   mt->ScanVisible(qts, [&got](int64_t key, const Row& row) {
@@ -95,7 +96,7 @@ bool ConsistencyOracle::CompareTable(TableId table, Timestamp qts,
   if (qts < gc_floor()) return true;
 
   std::ostringstream os;
-  os << replayer_->name() << ": table " << table << " at qts " << qts
+  os << backup_->name() << ": table " << table << " at qts " << qts
      << " diverges from the reference model (" << got.size() << " vs "
      << want.size() << " rows)";
   size_t shown = 0;
@@ -122,7 +123,7 @@ bool ConsistencyOracle::CompareTable(TableId table, Timestamp qts,
 
 bool ConsistencyOracle::CompareColumns(TableId table, Timestamp qts,
                                        const std::map<int64_t, Row>& rows) {
-  const storage::ColumnStore* columns = replayer_->ColumnStoreForTable(table);
+  const storage::ColumnStore* columns = backup_->ColumnStoreForTable(table);
   if (columns == nullptr) return true;
   storage::ColumnSnapshot snap = columns->SnapshotAt(table, qts);
   if (!snap.valid()) return true;  // no chunk generation covers qts yet
@@ -135,14 +136,14 @@ bool ConsistencyOracle::CompareColumns(TableId table, Timestamp qts,
   });
   uint64_t col_digest = snap.Digest();
   uint64_t row_digest =
-      replayer_->StoreForTable(table)->GetTable(table)->DigestAt(qts);
+      backup_->StoreForTable(table)->GetTable(table)->DigestAt(qts);
   if (!duplicate_key && got == rows && col_digest == row_digest) return true;
   // The residual top-up reads live version chains, so GC racing past qts
   // can fold the values it needs — an artifact, not a bug.
   if (qts < gc_floor()) return true;
 
   std::ostringstream os;
-  os << replayer_->name() << ": columnar snapshot of table " << table
+  os << backup_->name() << ": columnar snapshot of table " << table
      << " at qts " << qts << " diverges from the row store (" << got.size()
      << " vs " << rows.size() << " rows, digest " << col_digest << " vs "
      << row_digest << (duplicate_key ? ", duplicate chunk/residual key" : "")
@@ -176,7 +177,7 @@ bool ConsistencyOracle::CheckTableSnapshot(TableId table, Timestamp qts) {
 bool ConsistencyOracle::CheckWatermarks() {
   bool ok = true;
   for (TableId t = 0; t < model_->num_tables(); ++t) {
-    Timestamp w = replayer_->TableVisibleTs(t);
+    Timestamp w = backup_->TableVisibleTs(t);
     if (w == kInvalidTimestamp) continue;
     // Cap at the model's max visible ts: a heartbeat may legitimately push
     // the watermark past every commit, where the final state applies.
@@ -184,7 +185,7 @@ bool ConsistencyOracle::CheckWatermarks() {
     if (qts == kInvalidTimestamp) continue;
     ok = CompareTable(t, qts, kInvariantSnapshotExact) && ok;
   }
-  Timestamp g = replayer_->GlobalVisibleTs();
+  Timestamp g = backup_->GlobalVisibleTs();
   if (g != kInvalidTimestamp && model_->MaxVisibleTs() != kInvalidTimestamp) {
     Timestamp qts = std::min(g, model_->MaxVisibleTs());
     for (TableId t = 0; t < model_->num_tables(); ++t) {
@@ -196,7 +197,7 @@ bool ConsistencyOracle::CheckWatermarks() {
 
 bool ConsistencyOracle::CheckVisibleProbe(const std::vector<TableId>& tables,
                                           Timestamp qts) {
-  if (!IsVisible(*replayer_, tables, qts)) return true;  // nothing claimed
+  if (!IsVisible(*backup_, tables, qts)) return true;  // nothing claimed
   bool ok = true;
   for (TableId t : tables) {
     ok = CompareTable(t, qts, kInvariantSnapshotExact) && ok;
@@ -219,14 +220,14 @@ bool ConsistencyOracle::CheckTxnAtomicity(const TxnFootprint& txn) {
       // not yet visible (in concurrent mode the txn may simply not have been
       // replayed). A watermark published ahead of the data — the injected
       // bug — passes this gate and is then caught by the comparison.
-      if (!IsVisible(*replayer_, {table}, qts)) continue;
+      if (!IsVisible(*backup_, {table}, qts)) continue;
       std::optional<Row> got =
-          replayer_->StoreForTable(table)->GetTable(table)->ReadRow(key, qts);
+          backup_->StoreForTable(table)->GetTable(table)->ReadRow(key, qts);
       std::optional<Row> want = model_->VisibleRow(table, key, qts);
       if (got == want) continue;
       if (qts < gc_floor()) continue;  // GC raced the read
       std::ostringstream os;
-      os << replayer_->name() << ": txn " << txn.txn_id << " (commit_ts "
+      os << backup_->name() << ": txn " << txn.txn_id << " (commit_ts "
          << txn.commit_ts << ", epoch " << txn.epoch_id << ") torn at qts "
          << qts << ": table " << table << " key " << key << " replayer="
          << OptRowToString(got) << " model=" << OptRowToString(want);
@@ -246,14 +247,18 @@ bool ConsistencyOracle::ObserveMonotonicity() {
   std::lock_guard<std::mutex> lock(mono_mu_);
   std::vector<Timestamp> table_ts(model_->num_tables());
   for (TableId t = 0; t < model_->num_tables(); ++t) {
-    table_ts[t] = replayer_->TableVisibleTs(t);
+    table_ts[t] = backup_->TableVisibleTs(t);
   }
-  Timestamp global = replayer_->GlobalVisibleTs();
+  Timestamp global = backup_->GlobalVisibleTs();
+  std::vector<Timestamp> lane_ts(last_lane_global_ts_.size());
+  for (size_t s = 0; s < lane_ts.size(); ++s) {
+    lane_ts[s] = backup_->shard(static_cast<int>(s))->GlobalVisibleTs();
+  }
   bool ok = true;
   for (TableId t = 0; t < model_->num_tables(); ++t) {
     if (table_ts[t] < last_table_ts_[t]) {
       std::ostringstream os;
-      os << replayer_->name() << ": tg_cmt_ts of table " << t
+      os << backup_->name() << ": tg_cmt_ts of table " << t
          << " moved backwards: " << last_table_ts_[t] << " -> " << table_ts[t];
       log_->Report(kInvariantMonotonicity, os.str());
       ok = false;
@@ -262,12 +267,23 @@ bool ConsistencyOracle::ObserveMonotonicity() {
   }
   if (global < last_global_ts_) {
     std::ostringstream os;
-    os << replayer_->name() << ": global_cmt_ts moved backwards: "
+    os << backup_->name() << ": global_cmt_ts moved backwards: "
        << last_global_ts_ << " -> " << global;
     log_->Report(kInvariantMonotonicity, os.str());
     ok = false;
   }
   last_global_ts_ = std::max(last_global_ts_, global);
+  for (size_t s = 0; s < lane_ts.size(); ++s) {
+    if (lane_ts[s] < last_lane_global_ts_[s]) {
+      std::ostringstream os;
+      os << backup_->shard(static_cast<int>(s))->name() << " (shard " << s
+         << "): global_cmt_ts moved backwards: " << last_lane_global_ts_[s]
+         << " -> " << lane_ts[s];
+      log_->Report(kInvariantMonotonicity, os.str());
+      ok = false;
+    }
+    last_lane_global_ts_[s] = std::max(last_lane_global_ts_[s], lane_ts[s]);
+  }
   return ok;
 }
 
@@ -276,7 +292,7 @@ bool ConsistencyOracle::CheckGcSafety(Timestamp horizon) {
   Timestamp model_max = model_->MaxVisibleTs();
   if (model_max == kInvalidTimestamp) return true;
   for (TableId t = 0; t < model_->num_tables(); ++t) {
-    Timestamp w = std::min(replayer_->TableVisibleTs(t), model_max);
+    Timestamp w = std::min(backup_->TableVisibleTs(t), model_max);
     if (w == kInvalidTimestamp || w < horizon) continue;
     // Both ends of the surviving window: the oldest snapshot GC must keep
     // and the newest one published.
@@ -290,10 +306,10 @@ bool ConsistencyOracle::CheckConverged() {
   bool ok = true;
   Timestamp target = model_->MaxCommitTs();
   if (target != kInvalidTimestamp &&
-      replayer_->GlobalVisibleTs() < target) {
+      backup_->GlobalVisibleTs() < target) {
     std::ostringstream os;
-    os << replayer_->name() << ": global_cmt_ts stuck at "
-       << replayer_->GlobalVisibleTs() << " after drain; expected >= "
+    os << backup_->name() << ": global_cmt_ts stuck at "
+       << backup_->GlobalVisibleTs() << " after drain; expected >= "
        << target;
     log_->Report(kInvariantConvergence, os.str());
     ok = false;

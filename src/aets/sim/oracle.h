@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "aets/replay/replayer.h"
+#include "aets/replay/sharded_backup.h"
 #include "aets/sim/reference_model.h"
 
 namespace aets {
@@ -53,8 +53,11 @@ class ViolationLog {
   size_t cap_;
 };
 
-/// The snapshot-consistency oracle: checks a live replayer against the
-/// fully-built ReferenceModel. All checks are sound under concurrency —
+/// The snapshot-consistency oracle: checks a live backup (N >= 1 replayer
+/// lanes behind a ShardedBackup) against the fully-built ReferenceModel.
+/// Snapshot probes read through the facade; the monotonicity probe also
+/// watches each lane's own global watermark, which the facade's coordinator
+/// (a running maximum) would otherwise hide. All checks are sound under concurrency —
 /// they only rely on state the published watermarks promise is immutable —
 /// so probe threads may call them while replay, heartbeats, and GC race
 /// underneath. `gc_floor` is the largest GC watermark ever passed to the
@@ -62,7 +65,7 @@ class ViolationLog {
 /// at or above it.
 class ConsistencyOracle {
  public:
-  ConsistencyOracle(const ReferenceModel* model, Replayer* replayer,
+  ConsistencyOracle(const ReferenceModel* model, ShardedBackup* backup,
                     ViolationLog* log);
 
   /// Raises the floor below which snapshot probes are invalid (call from
@@ -93,8 +96,9 @@ class ConsistencyOracle {
   /// which excludes the transaction).
   bool CheckTxnAtomicity(const TxnFootprint& txn);
 
-  /// Watermark monotonicity: per-table and global watermarks never move
-  /// backwards across calls. Call repeatedly (probe threads poll it).
+  /// Watermark monotonicity: per-table watermarks, the facade's global
+  /// watermark, and every lane's own global watermark never move backwards
+  /// across calls. Call repeatedly (probe threads poll it).
   bool ObserveMonotonicity();
 
   /// GC-never-reclaims-visible-versions: after a GC pass truncated below
@@ -123,13 +127,14 @@ class ConsistencyOracle {
                       const std::map<int64_t, Row>& rows);
 
   const ReferenceModel* model_;
-  Replayer* replayer_;
+  ShardedBackup* backup_;
   ViolationLog* log_;
   std::atomic<Timestamp> gc_floor_{0};
 
   std::mutex mono_mu_;
   std::vector<Timestamp> last_table_ts_;
   Timestamp last_global_ts_ = 0;
+  std::vector<Timestamp> last_lane_global_ts_;
 };
 
 }  // namespace sim
