@@ -79,7 +79,6 @@ RunResult RunOnce(int clients, uint64_t txns, uint64_t seed) {
   SerialReplayer replayer(&catalog, &sink);
   replayer.SetEpochSource(&source);
   ReplayRecoveryOptions recovery;
-  recovery.reorder_window_pauses = 256;
   recovery.max_retries = 64;
   recovery.max_pending = 65536;
   replayer.SetRecoveryOptions(recovery);

@@ -210,7 +210,7 @@ void RunWorkload(const Config& cfg, PrimaryDb* db, bool paced,
 
 // Lane `shard`: an AetsReplayer reading `channel`, named AETS.s<shard> so
 // its replay.* counters also export as a per-lane series. The recovery
-// window is sized for a lane fed over TCP, where a reconnect can leave a
+// budget is sized for a lane fed over TCP, where a reconnect can leave a
 // long gap to NACK.
 std::unique_ptr<AetsReplayer> NewLane(const Catalog* catalog,
                                       EpochChannel* channel, int shard) {
@@ -222,7 +222,6 @@ std::unique_ptr<AetsReplayer> NewLane(const Catalog* catalog,
   options.initial_rates = std::vector<double>(kTables, 1.0);
   auto lane = std::make_unique<AetsReplayer>(catalog, channel, options);
   ReplayRecoveryOptions recovery;
-  recovery.reorder_window_pauses = 256;
   recovery.max_retries = 64;
   recovery.max_pending = 65536;
   lane->SetRecoveryOptions(recovery);
@@ -381,10 +380,12 @@ int RunMode(const Config& cfg, bool paced) {
   // no epoch ships between the watermark check and the image write.
   auto checkpoint = [&](int s, int txns) -> Status {
     shipper.FlushEpoch();
-    while (BackupError(backup.get()).ok() &&
-           backup->GlobalVisibleTs() < primary.last_commit_ts()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    // Every lane rings the backup's bell on a watermark advance and on its
+    // error latch, so this parks until one of the two can have happened.
+    backup->bell().WaitUntil([&] {
+      return !BackupError(backup.get()).ok() ||
+             backup->GlobalVisibleTs() >= primary.last_commit_ts();
+    });
     Status st = BackupError(backup.get());
     if (!st.ok()) return st;
     harvest();  // the epochs below a new floor leave the disk now

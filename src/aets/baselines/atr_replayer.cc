@@ -1,6 +1,5 @@
 #include "aets/baselines/atr_replayer.h"
 
-#include "aets/common/backoff.h"
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
 #include "aets/obs/trace.h"
@@ -98,15 +97,17 @@ void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
   }
 
   // The single commit thread: make transactions visible strictly in primary
-  // commit order (run inline on the commit context). Spin-then-yield so
-  // the workers never pay a wake-up cost. On error a worker may never flip
-  // its tasks' done flags, so the latch is the exit — the watermark freezes
-  // at the last fully applied transaction.
+  // commit order (run inline on the commit context), parking on the work
+  // bell until the worker flips each task's done flag. On error a worker may
+  // never flip its tasks' done flags, so the latch is the exit — the
+  // watermark freezes at the last fully applied transaction.
   for (auto& task : prep->tasks) {
-    SpinBackoff backoff;
-    while (!task.done.load(std::memory_order_acquire)) {
-      if (HasError()) break;
-      backoff.Pause();
+    auto ready = [&] {
+      return task.done.load(std::memory_order_acquire) || HasError();
+    };
+    if (!ready()) {
+      stats_.commit_waits.fetch_add(1, std::memory_order_relaxed);
+      work_bell_.WaitUntil(ready);
     }
     if (HasError()) break;
     ScopedTimerNs timer(&stats_.commit_ns);
@@ -143,25 +144,24 @@ void AtrReplayer::WorkerRun(const std::string& payload,
       MemNode* node =
           store_.GetTable(rec->table_id)->GetOrCreateNode(rec->row_key);
       // Operation-sequence check: versions of one record must be installed
-      // in the primary's modification order. Spin until the appended-version
-      // count matches the log entry's row sequence (its before-image
-      // position) — the count, not the chain length, which GC shrinks;
-      // the dependency always points to an earlier operation, so this
-      // cannot stall — unless that operation's worker died on the error
-      // latch, which the spin checks for. Time spent here is the
+      // in the primary's modification order. Park on the work bell until the
+      // appended-version count matches the log entry's row sequence (its
+      // before-image position) — the count, not the chain length, which GC
+      // shrinks. The dependency always points to an operation of an earlier
+      // transaction, whose completion rings the bell, so this cannot stall —
+      // unless that operation's worker died on the error latch, which the
+      // wait checks for. Ringing per transaction rather than per record
+      // keeps a fence off every install. Time spent here is the
       // synchronization cost the paper identifies as ATR's scalability
       // limiter.
-      if (node->NumAppended() != rec->row_seq) {
-        static obs::Counter* sync_retries =
-            obs::GetCounter("replay.conflict_retries");
-        sync_retries->Add(1);
+      auto in_order = [&] {
+        return node->NumAppended() == rec->row_seq || HasError();
+      };
+      if (!in_order()) {
+        stats_.conflict_retries.fetch_add(1, std::memory_order_relaxed);
         ScopedTimerNs wait_timer(&stats_.sync_wait_ns);
-        SpinBackoff backoff(/*spins_per_yield=*/512,
-                            /*yields_before_sleep=*/-1);
-        while (node->NumAppended() != rec->row_seq) {
-          if (HasError()) return;
-          backoff.Pause();
-        }
+        work_bell_.WaitUntil(in_order);
+        if (HasError()) return;
       }
       VersionCell cell;
       cell.commit_ts = task.commit_ts;
@@ -171,6 +171,7 @@ void AtrReplayer::WorkerRun(const std::string& payload,
       node->AppendVersion(std::move(cell));
     }
     task.done.store(true, std::memory_order_release);
+    work_bell_.Ring();
   }
 }
 

@@ -27,7 +27,7 @@ struct AtrOptions {
 /// Reimplementation of the ATR log replay baseline (Lee et al., VLDB'17) on
 /// our substrate: transactionID-based dispatch (txn_id modulo worker count),
 /// workers install versions directly into the Memtable guarded by the
-/// per-record operation-sequence check (spin until the record's chain head
+/// per-record operation-sequence check (wait until the record's chain head
 /// matches the log entry's before-image txn id), and a single commit thread
 /// that advances the visibility watermark in primary transaction order.
 /// There is no table grouping: all tables publish the same watermark.

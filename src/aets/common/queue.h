@@ -1,6 +1,7 @@
 #ifndef AETS_COMMON_QUEUE_H_
 #define AETS_COMMON_QUEUE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -57,10 +58,15 @@ class BlockingQueue {
     return item;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
+  /// Blocks until an element is available or `deadline` passes; nullopt on
+  /// timeout (a past deadline makes this a non-blocking pop). Close() does
+  /// not cut the wait short: on a closed queue the call is a bounded pause,
+  /// which is what a caller backing off between retries wants.
+  std::optional<T> PopUntil(std::chrono::steady_clock::time_point deadline) {
     std::unique_lock<std::mutex> lk(mu_);
-    if (queue_.empty()) return std::nullopt;
+    if (!not_empty_.wait_until(lk, deadline, [&] { return !queue_.empty(); })) {
+      return std::nullopt;
+    }
     T item = std::move(queue_.front());
     queue_.pop_front();
     lk.unlock();
@@ -77,17 +83,10 @@ class BlockingQueue {
     not_full_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return closed_;
-  }
-
   size_t Size() const {
     std::lock_guard<std::mutex> lk(mu_);
     return queue_.size();
   }
-
-  bool Empty() const { return Size() == 0; }
 
  private:
   mutable std::mutex mu_;

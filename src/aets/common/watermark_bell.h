@@ -6,42 +6,58 @@
 
 namespace aets {
 
-/// Wake-up signal for threads waiting on a visibility watermark (the
-/// Algorithm-3 wait). Publishers Ring() right after each watermark store;
-/// a waiter reads Sequence(), re-checks its condition, and parks in
-/// Wait(seen) on the sequence futex until a ring moves it:
+/// The replay path's one wait primitive. A producer makes a condition true
+/// and then calls Ring(); a waiter calls WaitUntil(ready) and parks on a
+/// futex sequence until a ring lets `ready` hold. A replayer owns two bells:
+/// the visibility bell, rung after each watermark store (the Algorithm-3
+/// query wait), and the work bell, rung after each flag or counter a
+/// replay-internal wait reads.
 ///
-///   for (;;) {
-///     uint32_t seen = bell.Sequence();
-///     if (condition()) break;
-///     bell.Wait(seen);
-///   }
-///
-/// No wake-up is lost: a ring that lands after Sequence() changes the
-/// sequence, so Wait returns at once; one that lands before it is ordered
-/// before the condition re-check (the watermark store happens-before the
-/// ring's increment, which the Sequence() acquire-load observes). Ring()
-/// skips the notify syscall while nobody waits, keeping the publish path a
-/// single atomic increment on an idle backup.
+/// No wake-up is lost. The waiter registers and issues a seq_cst fence
+/// before its first parked check; Ring() issues one between the producer's
+/// store and its load of the waiter count. One fence precedes the other, so
+/// either the ring sees the waiter and bumps the sequence (which the futex
+/// wait then observes), or the waiter's check sees the store. A ring with
+/// nobody waiting is a fence and a load: it writes no shared cache line.
 class WatermarkBell {
  public:
-  uint32_t Sequence() const { return seq_.load(std::memory_order_acquire); }
-
   void Ring() {
-    // Both seq_cst: if this load misses a waiter's registration, the
-    // waiter's later sequence check is ordered after the increment.
-    seq_.fetch_add(1, std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_seq_cst) != 0) seq_.notify_all();
+    if (!HasWaiters()) return;
+    seq_.fetch_add(1, std::memory_order_release);
+    seq_.notify_all();
   }
 
-  /// Blocks until the sequence differs from `seen`.
-  void Wait(uint32_t seen) {
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    seq_.wait(seen, std::memory_order_seq_cst);
+  /// Returns once `ready()` is true. `ready` may only read state whose
+  /// producers ring this bell after each change.
+  template <typename Ready>
+  void WaitUntil(Ready&& ready) {
+    if (ready()) return;
+    Register();
+    for (;;) {
+      uint32_t seen = seq_.load(std::memory_order_acquire);
+      if (ready()) break;
+      seq_.wait(seen, std::memory_order_acquire);
+    }
     waiters_.fetch_sub(1, std::memory_order_relaxed);
   }
 
  private:
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer does not model standalone fences; seq_cst
+  // read-modify-writes on the waiter count give it the same order.
+  bool HasWaiters() { return waiters_.fetch_add(0) != 0; }
+  void Register() { waiters_.fetch_add(1); }
+#else
+  bool HasWaiters() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return waiters_.load(std::memory_order_relaxed) != 0;
+  }
+  void Register() {
+    waiters_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+#endif
+
   std::atomic<uint32_t> seq_{0};
   std::atomic<uint32_t> waiters_{0};
 };

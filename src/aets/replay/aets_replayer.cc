@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "aets/common/backoff.h"
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
 #include "aets/obs/trace.h"
@@ -13,10 +12,9 @@ namespace aets {
 AetsReplayer::PreparedAets::~PreparedAets() { WaitTranslationDrained(); }
 
 void AetsReplayer::PreparedAets::WaitTranslationDrained() {
-  SpinBackoff backoff;
-  while (outstanding_translate.load(std::memory_order_acquire) != 0) {
-    backoff.Pause();
-  }
+  work_bell->WaitUntil([this] {
+    return outstanding_translate.load(std::memory_order_acquire) == 0;
+  });
 }
 
 AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
@@ -24,7 +22,6 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
     : ReplayerBase(catalog, channel, options.name),
       options_(std::move(options)),
       table_ts_(catalog->num_tables()),
-      commit_spin_waits_metric_(obs::GetCounter("replay.commit_spin_waits")),
       regroup_metric_(obs::GetCounter("allocator.regroups")),
       realloc_metric_(obs::GetCounter("allocator.reallocations")),
       watermark_metric_(obs::GetGauge("replay.global_visible_ts")),
@@ -204,7 +201,7 @@ void AetsReplayer::RebuildGroups(const std::vector<double>& rates) {
 std::unique_ptr<ReplayerBase::PreparedEpoch> AetsReplayer::PrepareEpoch(
     const ShippedEpoch& epoch) {
   AETS_TRACE_SPAN("replay.prepare");
-  auto prep = std::make_unique<PreparedAets>();
+  auto prep = std::make_unique<PreparedAets>(&work_bell_);
   prep->apply_start_us = MonotonicMicros();
   RefreshRates();
   prep->grouping = grouping_snapshot();
@@ -387,8 +384,10 @@ void AetsReplayer::LaunchTranslate(PreparedAets* prep,
   // Submit phase-1 translate tasks. The committers — which may only run
   // epochs later — synchronize on the per-fragment translated flags, and
   // the prepared state's outstanding_translate counter keeps the gstate
-  // alive until every task returned. A full replay queue blocks right here,
-  // throttling the prepare stage (bounded-queue backpressure).
+  // alive until every task returned. The ring after the decrement touches
+  // only replayer memory: the drained epoch's state may already be freed.
+  // A full replay queue blocks right here, throttling the prepare stage
+  // (bounded-queue backpressure).
   const std::string* payload = prep->payload.get();
   for (auto& assignment : worker_groups) {
     prep->outstanding_translate.fetch_add(1, std::memory_order_relaxed);
@@ -397,6 +396,7 @@ void AetsReplayer::LaunchTranslate(PreparedAets* prep,
         TranslateGroup(*payload, &prep->gstate[static_cast<size_t>(gi)]);
       }
       prep->outstanding_translate.fetch_sub(1, std::memory_order_release);
+      work_bell_.Ring();
     });
     if (!accepted) {
       prep->outstanding_translate.fetch_sub(1, std::memory_order_relaxed);
@@ -458,9 +458,10 @@ void AetsReplayer::TranslateGroup(const std::string& payload,
       frag->cells.push_back(PendingCell{node, std::move(cell), rec->table_id});
     }
     // Always flip `translated` (even when poisoned) so a committer already
-    // spinning on this fragment wakes promptly; `poisoned` keeps the
-    // partial cells from ever being installed.
+    // parked on this fragment wakes promptly; `poisoned` keeps the partial
+    // cells from ever being installed.
     frag->translated.store(true, std::memory_order_release);
+    work_bell_.Ring();
   }
 }
 
@@ -471,16 +472,16 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   std::vector<int64_t> dirty_keys;  // one table's keys of one fragment
   for (auto& frag_ptr : gs->fragments) {
     Fragment* frag = frag_ptr.get();
-    // waiting_commit_list check: spin briefly, then yield the core to the
-    // translate workers (see SpinBackoff for why this replay-internal wait
-    // does not park on a futex like WaitVisible does). On error, unclaimed
-    // fragments never flip `translated`, so the latch is the exit.
-    SpinBackoff backoff;
-    while (!frag->translated.load(std::memory_order_acquire)) {
-      if (HasError()) return;
-      backoff.Pause();
+    // waiting_commit_list check: park on the work bell until phase 1 flips
+    // `translated`. On error, unclaimed fragments never flip it, so the
+    // latch (which rings the bell) is the exit.
+    auto ready = [&] {
+      return frag->translated.load(std::memory_order_acquire) || HasError();
+    };
+    if (!ready()) {
+      stats_.commit_waits.fetch_add(1, std::memory_order_relaxed);
+      work_bell_.WaitUntil(ready);
     }
-    if (backoff.waited()) commit_spin_waits_metric_->Add(1);
     // A poisoned fragment holds a partial transaction; installing it would
     // corrupt the backup. Freeze this group's watermark at the last fully
     // committed transaction instead.

@@ -200,10 +200,13 @@ class AetsReplayer : public ReplayerBase {
   /// destructor quiesces this epoch's translate tasks, so a dropped
   /// (post-error-latch) item can never leave a worker touching freed state.
   struct PreparedAets : PreparedEpoch {
+    explicit PreparedAets(WatermarkBell* bell) : work_bell(bell) {}
     ~PreparedAets() override;
-    /// Spins until every translate task launched for this epoch returned.
+    /// Parks on the replayer's work bell until every translate task
+    /// launched for this epoch returned.
     void WaitTranslationDrained();
 
+    WatermarkBell* work_bell;
     std::shared_ptr<const GroupingSnapshot> grouping;
     /// Pins the wire bytes the fragments' offsets point into.
     std::shared_ptr<const std::string> payload;
@@ -243,7 +246,6 @@ class AetsReplayer : public ReplayerBase {
   std::vector<double> current_rates_;
 
   /// Observability (resolved once per instrument; aggregated process-wide).
-  obs::Counter* commit_spin_waits_metric_;
   obs::Counter* regroup_metric_;
   obs::Counter* realloc_metric_;
   obs::Gauge* watermark_metric_;

@@ -23,8 +23,6 @@ int64_t WaitVisible(const Replayer& replayer, const std::vector<TableId>& tables
   static Histogram* wait_us = obs::GetHistogram("visibility.wait_us");
   queries->Add(1);
   int64_t start = MonotonicMicros();
-  WatermarkBell& bell = replayer.bell();
-  uint32_t seen = bell.Sequence();
   if (IsVisible(replayer, tables, qts)) {
     wait_us->Record(0);
     return 0;
@@ -32,12 +30,8 @@ int64_t WaitVisible(const Replayer& replayer, const std::vector<TableId>& tables
   blocked->Add(1);
   // Wait until the replaying of the required log entries is completed
   // (Algorithm 3 line 9): park until the replayer rings after a watermark
-  // advance, then re-check. Reading the sequence before each check means a
-  // ring in between makes Wait return at once.
-  do {
-    bell.Wait(seen);
-    seen = bell.Sequence();
-  } while (!IsVisible(replayer, tables, qts));
+  // advance, then re-check.
+  replayer.bell().WaitUntil([&] { return IsVisible(replayer, tables, qts); });
   int64_t waited = MonotonicMicros() - start;
   wait_us->Record(waited);
   return waited;

@@ -29,7 +29,7 @@ struct ReplayStats {
   std::atomic<int64_t> stage1_wall_ns{0};
   std::atomic<int64_t> stage2_wall_ns{0};
   /// Time replay workers spent blocked on ordering synchronization (ATR's
-  /// operation-sequence-check spins). Grows with worker count; drives the
+  /// operation-sequence-check waits). Grows with worker count; drives the
   /// scalability analysis of Fig. 11.
   std::atomic<int64_t> sync_wait_ns{0};
   std::atomic<int64_t> wall_start_us{0};
@@ -49,6 +49,12 @@ struct ReplayStats {
   /// pipeline (pipeline_depth epochs already in flight) — the backpressure
   /// events of the cross-epoch pipeline, DESIGN.md §9.
   std::atomic<uint64_t> pipeline_stalls{0};
+  /// Phase-2 commits that found the next transaction in commit order not yet
+  /// translated (AETS) or applied (ATR) and parked on the work bell for it.
+  std::atomic<uint64_t> commit_waits{0};
+  /// ATR operation-sequence checks that found an earlier operation on the
+  /// same record still uninstalled and parked until it landed.
+  std::atomic<uint64_t> conflict_retries{0};
 
   int64_t WallMicros() const {
     // An error latched before the first epoch leaves both marks at zero; a
@@ -140,6 +146,7 @@ class Replayer {
   /// The bell rung right after every advance of TableVisibleTs or
   /// GlobalVisibleTs; WaitVisible parks on it. Implementations must Ring()
   /// it after each watermark store, or waiters sleep through the advance.
+  /// ReplayerBase also rings it when its error latch trips.
   WatermarkBell& bell() const { return *bell_; }
 
   /// Makes this replayer ring `bell` instead of its own (ShardedBackup

@@ -1,12 +1,16 @@
 #include "aets/replay/replayer_base.h"
 
+#include <chrono>
 #include <string>
 #include <utility>
 
-#include "aets/common/backoff.h"
 #include "aets/common/clock.h"
 
 namespace aets {
+
+// How long a recovery round waits on the channel for the gap head before
+// NACKing it, and how long it pauses after a NACK miss.
+constexpr std::chrono::microseconds kReorderWindow{50};
 
 ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
                            std::string name)
@@ -24,7 +28,9 @@ ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
                  {"replay.epochs_duplicate_dropped",
                   &stats_.duplicates_dropped},
                  {"replay.epochs_corrupt_dropped", &stats_.corrupt_dropped},
-                 {"pipeline.stalls", &stats_.pipeline_stalls}}),
+                 {"pipeline.stalls", &stats_.pipeline_stalls},
+                 {"replay.commit_waits", &stats_.commit_waits},
+                 {"replay.conflict_retries", &stats_.conflict_retries}}),
       pipeline_depth_metric_(obs::GetGauge("pipeline.depth")),
       pipeline_occupancy_metric_(obs::GetGauge("pipeline.occupancy")) {}
 
@@ -121,9 +127,13 @@ Status ReplayerBase::error() const {
 }
 
 void ReplayerBase::SetError(Status status) {
-  std::lock_guard<std::mutex> lk(error_mu_);
-  if (error_.ok()) error_ = std::move(status);
-  error_flag_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lk(error_mu_);
+    if (error_.ok()) error_ = std::move(status);
+    error_flag_.store(true, std::memory_order_release);
+  }
+  work_bell_.Ring();
+  bell().Ring();
 }
 
 void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
@@ -275,16 +285,16 @@ void ReplayerBase::RecoverGaps(PendingMap* pending) {
   while (!pending->empty() && !HasError()) {
     EpochId gap = expected_epoch_;
     // Reorder window: the missing epoch may be queued right behind what we
-    // already pulled (or held back by the link). Poll before NACKing.
-    SpinBackoff backoff;
-    for (int i = 0; i < recovery_.reorder_window_pauses; ++i) {
-      if (auto epoch = channel_->TryReceive()) {
-        Ingest(std::move(*epoch), pending, false);
-        if (pending->empty() || HasError()) return;
-        if (expected_epoch_ > gap) break;
-      } else {
-        backoff.Pause();
-      }
+    // already pulled (or held back by the link). Wait on the channel before
+    // NACKing. The window also bounds how long a queued backlog is ingested
+    // into the pending buffer before the gap is NACKed.
+    const auto deadline = std::chrono::steady_clock::now() + kReorderWindow;
+    while (std::chrono::steady_clock::now() < deadline) {
+      auto epoch = channel_->ReceiveUntil(deadline);
+      if (!epoch) break;
+      Ingest(std::move(*epoch), pending, false);
+      if (pending->empty() || HasError()) return;
+      if (expected_epoch_ > gap) break;
     }
     if (expected_epoch_ > gap) {
       rounds_without_progress = 0;
@@ -312,8 +322,8 @@ void ReplayerBase::RecoverGaps(PendingMap* pending) {
       // A miss is not proof of loss: over a socket source the same nullopt
       // also covers a timed-out NACK RPC, and latching on the first one
       // would poison the replayer on a transient stall. Burn a retry round
-      // (the reorder-window poll above is the backoff) and only conclude
-      // eviction once the budget is spent.
+      // (the reorder window above is the pause) and only conclude eviction
+      // once the budget is spent.
       fetch_missed = true;
     }
     if (++rounds_without_progress >= recovery_.max_retries) {
@@ -347,12 +357,11 @@ void ReplayerBase::FinalDrain(PendingMap* pending) {
   // The channel is closed and drained, so the shipper has finished: every id
   // in [0, end) was handed to the link, and anything we have not applied was
   // swallowed by it. Pull the remainder straight from retention. As in
-  // RecoverGaps, a fetch miss is retried with backoff before it is treated
-  // as eviction — over a socket source nullopt also covers a transient
-  // timeout on the NACK RPC.
+  // RecoverGaps, a fetch miss is retried after a reorder-window pause before
+  // it is treated as eviction — over a socket source nullopt also covers a
+  // transient timeout on the NACK RPC.
   EpochId end = source_->NextEpochId();
   int fetch_misses = 0;
-  SpinBackoff miss_backoff;
   while (!HasError() && expected_epoch_ < end) {
     auto it = pending->find(expected_epoch_);
     if (it != pending->end()) {
@@ -365,7 +374,6 @@ void ReplayerBase::FinalDrain(PendingMap* pending) {
     if (auto epoch = source_->FetchEpoch(expected_epoch_)) {
       Ingest(std::move(*epoch), pending, true);
       fetch_misses = 0;
-      miss_backoff = SpinBackoff();
       continue;
     }
     if (expected_epoch_ < source_->FloorEpochId()) {
@@ -384,8 +392,11 @@ void ReplayerBase::FinalDrain(PendingMap* pending) {
           " NACK attempts); re-bootstrap from a checkpoint"));
       return;
     }
-    for (int i = 0; i < recovery_.reorder_window_pauses; ++i) {
-      miss_backoff.Pause();
+    // The channel is closed and drained, so this parks on its condition
+    // variable for one full window: nothing can arrive to end it early.
+    if (auto epoch = channel_->ReceiveUntil(std::chrono::steady_clock::now() +
+                                            kReorderWindow)) {
+      Ingest(std::move(*epoch), pending, false);
     }
   }
 }

@@ -23,16 +23,16 @@
 namespace aets {
 
 /// Tuning knobs of the epoch-loss recovery protocol (see MainLoop below and
-/// DESIGN.md "Failure model & recovery").
+/// DESIGN.md "Failure model & recovery"). Each recovery round first waits
+/// one fixed 50 us reorder window on the channel's condition variable, so a
+/// reordering still in flight can land before the gap is NACKed; the same
+/// timed wait is the pause between NACK misses.
 struct ReplayRecoveryOptions {
-  /// SpinBackoff pauses spent polling the channel before concluding a gap is
-  /// a loss rather than a reordering still in flight.
-  int reorder_window_pauses = 2000;
   /// Recovery rounds (reorder wait + NACK) per gap without progress before
   /// the sticky error latch trips. Also bounds consecutive NACK fetch
   /// misses: a nullopt from the source can be a transient I/O timeout on a
   /// socket-backed NACK RPC, not proof of eviction, so a gap only latches
-  /// after this many missed attempts with backoff in between.
+  /// after this many missed attempts with a reorder window in between.
   int max_retries = 8;
   /// Bound on buffered out-of-order epochs; exceeding it means the stream is
   /// unrecoverable (or the peer is misbehaving) and latches an error.
@@ -65,14 +65,16 @@ struct ReplayRecoveryOptions {
 ///    way, so a finished replayer is either byte-equal to the primary or
 ///    has a latched error — never silently short. Without an EpochSource
 ///    the pre-recovery behavior stands: any anomaly is terminal;
+///  - the work bell every replay-internal wait parks on;
 ///  - the sticky error latch, with a lock-free HasError() fast check the
-///    hot loops poll — once it trips, the main loop stops applying and
-///    drains the channel without installing anything (the channel is
-///    bounded, so halting receives outright could deadlock the producer).
-///    Epochs already in the pipeline drain through the commit thread without
-///    committing or publishing, and their prepared state unwinds cleanly
-///    (subclasses quiesce in-flight translation in their PreparedEpoch
-///    destructor);
+///    hot loops poll. Tripping it rings both bells, so a wait whose
+///    predicate reads HasError() wakes on it. Once it trips, the main loop
+///    stops applying and drains the channel without installing anything
+///    (the channel is bounded, so halting receives outright could deadlock
+///    the producer). Epochs already in the pipeline drain through the
+///    commit thread without committing or publishing, and their prepared
+///    state unwinds cleanly (subclasses quiesce in-flight translation in
+///    their PreparedEpoch destructor);
 ///  - race-safe Start()/Stop(): lifecycle transitions are serialized by a
 ///    mutex, Stop() is idempotent, and a failed StartWorkers() leaves the
 ///    replayer cleanly un-started.
@@ -189,6 +191,7 @@ class ReplayerBase : public Replayer {
   /// overtakes the data epoch shipped before it.
   virtual void ProcessHeartbeat(const ShippedEpoch& epoch) = 0;
 
+  /// Latches the sticky error and rings both bells.
   void SetError(Status status);
 
   /// Max-guarded store of a visibility watermark, then a ring of the bell
@@ -198,7 +201,7 @@ class ReplayerBase : public Replayer {
     bell().Ring();
   }
 
-  /// Lock-free check for the hot loops (translate claims, commit spins).
+  /// Lock-free check for the hot loops (translate claims, commit waits).
   bool HasError() const {
     return error_flag_.load(std::memory_order_acquire);
   }
@@ -209,6 +212,8 @@ class ReplayerBase : public Replayer {
   EpochChannel* channel_;
   TableStore store_;
   ReplayStats stats_;
+  /// Rung after each change a replay-internal wait reads.
+  WatermarkBell work_bell_;
   /// The next epoch id expected from the channel. Only the main loop writes
   /// it while running; Bootstrap arms it before Start(). Atomic so external
   /// observers (next_expected_epoch) can poll replay progress.

@@ -1,6 +1,9 @@
 #ifndef AETS_REPLICATION_CHANNEL_H_
 #define AETS_REPLICATION_CHANNEL_H_
 
+#include <chrono>
+#include <optional>
+
 #include "aets/common/clock.h"
 #include "aets/common/queue.h"
 #include "aets/log/shipped_epoch.h"
@@ -56,7 +59,15 @@ class EpochChannel {
   }
 
   std::optional<ShippedEpoch> TryReceive() {
-    std::optional<ShippedEpoch> epoch = queue_.TryPop();
+    return ReceiveUntil(std::chrono::steady_clock::now());
+  }
+
+  /// Waits for the next epoch until `deadline`; nullopt on timeout. A closed
+  /// channel waits out the deadline too (BlockingQueue::PopUntil): the
+  /// replayer's reorder window and NACK-miss pause are this one wait.
+  std::optional<ShippedEpoch> ReceiveUntil(
+      std::chrono::steady_clock::time_point deadline) {
+    std::optional<ShippedEpoch> epoch = queue_.PopUntil(deadline);
     if (epoch) depth_metric_->Add(-1);
     return epoch;
   }

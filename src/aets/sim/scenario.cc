@@ -343,7 +343,6 @@ void RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
     if (auto* base = dynamic_cast<ReplayerBase*>(
             backup->shard(static_cast<int>(s)))) {
       ReplayRecoveryOptions fast;
-      fast.reorder_window_pauses = 256;
       fast.max_retries = 16;
       fast.max_pending = 4096;
       base->SetRecoveryOptions(fast);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -247,6 +248,27 @@ TEST(BlockingQueueTest, ProducerConsumer) {
   producer.join();
   EXPECT_EQ(count, kItems);
   EXPECT_EQ(sum, static_cast<int64_t>(kItems) * (kItems - 1) / 2);
+}
+
+TEST(BlockingQueueTest, PopUntilWaitsOutDeadlineEvenWhenClosed) {
+  using Clock = std::chrono::steady_clock;
+  BlockingQueue<int> q;
+  // A past deadline is a non-blocking pop.
+  EXPECT_FALSE(q.PopUntil(Clock::now()).has_value());
+  q.Push(7);
+  EXPECT_EQ(q.PopUntil(Clock::now()).value(), 7);
+  // An element pushed mid-wait ends the wait early.
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    q.Push(8);
+  });
+  EXPECT_EQ(q.PopUntil(Clock::now() + std::chrono::seconds(30)).value(), 8);
+  producer.join();
+  // Close does not cut the wait short: the call pauses until its deadline.
+  q.Close();
+  auto start = Clock::now();
+  EXPECT_FALSE(q.PopUntil(start + std::chrono::milliseconds(20)).has_value());
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(20));
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

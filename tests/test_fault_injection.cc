@@ -101,7 +101,6 @@ ShippedEpoch MakeDataEpoch(EpochId id, Timestamp ts) {
 
 ReplayRecoveryOptions FastRecovery() {
   ReplayRecoveryOptions options;
-  options.reorder_window_pauses = 256;
   options.max_retries = 16;
   options.max_pending = 4096;
   return options;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "aets/bench/harness.h"
 #include "aets/workload/tpcc.h"
 #include "test_seed.h"
@@ -138,10 +142,46 @@ TEST(HarnessTest, CatchUpOnDelayCallbackFires) {
   EXPECT_EQ(calls.load(), 20u);
 }
 
+// Sets (or, with nullptr, unsets) an environment variable for one scope and
+// restores the caller's value on exit, so a test does not depend on what the
+// environment exports (CI sets AETS_BENCH_SCALE for every step).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value == nullptr) {
+      unsetenv(name);
+    } else {
+      setenv(name, value, /*overwrite=*/1);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
 TEST(HarnessTest, ScaledRespectsFloor) {
-  // Without AETS_BENCH_SCALE set, Scaled is the identity with a floor.
-  EXPECT_EQ(Scaled(100, 10), 100u);
-  EXPECT_GE(Scaled(0, 5), 5u);
+  {
+    // Without AETS_BENCH_SCALE set, Scaled is the identity with a floor.
+    ScopedEnv unset("AETS_BENCH_SCALE", nullptr);
+    EXPECT_EQ(Scaled(100, 10), 100u);
+    EXPECT_GE(Scaled(0, 5), 5u);
+  }
+  {
+    // With a scale exported, the floor still holds under the scaled value.
+    ScopedEnv scale("AETS_BENCH_SCALE", "0.2");
+    EXPECT_EQ(Scaled(100, 10), 20u);
+    EXPECT_EQ(Scaled(100, 30), 30u);
+    EXPECT_GE(Scaled(0, 5), 5u);
+  }
 }
 
 TEST(HarnessTest, LiveRunEndToEnd) {

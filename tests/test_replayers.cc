@@ -5,15 +5,19 @@
 // random-workload equivalence sweep and failure injection.
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "aets/baselines/atr_replayer.h"
 #include "aets/log/codec.h"
@@ -426,7 +430,6 @@ TEST(RecoveryTest, TransientNackTimeoutOnHeartbeatDoesNotPoisonReplayer) {
   TimeoutOnceSource source(&scenario.pipeline->shipper);
   replayer.SetEpochSource(&source);
   ReplayRecoveryOptions options;
-  options.reorder_window_pauses = 32;
   options.max_retries = 4;
   replayer.SetRecoveryOptions(options);
   ASSERT_TRUE(replayer.Start().ok());
@@ -455,7 +458,6 @@ TEST(RecoveryTest, TransientNackTimeoutInFinalDrainDoesNotPoisonReplayer) {
   TimeoutOnceSource source(&scenario.pipeline->shipper);
   replayer.SetEpochSource(&source);
   ReplayRecoveryOptions options;
-  options.reorder_window_pauses = 32;
   options.max_retries = 4;
   replayer.SetRecoveryOptions(options);
   ASSERT_TRUE(replayer.Start().ok());
@@ -570,14 +572,12 @@ struct BlockingCommitHook {
   std::atomic<bool> blocked{false};
 };
 
-// One hand-crafted data epoch: a single transaction inserting `marker` into
-// table 0's string column at `commit_ts`. The marker makes the string's
-// value bytes findable in the encoded payload, so tests can corrupt exactly
-// the region the metadata dispatch skips.
-ShippedEpoch MakeStringInsertEpoch(EpochId id, Timestamp commit_ts,
-                                   const std::string& marker) {
-  Epoch epoch;
-  epoch.epoch_id = id;
+// One transaction inserting `marker` into `table`'s string column at
+// `commit_ts`. The marker makes the string's value bytes findable in the
+// encoded payload, so tests can corrupt exactly the region the metadata
+// dispatch skips.
+TxnLog StringInsertTxn(TableId table, Timestamp commit_ts,
+                       const std::string& marker) {
   TxnLog txn;
   txn.txn_id = commit_ts;
   txn.commit_ts = commit_ts;
@@ -585,11 +585,19 @@ ShippedEpoch MakeStringInsertEpoch(EpochId id, Timestamp commit_ts,
   txn.records = {
       LogRecord::Begin(lsn, txn.txn_id, commit_ts),
       LogRecord::Dml(LogRecordType::kInsert, lsn + 1, txn.txn_id, commit_ts,
-                     /*table=*/0, /*key=*/static_cast<int64_t>(commit_ts),
+                     table, /*key=*/static_cast<int64_t>(commit_ts),
                      {{0, Value(static_cast<int64_t>(commit_ts))},
                       {1, Value(marker)}}),
       LogRecord::Commit(lsn + 2, txn.txn_id, commit_ts)};
-  epoch.txns.push_back(std::move(txn));
+  return txn;
+}
+
+// One hand-crafted data epoch holding StringInsertTxn(0, commit_ts, marker).
+ShippedEpoch MakeStringInsertEpoch(EpochId id, Timestamp commit_ts,
+                                   const std::string& marker) {
+  Epoch epoch;
+  epoch.epoch_id = id;
+  epoch.txns.push_back(StringInsertTxn(/*table=*/0, commit_ts, marker));
   return EncodeEpoch(epoch);
 }
 
@@ -715,31 +723,134 @@ TEST(PipelineTest, QuietTableWatermarkFrozenByStageFailure) {
   // latch was consulted — so a stage failure in the same epoch left the
   // quiet table's watermark past the failure point, and Algorithm 3 would
   // serve a query a snapshot the epoch never earned. The publish now sits
-  // after the HasError() check; this test fails against the old order.
+  // after the HasError() check; the first case fails against the old order.
+  //
+  // The second case hands a committer a fragment nobody translates: table
+  // 0 is the hot group and table 1 a cold one, and the single replay worker
+  // runs the hot stage's task first. Its corrupt first record latches the
+  // error, so the cold task claims nothing and the cold committer can only
+  // get past its wait through the latch.
+  struct Case {
+    const char* name;
+    int replay_threads;
+    GroupingMode grouping;
+    bool cold_txn;  // add a healthy transaction on table 1
+  };
+  const Case cases[] = {
+      {"quiet table 1", 2, GroupingMode::kPerTable, false},
+      {"unclaimed cold fragment", 1, GroupingMode::kStatic, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<Catalog> catalog(MakeCatalog(2));
+    EpochChannel channel(8);
+    AetsOptions options;
+    options.replay_threads = c.replay_threads;
+    options.grouping = c.grouping;
+    options.static_hot_groups = {{0}};  // read by kStatic only
+    AetsReplayer replayer(catalog.get(), &channel, options);
+    ASSERT_TRUE(replayer.Start().ok());
+
+    // The first transaction touches table 0 and carries the corruption.
+    const std::string marker = "quietleakmarker";
+    Epoch epoch;
+    epoch.txns.push_back(StringInsertTxn(/*table=*/0, /*commit_ts=*/7, marker));
+    if (c.cold_txn) {
+      epoch.txns.push_back(StringInsertTxn(/*table=*/1, /*commit_ts=*/8,
+                                           "coldtablerow"));
+    }
+    ShippedEpoch shipped = EncodeEpoch(epoch);
+    CorruptValueBytes(&shipped, marker);
+    channel.Send(shipped);
+    channel.Close();
+    replayer.Stop();
+
+    EXPECT_TRUE(replayer.error().IsCorruption())
+        << replayer.error().ToString();
+    // The failed group's table froze...
+    EXPECT_EQ(replayer.TableVisibleTs(0), kInvalidTimestamp);
+    // ...and table 1 must NOT have been announced visible: not at the
+    // epoch's max commit timestamp while quiet, nor at its own untranslated
+    // transaction.
+    EXPECT_EQ(replayer.TableVisibleTs(1), kInvalidTimestamp);
+    EXPECT_EQ(replayer.GlobalVisibleTs(), kInvalidTimestamp);
+  }
+}
+
+// A NACK source that misses every fetch until released, then serves
+// `epochs` by id: a gap the replayer can only wait out.
+class HeldSource : public EpochSource {
+ public:
+  explicit HeldSource(std::vector<ShippedEpoch> epochs)
+      : epochs_(std::move(epochs)) {}
+
+  std::optional<ShippedEpoch> FetchEpoch(EpochId id) override {
+    fetches_.fetch_add(1);
+    if (!released_.load() || id >= epochs_.size()) return std::nullopt;
+    return epochs_[id];
+  }
+  EpochId NextEpochId() const override { return epochs_.size(); }
+
+  void Release() { released_.store(true); }
+  uint64_t fetches() const { return fetches_.load(); }
+
+ private:
+  const std::vector<ShippedEpoch> epochs_;
+  std::atomic<bool> released_{false};
+  std::atomic<uint64_t> fetches_{0};
+};
+
+int64_t ProcessCpuMicros() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000 + ts.tv_nsec / 1'000;
+}
+
+TEST(ReplayRecoveryTest, GapWaitDoesNotBurnCpu) {
+  // A gap whose NACK keeps missing, under a retry budget that never runs
+  // out: the replayer alternates reorder windows and NACKs for as long as
+  // the gap stays open. Between attempts it parks on the channel, so ~100 ms
+  // of waiting costs the process a small fraction of that in CPU. Covers the
+  // live-channel gap (epoch 1 arrived, epoch 0 did not) and the post-close
+  // tail (nothing arrived).
   std::unique_ptr<Catalog> catalog(MakeCatalog(2));
-  EpochChannel channel(8);
-  AetsOptions options;
-  options.replay_threads = 2;
-  options.grouping = GroupingMode::kPerTable;  // table 1 gets a quiet group
-  AetsReplayer replayer(catalog.get(), &channel, options);
-  ASSERT_TRUE(replayer.Start().ok());
+  const std::vector<ShippedEpoch> epochs = {
+      MakeStringInsertEpoch(0, /*commit_ts=*/1, "gapwaitzero"),
+      MakeStringInsertEpoch(1, /*commit_ts=*/2, "gapwaitone")};
+  for (bool closed_tail : {false, true}) {
+    SCOPED_TRACE(closed_tail ? "closed channel, missing tail" : "live gap");
+    EpochChannel channel;
+    HeldSource source(epochs);
+    SerialReplayer replayer(catalog.get(), &channel);
+    replayer.SetEpochSource(&source);
+    ReplayRecoveryOptions options;
+    options.max_retries = 1 << 30;
+    replayer.SetRecoveryOptions(options);
+    ASSERT_TRUE(replayer.Start().ok());
+    if (closed_tail) {
+      channel.Close();
+    } else {
+      ASSERT_TRUE(channel.Send(epochs[1]));
+    }
+    while (source.fetches() < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 
-  // The only transaction touches table 0; table 1 stays quiet this epoch.
-  const std::string marker = "quietleakmarker";
-  ShippedEpoch shipped = MakeStringInsertEpoch(/*id=*/0, /*commit_ts=*/7,
-                                               marker);
-  CorruptValueBytes(&shipped, marker);
-  channel.Send(shipped);
-  channel.Close();
-  replayer.Stop();
+    const int64_t cpu_start = ProcessCpuMicros();
+    const int64_t wall_start = MonotonicMicros();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const int64_t cpu_us = ProcessCpuMicros() - cpu_start;
+    const int64_t wall_us = MonotonicMicros() - wall_start;
+    const uint64_t fetches = source.fetches();
 
-  EXPECT_TRUE(replayer.error().IsCorruption()) << replayer.error().ToString();
-  // The failed group's table froze...
-  EXPECT_EQ(replayer.TableVisibleTs(0), kInvalidTimestamp);
-  // ...and the quiet table must NOT have been announced visible at the
-  // epoch's max commit timestamp (the leak this PR fixes).
-  EXPECT_EQ(replayer.TableVisibleTs(1), kInvalidTimestamp);
-  EXPECT_EQ(replayer.GlobalVisibleTs(), kInvalidTimestamp);
+    source.Release();
+    channel.Close();
+    replayer.Stop();
+    EXPECT_LT(cpu_us, wall_us / 4)
+        << "wall " << wall_us << " us, " << fetches << " NACK fetches";
+    EXPECT_TRUE(replayer.error().ok()) << replayer.error().ToString();
+    EXPECT_EQ(replayer.GlobalVisibleTs(), 2u);
+  }
 }
 
 TEST(ReplayerStatsTest, PhaseBreakdownAccumulates) {

@@ -78,7 +78,6 @@ void RunRandomWorkload(PrimaryDb* db, int num_tables, int num_txns,
 
 ReplayRecoveryOptions FastRecovery() {
   ReplayRecoveryOptions options;
-  options.reorder_window_pauses = 256;
   options.max_retries = 16;
   options.max_pending = 4096;
   return options;
