@@ -99,11 +99,10 @@ int main() {
 
   shipper.Finish();
   backup.Stop();
+  const bool same = backup.store()->DigestAt(primary.last_commit_ts()) ==
+                    primary.store().DigestAt(primary.last_commit_ts());
   std::printf("final state %s; %llu txns replayed\n",
-              backup.store()->DigestAt(primary.last_commit_ts()) ==
-                      primary.store().DigestAt(primary.last_commit_ts())
-                  ? "== primary"
-                  : "MISMATCH",
+              same ? "== primary" : "MISMATCH",
               static_cast<unsigned long long>(backup.stats().txns.load()));
-  return 0;
+  return same ? 0 : 1;
 }

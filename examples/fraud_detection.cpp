@@ -78,11 +78,10 @@ int main() {
   std::printf("scored 200 rounds; %d balance alerts\n", alerts);
   std::printf("hot-table visibility wait per round: %s\n",
               freshness.Summary().c_str());
+  const bool same = backup.store()->DigestAt(primary.last_commit_ts()) ==
+                    primary.store().DigestAt(primary.last_commit_ts());
   std::printf("backup replayed %llu txns, state %s\n",
               static_cast<unsigned long long>(backup.stats().txns.load()),
-              backup.store()->DigestAt(primary.last_commit_ts()) ==
-                      primary.store().DigestAt(primary.last_commit_ts())
-                  ? "== primary"
-                  : "MISMATCH");
-  return 0;
+              same ? "== primary" : "MISMATCH");
+  return same ? 0 : 1;
 }

@@ -65,14 +65,17 @@ int main() {
 
   Timestamp final_ts = primary.last_commit_ts();
   uint64_t truth = primary.store().DigestAt(final_ts);
+  bool all_ok = true;
   std::printf("\n%-6s %12s %10s %10s %10s %8s\n", "name", "txn/s", "dispatch",
               "replay", "commit", "state");
   for (Replayer* r : replayers) {
     const ReplayStats& s = r->stats();
+    const bool ok = r->store()->DigestAt(final_ts) == truth;
+    all_ok = all_ok && ok;
     std::printf("%-6s %12.0f %9.1f%% %9.1f%% %9.1f%% %8s\n", r->name().c_str(),
                 s.TxnsPerSec(), 100 * s.DispatchFraction(),
                 100 * s.ReplayFraction(), 100 * s.CommitFraction(),
-                r->store()->DigestAt(final_ts) == truth ? "ok" : "BAD");
+                ok ? "ok" : "BAD");
   }
 
   // One analytic query against each backup, same snapshot.
@@ -85,5 +88,5 @@ int main() {
     std::printf("  %-6s waited %lld us, sees %zu orders\n", r->name().c_str(),
                 static_cast<long long>(wait), rows);
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }

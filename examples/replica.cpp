@@ -702,9 +702,6 @@ int BackupMode(const Config& cfg) {
   // recovers the whole prefix by NACK.
   net::EpochStreamClientOptions client_options;
   client_options.max_reconnects = 200;
-  client_options.reconnect_backoff_ms = 20;
-  net::TcpEpochSourceOptions source_options;
-  source_options.io_timeout_ms = 5000;
   std::vector<std::unique_ptr<EpochChannel>> sinks;
   std::vector<std::unique_ptr<net::EpochStreamClient>> clients;
   std::vector<std::unique_ptr<net::TcpEpochSource>> tcp_sources;
@@ -715,8 +712,8 @@ int BackupMode(const Config& cfg) {
     sinks.push_back(std::make_unique<EpochChannel>(4096));
     clients.push_back(std::make_unique<net::EpochStreamClient>(
         host, port, shard, sinks.back().get(), client_options));
-    tcp_sources.push_back(std::make_unique<net::TcpEpochSource>(
-        host, port, shard, source_options));
+    tcp_sources.push_back(
+        std::make_unique<net::TcpEpochSource>(host, port, shard));
     Status st = clients.back()->Start();
     if (st.ok()) st = tcp_sources.back()->Connect();
     if (!st.ok()) {

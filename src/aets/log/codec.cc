@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "aets/common/macros.h"
+
 namespace aets {
 
 namespace {
@@ -38,10 +40,9 @@ const std::array<std::array<uint32_t, 256>, 8>& CrcTables() {
 }
 
 template <typename T>
-void PutFixed(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
+char* PutFixed(char* dst, T v) {
+  std::memcpy(dst, &v, sizeof(T));
+  return dst + sizeof(T);
 }
 
 template <typename T>
@@ -79,36 +80,41 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
 }
 
 void LogCodec::Encode(const LogRecord& record, std::string* out) {
-  std::string payload;
-  payload.reserve(record.ByteSize());
-  PutFixed<uint8_t>(&payload, static_cast<uint8_t>(record.type));
-  PutFixed<uint64_t>(&payload, record.lsn);
-  PutFixed<uint64_t>(&payload, record.txn_id);
-  PutFixed<uint64_t>(&payload, record.timestamp);
+  // ByteSize is the exact body length: size the frame once and write the
+  // body in place, with no per-record scratch buffer.
+  const size_t frame_at = out->size();
+  out->resize(frame_at + kCrcFrameHeaderBytes + record.ByteSize());
+  char* p = out->data() + frame_at + kCrcFrameHeaderBytes;
+  p = PutFixed<uint8_t>(p, static_cast<uint8_t>(record.type));
+  p = PutFixed<uint64_t>(p, record.lsn);
+  p = PutFixed<uint64_t>(p, record.txn_id);
+  p = PutFixed<uint64_t>(p, record.timestamp);
   if (record.is_dml()) {
-    PutFixed<uint32_t>(&payload, record.table_id);
-    PutFixed<int64_t>(&payload, record.row_key);
-    PutFixed<uint64_t>(&payload, record.prev_txn_id);
-    PutFixed<uint64_t>(&payload, record.row_seq);
-    PutFixed<uint16_t>(&payload, static_cast<uint16_t>(record.values.size()));
+    p = PutFixed<uint32_t>(p, record.table_id);
+    p = PutFixed<int64_t>(p, record.row_key);
+    p = PutFixed<uint64_t>(p, record.prev_txn_id);
+    p = PutFixed<uint64_t>(p, record.row_seq);
+    p = PutFixed<uint16_t>(p, static_cast<uint16_t>(record.values.size()));
     for (const auto& cv : record.values) {
-      PutFixed<uint16_t>(&payload, cv.column_id);
-      AppendValueWire(cv.value, &payload);
+      p = PutFixed<uint16_t>(p, cv.column_id);
+      p = WriteValueWire(p, cv.value);
     }
   }
-  PutFixed<uint32_t>(out, Crc32c(payload.data(), payload.size()));
-  PutFixed<uint32_t>(out, static_cast<uint32_t>(payload.size()));
-  out->append(payload);
+  AETS_CHECK(p == out->data() + out->size());
+  SealCrcFrame(out, frame_at);
 }
 
-namespace {
+void SealCrcFrame(std::string* out, size_t frame_at) {
+  AETS_CHECK(out->size() >= frame_at + kCrcFrameHeaderBytes);
+  char* header = out->data() + frame_at;
+  const char* body = header + kCrcFrameHeaderBytes;
+  const size_t len = out->size() - frame_at - kCrcFrameHeaderBytes;
+  header = PutFixed<uint32_t>(header, Crc32c(body, len));
+  PutFixed<uint32_t>(header, static_cast<uint32_t>(len));
+}
 
-/// Shared framing: validates length (and the checksum when `verify_crc`),
-/// returns payload bounds. The metadata-only dispatch path skips the
-/// checksum — it touches just the fixed prefix, and the phase-1 full decode
-/// verifies the same frame before any value is installed.
-Result<std::pair<size_t, size_t>> ReadFrame(std::string_view data,
-                                            size_t* offset, bool verify_crc) {
+Result<std::string_view> ReadCrcFrame(std::string_view data, size_t* offset,
+                                      bool verify_crc) {
   uint32_t crc, len;
   if (!GetFixed(data, offset, &crc) || !GetFixed(data, offset, &len)) {
     return Status::Corruption("truncated frame header");
@@ -122,10 +128,12 @@ Result<std::pair<size_t, size_t>> ReadFrame(std::string_view data,
       return Status::Corruption("checksum mismatch");
     }
   }
-  size_t begin = *offset;
+  std::string_view body(data.data() + *offset, len);
   *offset += len;
-  return std::make_pair(begin, begin + len);
+  return body;
 }
+
+namespace {
 
 Result<LogRecordView> DecodeViewBody(std::string_view data, size_t begin,
                                      size_t end, bool metadata_only) {
@@ -175,9 +183,10 @@ Result<LogRecordView> DecodeViewBody(std::string_view data, size_t begin,
 
 Result<LogRecordView> LogCodec::DecodeView(std::string_view data,
                                            size_t* offset) {
-  auto frame = ReadFrame(data, offset, /*verify_crc=*/true);
+  auto frame = ReadCrcFrame(data, offset, /*verify_crc=*/true);
   if (!frame.ok()) return frame.status();
-  return DecodeViewBody(data, frame->first, frame->second,
+  const size_t begin = static_cast<size_t>(frame->data() - data.data());
+  return DecodeViewBody(data, begin, begin + frame->size(),
                         /*metadata_only=*/false);
 }
 
@@ -189,9 +198,10 @@ Result<LogRecord> LogCodec::Decode(std::string_view data, size_t* offset) {
 
 Result<LogRecordView> LogCodec::DecodeMetadata(std::string_view data,
                                                size_t* offset) {
-  auto frame = ReadFrame(data, offset, /*verify_crc=*/false);
+  auto frame = ReadCrcFrame(data, offset, /*verify_crc=*/false);
   if (!frame.ok()) return frame.status();
-  return DecodeViewBody(data, frame->first, frame->second,
+  const size_t begin = static_cast<size_t>(frame->data() - data.data());
+  return DecodeViewBody(data, begin, begin + frame->size(),
                         /*metadata_only=*/true);
 }
 

@@ -15,9 +15,7 @@ namespace aets {
 
 /// Binary wire format for value-log entries.
 ///
-/// Layout (little-endian):
-///   u32 crc32c over everything after the crc field
-///   u32 payload length
+/// Layout (little-endian), inside one CRC frame (SealCrcFrame below):
 ///   u8  type
 ///   u64 lsn, u64 txn_id, u64 timestamp
 ///   DML only: u32 table_id, i64 row_key, u64 prev_txn_id, u64 row_seq,
@@ -63,6 +61,25 @@ class LogCodec {
   /// Decodes a whole sequence.
   static Result<std::vector<LogRecord>> DecodeAll(std::string_view data);
 };
+
+/// The checksummed frame around every log record (checkpoint rows included)
+/// and every segment-store epoch — one framer for the `crc|len|body` layout:
+///   u32 crc32c(body) | u32 body length | body
+inline constexpr size_t kCrcFrameHeaderBytes = 2 * sizeof(uint32_t);
+
+/// Writes the header of the frame starting at `out[frame_at]`: the caller
+/// left kCrcFrameHeaderBytes there and appended the body after them, up to
+/// the end of `out`. Bodies are encoded in place, never copied into a frame.
+void SealCrcFrame(std::string* out, size_t frame_at);
+
+/// Reads the frame at `data[*offset]`, advances `*offset` past it, and
+/// returns its body as a view into `data`. A truncated header, a body
+/// running past `data` and (when `verify_crc`) a checksum mismatch are
+/// Corruption. The metadata-only dispatch path skips the checksum — it
+/// touches just the fixed prefix, and the phase-1 full decode verifies the
+/// same frame before any value is installed.
+Result<std::string_view> ReadCrcFrame(std::string_view data, size_t* offset,
+                                      bool verify_crc = true);
 
 /// Software CRC32C (Castagnoli), table-driven slice-by-8 (little-endian
 /// fast path, byte-at-a-time tail). Also guards shipped-epoch payloads and

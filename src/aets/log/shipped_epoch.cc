@@ -1,5 +1,8 @@
 #include "aets/log/shipped_epoch.h"
 
+#include <cstring>
+#include <string>
+
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
 
@@ -38,6 +41,55 @@ bool ShippedEpoch::PayloadIntact() const {
   const char* data = payload ? payload->data() : nullptr;
   size_t n = payload ? payload->size() : 0;
   return Crc32c(data, n) == payload_crc;
+}
+
+void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out) {
+  const uint64_t header64[] = {
+      epoch.epoch_id,    epoch.heartbeat_ts, epoch.max_commit_ts,
+      epoch.num_txns,    epoch.num_records,  epoch.first_txn,
+      epoch.last_txn};
+  const uint32_t header32[] = {epoch.payload_crc,
+                               static_cast<uint32_t>(epoch.ByteSize())};
+  static_assert(sizeof(header64) + sizeof(header32) == kEpochBodyHeaderBytes);
+  out->reserve(out->size() + kEpochBodyHeaderBytes + epoch.ByteSize());
+  out->append(reinterpret_cast<const char*>(header64), sizeof(header64));
+  out->append(reinterpret_cast<const char*>(header32), sizeof(header32));
+  if (epoch.ByteSize() > 0) out->append(*epoch.payload);
+}
+
+Result<ShippedEpoch> DecodeEpochBody(std::string_view body) {
+  uint64_t header64[7];
+  uint32_t header32[2];
+  if (body.size() < kEpochBodyHeaderBytes) {
+    return Status::Corruption("truncated epoch body header");
+  }
+  std::memcpy(header64, body.data(), sizeof(header64));
+  std::memcpy(header32, body.data() + sizeof(header64), sizeof(header32));
+  const std::string_view payload = body.substr(kEpochBodyHeaderBytes);
+  if (payload.size() != header32[1]) {
+    return Status::Corruption("epoch body payload_len " +
+                              std::to_string(header32[1]) + " disagrees with " +
+                              std::to_string(payload.size()) +
+                              " payload bytes");
+  }
+  ShippedEpoch out;
+  out.epoch_id = header64[0];
+  out.heartbeat_ts = header64[1];
+  out.max_commit_ts = header64[2];
+  out.num_txns = header64[3];
+  out.num_records = header64[4];
+  out.first_txn = header64[5];
+  out.last_txn = header64[6];
+  out.payload_crc = header32[0];
+  out.payload = std::make_shared<const std::string>(payload);
+  return out;
+}
+
+EpochId PeekEpochBodyId(std::string_view body) {
+  AETS_CHECK(body.size() >= kEpochBodyHeaderBytes);
+  EpochId id;
+  std::memcpy(&id, body.data(), sizeof(id));
+  return id;
 }
 
 Result<Epoch> DecodeEpoch(const ShippedEpoch& shipped) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "aets/common/result.h"
 #include "aets/log/epoch.h"
@@ -49,6 +50,29 @@ ShippedEpoch EncodeEpoch(const Epoch& epoch);
 
 /// Builds a heartbeat epoch.
 ShippedEpoch MakeHeartbeatEpoch(EpochId id, Timestamp ts);
+
+/// The one serialized form of a ShippedEpoch, shared by the net tier's
+/// kEpoch/kFetchOk frame body and the segment store's frame body, so the
+/// wire and the disk carry the same bytes (little-endian):
+///   u64 epoch_id | u64 heartbeat_ts | u64 max_commit_ts | u64 num_txns |
+///   u64 num_records | u64 first_txn | u64 last_txn | u32 payload_crc |
+///   u32 payload_len | payload
+inline constexpr size_t kEpochBodyHeaderBytes =
+    7 * sizeof(uint64_t) + 2 * sizeof(uint32_t);
+
+/// Appends the encoded body of `epoch` to `out`.
+void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out);
+
+/// Decodes one whole body. A short header or a payload_len that disagrees
+/// with the body size is Corruption. The payload CRC is NOT verified here —
+/// the receiver's ingest path does that (PayloadIntact), keeping the
+/// corruption handling single-pathed.
+Result<ShippedEpoch> DecodeEpochBody(std::string_view body);
+
+/// The epoch id of an encoded body without decoding the rest (the segment
+/// store's recovery scan indexes frames by id). `body` must hold at least
+/// kEpochBodyHeaderBytes.
+EpochId PeekEpochBodyId(std::string_view body);
 
 /// Fully decodes a shipped epoch back into transaction logs (used by tests
 /// and the serial oracle).

@@ -47,28 +47,9 @@ bool ValueView::Equals(const Value& v) const {
 }
 
 void AppendValueWire(const Value& v, std::string* out) {
-  char buf[1 + sizeof(uint32_t)];
-  if (v.is_null()) {
-    buf[0] = static_cast<char>(ValueTag::kNull);
-    out->append(buf, 1);
-  } else if (v.is_int64()) {
-    buf[0] = static_cast<char>(ValueTag::kInt64);
-    out->append(buf, 1);
-    int64_t payload = v.as_int64();
-    out->append(reinterpret_cast<const char*>(&payload), sizeof(payload));
-  } else if (v.is_double()) {
-    buf[0] = static_cast<char>(ValueTag::kDouble);
-    out->append(buf, 1);
-    double payload = v.as_double();
-    out->append(reinterpret_cast<const char*>(&payload), sizeof(payload));
-  } else {
-    const std::string& s = v.as_string();
-    buf[0] = static_cast<char>(ValueTag::kString);
-    uint32_t len = static_cast<uint32_t>(s.size());
-    std::memcpy(buf + 1, &len, sizeof(len));
-    out->append(buf, 1 + sizeof(len));
-    out->append(s);
-  }
+  const size_t at = out->size();
+  out->resize(at + ValueWireSize(v));
+  WriteValueWire(out->data() + at, v);
 }
 
 char* WriteValueWire(char* dst, const Value& v) {

@@ -10,9 +10,18 @@
 namespace aets {
 namespace net {
 
-EpochStreamServer::EpochStreamServer(LogShipper* shipper,
-                                     EpochStreamServerOptions options)
-    : shipper_(shipper), options_(options) {}
+namespace {
+
+/// Capacity of the per-subscriber staging channel between the shipper and
+/// the writer thread. When a subscriber's TCP window AND this queue are both
+/// full, the shipper's Send fails and the epoch is recovered later by NACK —
+/// a slow subscriber never backpressures commit.
+constexpr size_t kSubscriberQueue = 256;
+
+}  // namespace
+
+EpochStreamServer::EpochStreamServer(LogShipper* shipper)
+    : shipper_(shipper) {}
 
 EpochStreamServer::~EpochStreamServer() { Stop(); }
 
@@ -101,15 +110,13 @@ void EpochStreamServer::RunSession(TcpSocket socket) {
   Frame hello_frame;
   // A connection that never says hello is dropped after one I/O window —
   // an anonymous idle socket must not pin a session thread.
-  Status s = ReadFrame(&socket, &decoder, options_.io_timeout_ms,
-                       /*idle_timeout_ms=*/options_.io_timeout_ms, stop_,
-                       &hello_frame);
+  Status s = ReadFrame(&socket, &decoder, kIoTimeoutMs,
+                       /*idle_timeout_ms=*/kIoTimeoutMs, stop_, &hello_frame);
   if (!s.ok() || hello_frame.type != FrameType::kHello) return;
   Result<HelloBody> hello = DecodeHelloBody(hello_frame.body);
   if (!hello.ok()) return;
   if (hello->shard >= static_cast<uint32_t>(shipper_->shard_count())) {
-    WriteFrame(&socket, FrameType::kError, "no such shard",
-               options_.io_timeout_ms);
+    WriteFrame(&socket, FrameType::kError, "no such shard", kIoTimeoutMs);
     return;
   }
   if (hello->role == HelloRole::kSubscribe) {
@@ -127,9 +134,8 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
   EpochChannel* channel = nullptr;
   {
     std::unique_ptr<EpochChannel> fresh =
-        channel_factory_ ? channel_factory_(options_.subscriber_queue)
-                         : std::make_unique<EpochChannel>(
-                               options_.subscriber_queue);
+        channel_factory_ ? channel_factory_(kSubscriberQueue)
+                         : std::make_unique<EpochChannel>(kSubscriberQueue);
     std::lock_guard<std::mutex> lk(sessions_mu_);
     if (stop_.load(std::memory_order_relaxed)) return;
     channels_.push_back(std::move(fresh));
@@ -152,8 +158,7 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
     if (stop_.load(std::memory_order_relaxed)) break;
     body.clear();
     EncodeEpochBody(*epoch, &body);
-    Status s = WriteFrame(&socket, FrameType::kEpoch, body,
-                          options_.io_timeout_ms);
+    Status s = WriteFrame(&socket, FrameType::kEpoch, body, kIoTimeoutMs);
     if (!s.ok()) {
       // Dead or wedged subscriber. Close the staging channel so the
       // shipper's Sends fail fast (counted as send_failures / dropped —
@@ -171,7 +176,7 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
   // stream is complete; a stopping server just drops the connection and the
   // subscriber recovers by reconnecting.
   if (shipper_->finished()) {
-    WriteFrame(&socket, FrameType::kStreamEnd, "", options_.io_timeout_ms);
+    WriteFrame(&socket, FrameType::kStreamEnd, "", kIoTimeoutMs);
   }
   ReleaseSubscriberChannel(channel);
 }
@@ -197,7 +202,7 @@ void EpochStreamServer::RunControl(TcpSocket socket, FrameDecoder decoder,
   while (!stop_.load(std::memory_order_relaxed)) {
     Frame request;
     // Idle control connections are normal (NACKs are rare) — wait forever.
-    Status s = ReadFrame(&socket, &decoder, options_.io_timeout_ms,
+    Status s = ReadFrame(&socket, &decoder, kIoTimeoutMs,
                          /*idle_timeout_ms=*/-1, stop_, &request);
     if (!s.ok()) return;  // EOF, reset, stall, or corrupt framing
     body.clear();
@@ -208,21 +213,18 @@ void EpochStreamServer::RunControl(TcpSocket socket, FrameDecoder decoder,
         fetches->Add(1);
         if (auto epoch = source->FetchEpoch(fetch->epoch_id)) {
           EncodeEpochBody(*epoch, &body);
-          s = WriteFrame(&socket, FrameType::kFetchOk, body,
-                         options_.io_timeout_ms);
+          s = WriteFrame(&socket, FrameType::kFetchOk, body, kIoTimeoutMs);
         } else {
           EpochIdsBody ids{source->NextEpochId(), source->FloorEpochId()};
           EncodeEpochIdsBody(ids, &body);
-          s = WriteFrame(&socket, FrameType::kFetchMiss, body,
-                         options_.io_timeout_ms);
+          s = WriteFrame(&socket, FrameType::kFetchMiss, body, kIoTimeoutMs);
         }
         break;
       }
       case FrameType::kMeta: {
         EpochIdsBody ids{source->NextEpochId(), source->FloorEpochId()};
         EncodeEpochIdsBody(ids, &body);
-        s = WriteFrame(&socket, FrameType::kMetaOk, body,
-                       options_.io_timeout_ms);
+        s = WriteFrame(&socket, FrameType::kMetaOk, body, kIoTimeoutMs);
         break;
       }
       default:
@@ -246,14 +248,12 @@ EpochStreamClient::EpochStreamClient(std::string host, uint16_t port,
 EpochStreamClient::~EpochStreamClient() { Stop(); }
 
 Status EpochStreamClient::ConnectAndHello(TcpSocket* socket) {
-  Result<TcpSocket> conn =
-      TcpSocket::Connect(host_, port_, options_.connect_timeout_ms);
+  Result<TcpSocket> conn = TcpSocket::Connect(host_, port_, kIoTimeoutMs);
   if (!conn.ok()) return conn.status();
   HelloBody hello{HelloRole::kSubscribe, shard_};
   std::string body;
   EncodeHelloBody(hello, &body);
-  Status s = WriteFrame(&*conn, FrameType::kHello, body,
-                        options_.io_timeout_ms);
+  Status s = WriteFrame(&*conn, FrameType::kHello, body, kIoTimeoutMs);
   if (!s.ok()) return s;
   *socket = std::move(*conn);
   return Status::OK();
@@ -299,7 +299,7 @@ void EpochStreamClient::ReadLoop() {
       // never held for long. An idle stream is normal (quiet primary still
       // heartbeats, but a paused one may not) — wait forever.
       std::lock_guard<std::mutex> lk(socket_mu_);
-      s = ReadFrame(&socket_, &decoder, options_.io_timeout_ms,
+      s = ReadFrame(&socket_, &decoder, kIoTimeoutMs,
                     /*idle_timeout_ms=*/-1, stop_, &frame);
     }
     if (s.ok()) {

@@ -20,17 +20,6 @@
 namespace aets {
 namespace net {
 
-/// Knobs shared by the shipping-side endpoints. `io_timeout_ms` bounds every
-/// single poll() wait; it is the unit the reconnect budget is priced in.
-struct EpochStreamServerOptions {
-  int io_timeout_ms = 5'000;
-  /// Capacity of the per-subscriber staging channel between the shipper and
-  /// the writer thread. When a subscriber's TCP window AND this queue are
-  /// both full, the shipper's Send fails and the epoch is recovered later by
-  /// NACK — a slow subscriber never backpressures commit.
-  size_t subscriber_queue = 256;
-};
-
 /// The primary-side network endpoint: accepts connections, reads one Hello
 /// frame, then serves either role:
 ///
@@ -49,8 +38,7 @@ struct EpochStreamServerOptions {
 /// server may be torn down and replaced while the shipper keeps running.
 class EpochStreamServer {
  public:
-  explicit EpochStreamServer(LogShipper* shipper,
-                             EpochStreamServerOptions options = {});
+  explicit EpochStreamServer(LogShipper* shipper);
   ~EpochStreamServer();
 
   EpochStreamServer(const EpochStreamServer&) = delete;
@@ -94,7 +82,6 @@ class EpochStreamServer {
   void ReleaseSubscriberChannel(EpochChannel* channel);
 
   LogShipper* shipper_;
-  EpochStreamServerOptions options_;
   ChannelFactory channel_factory_;
   TcpListener listener_;
   std::thread accept_thread_;
@@ -113,8 +100,6 @@ class EpochStreamServer {
 };
 
 struct EpochStreamClientOptions {
-  int io_timeout_ms = 5'000;
-  int connect_timeout_ms = 5'000;
   /// Consecutive failed reconnect attempts before the stream is declared
   /// dead and the sink channel is closed (the replayer then final-drains
   /// through its NACK source — which may itself still reconnect).

@@ -1,10 +1,9 @@
 #include "aets/net/frame.h"
 
-#include <cstring>
-#include <memory>
 #include <utility>
 
 #include "aets/log/codec.h"
+#include "aets/log/view.h"
 #include "aets/obs/metrics.h"
 
 namespace aets {
@@ -34,18 +33,21 @@ class BodyReader {
   explicit BodyReader(std::string_view body) : body_(body) {}
 
   uint8_t U8() { return static_cast<uint8_t>(Byte()); }
-  uint16_t U16() { return static_cast<uint16_t>(Fixed(2)); }
   uint32_t U32() { return static_cast<uint32_t>(Fixed(4)); }
   uint64_t U64() { return Fixed(8); }
 
-  std::string_view Bytes(size_t n) {
-    if (body_.size() - pos_ < n) {
+  /// One value in the shared value wire layout (log/view.h).
+  bool ParseValue(Value* out) {
+    ValueView view;
+    const char* end = body_.data() + body_.size();
+    const char* next = ParseValueWire(body_.data() + pos_, end, &view);
+    if (next == nullptr) {
       failed_ = true;
-      return {};
+      return false;
     }
-    std::string_view out = body_.substr(pos_, n);
-    pos_ += n;
-    return out;
+    pos_ = static_cast<size_t>(next - body_.data());
+    *out = view.ToValue();
+    return true;
   }
 
   bool failed() const { return failed_; }
@@ -74,57 +76,6 @@ class BodyReader {
 
 Status BodyCorruption(const char* what) {
   return Status::Corruption(std::string("malformed ") + what + " frame body");
-}
-
-constexpr uint8_t kValueNull = 0;
-constexpr uint8_t kValueInt64 = 1;
-constexpr uint8_t kValueDouble = 2;
-constexpr uint8_t kValueString = 3;
-
-void PutValue(const Value& value, std::string* out) {
-  if (value.is_null()) {
-    PutU8(kValueNull, out);
-  } else if (value.is_int64()) {
-    PutU8(kValueInt64, out);
-    PutU64(static_cast<uint64_t>(value.as_int64()), out);
-  } else if (value.is_double()) {
-    PutU8(kValueDouble, out);
-    uint64_t bits = 0;
-    double d = value.as_double();
-    std::memcpy(&bits, &d, sizeof(bits));
-    PutU64(bits, out);
-  } else {
-    PutU8(kValueString, out);
-    PutU32(static_cast<uint32_t>(value.as_string().size()), out);
-    out->append(value.as_string());
-  }
-}
-
-bool ReadValue(BodyReader* in, Value* out) {
-  switch (in->U8()) {
-    case kValueNull:
-      *out = Value::Null();
-      break;
-    case kValueInt64:
-      *out = Value(static_cast<int64_t>(in->U64()));
-      break;
-    case kValueDouble: {
-      uint64_t bits = in->U64();
-      double d = 0;
-      std::memcpy(&d, &bits, sizeof(d));
-      *out = Value(d);
-      break;
-    }
-    case kValueString: {
-      uint32_t len = in->U32();
-      std::string_view bytes = in->Bytes(len);
-      *out = Value(std::string(bytes));
-      break;
-    }
-    default:
-      return false;
-  }
-  return !in->failed();
 }
 
 }  // namespace
@@ -205,38 +156,6 @@ void FrameDecoder::Reset() {
   error_ = Status::OK();
 }
 
-void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out) {
-  PutU64(epoch.epoch_id, out);
-  PutU64(epoch.heartbeat_ts, out);
-  PutU64(epoch.max_commit_ts, out);
-  PutU64(epoch.num_txns, out);
-  PutU64(epoch.num_records, out);
-  PutU64(epoch.first_txn, out);
-  PutU64(epoch.last_txn, out);
-  PutU32(epoch.payload_crc, out);
-  const size_t payload_len = epoch.payload ? epoch.payload->size() : 0;
-  PutU32(static_cast<uint32_t>(payload_len), out);
-  if (payload_len > 0) out->append(*epoch.payload);
-}
-
-Result<ShippedEpoch> DecodeEpochBody(std::string_view body) {
-  BodyReader in(body);
-  ShippedEpoch epoch;
-  epoch.epoch_id = in.U64();
-  epoch.heartbeat_ts = in.U64();
-  epoch.max_commit_ts = in.U64();
-  epoch.num_txns = in.U64();
-  epoch.num_records = in.U64();
-  epoch.first_txn = in.U64();
-  epoch.last_txn = in.U64();
-  epoch.payload_crc = in.U32();
-  uint32_t payload_len = in.U32();
-  std::string_view payload = in.Bytes(payload_len);
-  if (in.failed() || !in.exhausted()) return BodyCorruption("epoch");
-  epoch.payload = std::make_shared<const std::string>(payload);
-  return epoch;
-}
-
 void EncodeHelloBody(const HelloBody& hello, std::string* out) {
   PutU32(static_cast<uint32_t>(hello.role), out);
   PutU32(hello.shard, out);
@@ -310,7 +229,7 @@ void EncodeQueryReplyBody(const QueryReplyBody& reply, std::string* out) {
     PutU32(static_cast<uint32_t>(row.size()), out);
     for (const auto& [col, value] : row) {
       PutU32(col, out);
-      PutValue(value, out);
+      AppendValueWire(value, out);
     }
   }
 }
@@ -330,7 +249,7 @@ Result<QueryReplyBody> DecodeQueryReplyBody(std::string_view body) {
     for (uint32_t c = 0; c < num_cols; ++c) {
       ColumnId col = static_cast<ColumnId>(in.U32());
       Value value;
-      if (!ReadValue(&in, &value)) return BodyCorruption("query-reply");
+      if (!in.ParseValue(&value)) return BodyCorruption("query-reply");
       row.Set(col, std::move(value));
     }
     reply.rows.emplace(key, std::move(row));

@@ -88,17 +88,10 @@ class FrameDecoder {
 
 // --- frame bodies ----------------------------------------------------------
 
-/// ShippedEpoch <-> kEpoch/kFetchOk body. Field-for-field the same layout as
-/// the durable segment store's frame body (DESIGN.md §10), so the wire and
-/// the disk speak one encoding:
-///   u64 epoch_id | u64 heartbeat_ts | u64 max_commit_ts | u64 num_txns |
-///   u64 num_records | u64 first_txn | u64 last_txn | u32 payload_crc |
-///   u32 payload_len | payload
-/// DecodeEpochBody verifies payload_len against the body size but NOT the
-/// payload CRC — the receiver's normal ingest path does that (PayloadIntact),
-/// keeping the corruption-handling single-pathed.
-void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out);
-Result<ShippedEpoch> DecodeEpochBody(std::string_view body);
+/// kEpoch/kFetchOk bodies are EncodeEpochBody/DecodeEpochBody
+/// (log/shipped_epoch.h), the encoder the segment store writes to disk too.
+/// The bodies below are the net tier's own control messages; query-reply
+/// row values use the value wire layout of log/view.h.
 
 enum class HelloRole : uint32_t { kSubscribe = 0, kControl = 1 };
 struct HelloBody {

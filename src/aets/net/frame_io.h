@@ -15,6 +15,11 @@ namespace net {
 /// within this window regardless of the configured I/O deadline.
 inline constexpr int kIdleSliceMs = 100;
 
+/// Deadline of one connect and of one poll() wait on the shipping-side
+/// endpoints (the epoch stream server and client, and TcpEpochSource's
+/// connect); the unit the reconnect budget is priced in.
+inline constexpr int kIoTimeoutMs = 5'000;
+
 /// Reads one frame off `socket` through `decoder`. Waits between frames are
 /// bounded by `idle_timeout_ms` (-1 = wait forever); a wait with bytes of a
 /// frame already buffered is bounded by `io_timeout_ms` — a peer that stops

@@ -8,6 +8,16 @@
 namespace aets {
 namespace net {
 
+namespace {
+
+/// RPC attempts per call (each failed attempt reconnects first). A call that
+/// exhausts the budget reports "miss"/cached — the ReplayerBase retry
+/// protocol (ReplayRecoveryOptions::max_retries) decides when a persistent
+/// miss becomes a latched loss.
+constexpr int kMaxAttempts = 3;
+
+}  // namespace
+
 TcpEpochSource::TcpEpochSource(std::string host, uint16_t port, uint32_t shard,
                                TcpEpochSourceOptions options)
     : host_(std::move(host)),
@@ -24,8 +34,7 @@ TcpEpochSource::~TcpEpochSource() {
 
 Status TcpEpochSource::EnsureConnectedLocked() const {
   if (socket_.valid()) return Status::OK();
-  Result<TcpSocket> conn =
-      TcpSocket::Connect(host_, port_, options_.connect_timeout_ms);
+  Result<TcpSocket> conn = TcpSocket::Connect(host_, port_, kIoTimeoutMs);
   if (!conn.ok()) return conn.status();
   socket_ = std::move(*conn);
   decoder_.Reset();
@@ -42,7 +51,7 @@ Status TcpEpochSource::RoundTripLocked(FrameType request_type,
                                        std::string_view body,
                                        Frame* reply) const {
   Status last = Status::Internal("no RPC attempt made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (stop_.load(std::memory_order_relaxed)) {
       return Status::Aborted("source shut down");
     }

@@ -18,12 +18,6 @@ namespace net {
 
 struct TcpEpochSourceOptions {
   int io_timeout_ms = 5'000;
-  int connect_timeout_ms = 5'000;
-  /// RPC attempts per call (each failed attempt reconnects first). A call
-  /// that exhausts the budget reports "miss"/cached — the ReplayerBase
-  /// retry protocol (ReplayRecoveryOptions::max_retries) decides when a
-  /// persistent miss becomes a latched loss.
-  int max_attempts = 3;
 };
 
 /// EpochSource over the EpochStreamServer's control connection: FetchEpoch

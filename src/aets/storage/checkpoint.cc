@@ -1,26 +1,22 @@
 #include "aets/storage/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
+#include <cstddef>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
 #include "aets/obs/metrics.h"
+#include "aets/storage/durable_file.h"
 
 namespace aets {
 
 namespace {
 
 constexpr char kMagic[8] = {'A', 'E', 'T', 'S', 'C', 'K', 'P', 'T'};
-// v2 adds a whole-body CRC32C. The per-record frame checksums only protect
-// individual records: v1 could not tell a truncated tail inside a frame
-// boundary from corruption that rewrites a frame consistently, and restored
-// whatever still parsed. v2 rejects any body damage up front.
+// The only version read or written. v2 carries a whole-body CRC32C: the
+// per-record frame checksums cannot see a truncation on a record boundary.
 constexpr uint32_t kVersion = 2;
 
 struct Header {
@@ -31,26 +27,13 @@ struct Header {
   uint64_t next_epoch_id;
   uint64_t num_rows;
   uint64_t num_tables;
-  uint32_t body_crc;  // v2+: CRC32C over every byte after the header
+  uint32_t body_crc;  // CRC32C over every byte after the header
   uint32_t reserved;  // keeps the struct 8-byte aligned; always 0
 };
 
-// The v1 header: identical prefix, no body checksum. Old images restore
-// through the per-record checksums alone.
-struct HeaderV1 {
-  char magic[8];
-  uint32_t version;
-  uint32_t crc;
-  uint64_t snapshot_ts;
-  uint64_t next_epoch_id;
-  uint64_t num_rows;
-  uint64_t num_tables;
-};
-
-template <typename H>
-uint32_t HeaderCrc(const H& h) {
+uint32_t HeaderCrc(const Header& h) {
   // CRC over the payload fields (everything after the crc member).
-  return Crc32c(&h.snapshot_ts, sizeof(H) - offsetof(H, snapshot_ts));
+  return Crc32c(&h.snapshot_ts, sizeof(Header) - offsetof(Header, snapshot_ts));
 }
 
 }  // namespace
@@ -98,46 +81,11 @@ Status Checkpointer::Write(const TableStore& store, Timestamp snapshot_ts,
   header.reserved = 0;
   header.crc = HeaderCrc(header);
 
-  // Atomic rename commit: a reader (or a recovery scan after a crash) either
-  // sees the complete previous image or the complete new one, never a
-  // half-written file under the final name.
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::Internal("cannot open checkpoint file: " + tmp);
-  bool ok = true;
-  const char* chunks[2] = {reinterpret_cast<const char*>(&header),
-                           body.data()};
-  size_t sizes[2] = {sizeof(header), body.size()};
-  for (int c = 0; c < 2 && ok; ++c) {
-    size_t done = 0;
-    while (done < sizes[c]) {
-      ssize_t w = ::write(fd, chunks[c] + done, sizes[c] - done);
-      if (w <= 0) {
-        ok = false;
-        break;
-      }
-      done += static_cast<size_t>(w);
-    }
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  ::close(fd);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("checkpoint write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("checkpoint rename failed: " + path);
-  }
-  // Make the directory entry durable too (rename is only atomic, not
-  // durable, until the directory itself reaches the disk).
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  Status s = ReplaceFileDurably(
+      path, {std::string_view(reinterpret_cast<const char*>(&header),
+                              sizeof(header)),
+             body});
+  if (!s.ok()) return s;
   writes_metric->Add(1);
   bytes_metric->Add(sizeof(header) + body.size());
   write_us_metric->Record(MonotonicMicros() - start_us);
@@ -156,34 +104,15 @@ Result<CheckpointInfo> Checkpointer::Restore(const std::string& path,
   if (!in || std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad checkpoint magic");
   }
-  if (header.version != 1 && header.version != kVersion) {
-    return Status::NotSupported("unknown checkpoint version");
+  if (header.version != kVersion) {
+    return Status::NotSupported("unknown checkpoint version " +
+                                std::to_string(header.version));
   }
-  bool has_body_crc = header.version >= 2;
-  if (has_body_crc) {
-    in.read(reinterpret_cast<char*>(&header.crc),
-            sizeof(Header) - offsetof(Header, crc));
-    if (!in) return Status::Corruption("truncated checkpoint header");
-    if (header.crc != HeaderCrc(header)) {
-      return Status::Corruption("checkpoint header checksum mismatch");
-    }
-  } else {
-    HeaderV1 v1;
-    std::memcpy(v1.magic, header.magic, sizeof(v1.magic));
-    v1.version = header.version;
-    in.read(reinterpret_cast<char*>(&v1.crc),
-            sizeof(HeaderV1) - offsetof(HeaderV1, crc));
-    if (!in) return Status::Corruption("truncated checkpoint header");
-    if (v1.crc != HeaderCrc(v1)) {
-      return Status::Corruption("checkpoint header checksum mismatch");
-    }
-    header.crc = v1.crc;
-    header.snapshot_ts = v1.snapshot_ts;
-    header.next_epoch_id = v1.next_epoch_id;
-    header.num_rows = v1.num_rows;
-    header.num_tables = v1.num_tables;
-    header.body_crc = 0;
-    header.reserved = 0;
+  in.read(reinterpret_cast<char*>(&header.crc),
+          sizeof(Header) - offsetof(Header, crc));
+  if (!in) return Status::Corruption("truncated checkpoint header");
+  if (header.crc != HeaderCrc(header)) {
+    return Status::Corruption("checkpoint header checksum mismatch");
   }
   if (header.num_tables != store->num_tables()) {
     return Status::InvalidArgument("checkpoint table count mismatch");
@@ -191,7 +120,7 @@ Result<CheckpointInfo> Checkpointer::Restore(const std::string& path,
 
   std::string body((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  if (has_body_crc && Crc32c(body.data(), body.size()) != header.body_crc) {
+  if (Crc32c(body.data(), body.size()) != header.body_crc) {
     return Status::Corruption("checkpoint body checksum mismatch");
   }
   size_t offset = 0;
@@ -199,9 +128,6 @@ Result<CheckpointInfo> Checkpointer::Restore(const std::string& path,
   while (offset < body.size()) {
     auto rec = LogCodec::DecodeView(body, &offset);
     if (!rec.ok()) {
-      // v1 images have no body checksum; surface the record-level failure
-      // as an unambiguous body-corruption verdict instead of restoring a
-      // prefix silently.
       return Status::Corruption("checkpoint body record corrupt: " +
                                 std::string(rec.status().message()));
     }

@@ -30,8 +30,8 @@ struct CheckpointInfo {
 /// per visible row. The body CRC32C covers every byte after the header, so
 /// damage anywhere in the image — including truncation on a record boundary,
 /// which the per-record checksums cannot see — fails Restore() with a
-/// Corruption status instead of restoring silently. v1 images (header CRC
-/// only) still restore, guarded by the per-record checksums alone.
+/// Corruption status instead of restoring silently. Any other version,
+/// including the retired v1 (no body CRC), is NotSupported.
 class Checkpointer {
  public:
   /// Writes the image of `store` at `snapshot_ts` to `path`. Concurrent

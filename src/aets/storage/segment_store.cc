@@ -12,6 +12,7 @@
 #include "aets/common/clock.h"
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
+#include "aets/storage/durable_file.h"
 
 namespace fs = std::filesystem;
 
@@ -23,12 +24,8 @@ constexpr char kManifestMagic[8] = {'A', 'E', 'T', 'S', 'S', 'E', 'G', 'M'};
 constexpr uint32_t kManifestVersion = 1;
 constexpr char kManifestName[] = "MANIFEST";
 
-// Frame body: epoch_id, heartbeat_ts, max_commit_ts, num_txns, num_records,
-// first_txn, last_txn (u64 each), payload_crc, payload_len (u32 each).
-constexpr size_t kBodyFixedBytes = 7 * sizeof(uint64_t) + 2 * sizeof(uint32_t);
-constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);  // crc, len
-// Sanity bound on a declared body length: a corrupted length field must not
-// drive a multi-gigabyte allocation before the CRC gets a chance to veto it.
+// Sanity bound on a frame body: the store never writes a larger one, so a
+// frame claiming more is damage even when its CRC happens to match.
 constexpr size_t kMaxBodyBytes = size_t{1} << 30;
 
 template <typename T>
@@ -43,84 +40,9 @@ T GetRaw(const char* p) {
   return v;
 }
 
-// Writes the whole buffer through write(2), retrying short writes.
-Status WriteFully(int fd, const char* data, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    ssize_t w = ::write(fd, data + done, n - done);
-    if (w <= 0) {
-      return Status::Internal("segment write failed: " +
-                              std::string(std::strerror(errno)));
-    }
-    done += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
-// Fsyncs the directory itself so a freshly renamed file's directory entry
-// is durable (the classic create-then-rename commit protocol).
-void FsyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
-std::string EncodeFrame(const ShippedEpoch& epoch) {
-  const size_t payload_len = epoch.ByteSize();
-  std::string body;
-  body.reserve(kBodyFixedBytes + payload_len);
-  PutRaw<uint64_t>(&body, epoch.epoch_id);
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.heartbeat_ts));
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.max_commit_ts));
-  PutRaw<uint64_t>(&body, epoch.num_txns);
-  PutRaw<uint64_t>(&body, epoch.num_records);
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.first_txn));
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.last_txn));
-  PutRaw<uint32_t>(&body, epoch.payload_crc);
-  PutRaw<uint32_t>(&body, static_cast<uint32_t>(payload_len));
-  if (payload_len > 0) body.append(*epoch.payload);
-
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutRaw<uint32_t>(&frame, Crc32c(body.data(), body.size()));
-  PutRaw<uint32_t>(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
-  return frame;
-}
-
-// Decodes a verified frame body back into a ShippedEpoch. The caller has
-// already checked the frame CRC and that `body` spans the declared length.
-ShippedEpoch DecodeBody(const char* body, size_t len) {
-  ShippedEpoch out;
-  const char* p = body;
-  out.epoch_id = GetRaw<uint64_t>(p);
-  p += 8;
-  out.heartbeat_ts = static_cast<Timestamp>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.max_commit_ts = static_cast<Timestamp>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.num_txns = GetRaw<uint64_t>(p);
-  p += 8;
-  out.num_records = GetRaw<uint64_t>(p);
-  p += 8;
-  out.first_txn = static_cast<TxnId>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.last_txn = static_cast<TxnId>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.payload_crc = GetRaw<uint32_t>(p);
-  p += 4;
-  const uint32_t payload_len = GetRaw<uint32_t>(p);
-  p += 4;
-  AETS_CHECK(kBodyFixedBytes + payload_len == len);
-  out.payload = std::make_shared<const std::string>(p, payload_len);
-  return out;
-}
-
 // A declared body length the frame machinery will even consider.
 bool PlausibleLen(uint64_t len) {
-  return len >= kBodyFixedBytes && len <= kMaxBodyBytes;
+  return len >= kEpochBodyHeaderBytes && len <= kMaxBodyBytes;
 }
 
 // Parses "seg-<16hex>.log" back to the segment's first epoch id.
@@ -297,22 +219,17 @@ Status SegmentStore::ScanSegmentLocked(size_t seg_idx, EpochId expected,
   size_t offset = 0;
   std::string torn_reason;
   while (offset < raw.size()) {
-    if (offset + kFrameHeaderBytes > raw.size()) {
-      torn_reason = "partial frame header";
+    size_t next = offset;
+    Result<std::string_view> body = ReadCrcFrame(raw, &next);
+    if (!body.ok()) {
+      torn_reason = std::string(body.status().message());
       break;
     }
-    const uint32_t crc = GetRaw<uint32_t>(raw.data() + offset);
-    const uint64_t len = GetRaw<uint32_t>(raw.data() + offset + 4);
-    if (!PlausibleLen(len) || offset + kFrameHeaderBytes + len > raw.size()) {
-      torn_reason = "partial or implausible frame body";
+    if (!PlausibleLen(body->size())) {
+      torn_reason = "implausible frame length";
       break;
     }
-    const char* frame_body = raw.data() + offset + kFrameHeaderBytes;
-    if (Crc32c(frame_body, len) != crc) {
-      torn_reason = "frame checksum mismatch";
-      break;
-    }
-    const uint64_t epoch_id = GetRaw<uint64_t>(frame_body);
+    const EpochId epoch_id = PeekEpochBodyId(*body);
     if (epoch_id != expected) {
       // A valid frame carrying the wrong id is not a torn write — the store
       // never produces it, so the file has been tampered with or mixed up.
@@ -320,11 +237,10 @@ Status SegmentStore::ScanSegmentLocked(size_t seg_idx, EpochId expected,
           "segment " + path + " frame carries epoch " +
           std::to_string(epoch_id) + ", expected " + std::to_string(expected));
     }
-    index_.push_back(FrameLoc{
-        static_cast<uint32_t>(seg_idx), offset,
-        static_cast<uint32_t>(kFrameHeaderBytes + len)});
+    index_.push_back(FrameLoc{static_cast<uint32_t>(seg_idx), offset,
+                              static_cast<uint32_t>(next - offset)});
     ++meta.frames;
-    offset += kFrameHeaderBytes + len;
+    offset = next;
     ++expected;
   }
   if (offset < raw.size()) {
@@ -382,27 +298,7 @@ Status SegmentStore::WriteManifestLocked(size_t drop_prefix, int64_t new_first) 
     Status s = options_.write_fault_hook(buf.size());
     if (!s.ok()) return s;
   }
-  const std::string tmp = ManifestPath() + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("cannot open manifest tmp: " + tmp);
-  }
-  Status s = WriteFully(fd, buf.data(), buf.size());
-  if (s.ok() && ::fsync(fd) != 0) {
-    s = Status::Internal("manifest fsync failed");
-  }
-  ::close(fd);
-  if (!s.ok()) {
-    std::remove(tmp.c_str());
-    return s;
-  }
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  if (std::rename(tmp.c_str(), ManifestPath().c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("manifest rename failed");
-  }
-  FsyncDir(options_.dir);
-  return Status::OK();
+  return ReplaceFileDurably(ManifestPath(), {buf}, &fsyncs_);
 }
 
 Status SegmentStore::OpenActiveForAppendLocked() {
@@ -453,7 +349,9 @@ Status SegmentStore::Append(const ShippedEpoch& epoch) {
         std::to_string(epoch.epoch_id) + ", next is " +
         std::to_string(first_epoch_ + index_.size()));
   }
-  const std::string frame = EncodeFrame(epoch);
+  std::string frame(kCrcFrameHeaderBytes, '\0');
+  EncodeEpochBody(epoch, &frame);
+  SealCrcFrame(&frame, 0);
   if (options_.write_fault_hook) {
     Status s = options_.write_fault_hook(frame.size());
     if (!s.ok()) return s;
@@ -482,7 +380,7 @@ Status SegmentStore::Append(const ShippedEpoch& epoch) {
   }
 
   SegmentMeta& meta = segments_.back();
-  Status s = WriteFully(append_fd_, frame.data(), frame.size());
+  Status s = WriteFully(append_fd_, frame);
   if (!s.ok()) {
     // Drop any partial frame so the durable prefix stays scannable.
     if (::ftruncate(append_fd_, static_cast<off_t>(meta.bytes)) != 0) {
@@ -525,18 +423,16 @@ std::optional<ShippedEpoch> SegmentStore::Read(EpochId id) {
   ssize_t r = ::pread(fd, buf.data(), buf.size(),
                       static_cast<off_t>(loc.offset));
   if (r != static_cast<ssize_t>(buf.size())) return std::nullopt;
-  const uint32_t crc = GetRaw<uint32_t>(buf.data());
-  const uint32_t len = GetRaw<uint32_t>(buf.data() + 4);
-  if (kFrameHeaderBytes + len != buf.size() ||
-      Crc32c(buf.data() + kFrameHeaderBytes, len) != crc) {
-    // Bit rot after the append-time scan: indistinguishable from an evicted
-    // epoch for the caller, which escalates to re-bootstrap.
-    return std::nullopt;
-  }
-  ShippedEpoch epoch = DecodeBody(buf.data() + kFrameHeaderBytes, len);
-  if (epoch.epoch_id != id) return std::nullopt;
+  // Bit rot after the append-time scan, or a CRC-valid frame whose body
+  // does not decode: indistinguishable from an evicted epoch for the
+  // caller, which escalates to re-bootstrap.
+  size_t end = 0;
+  Result<std::string_view> body = ReadCrcFrame(buf, &end);
+  if (!body.ok() || end != buf.size()) return std::nullopt;
+  Result<ShippedEpoch> epoch = DecodeEpochBody(*body);
+  if (!epoch.ok() || epoch->epoch_id != id) return std::nullopt;
   fetches_from_disk_.fetch_add(1, std::memory_order_relaxed);
-  return epoch;
+  return std::move(epoch).value();
 }
 
 Status SegmentStore::Sync() {

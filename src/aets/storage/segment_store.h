@@ -61,20 +61,17 @@ struct SegmentStoreOptions {
 /// retention buffer can evict ("spill") cold epochs without losing them,
 /// and a crashed backup can replay its way back to freshness from disk.
 ///
-/// Layout (all little-endian, CRC32C reusing the wire codec's Crc32c):
+/// Layout (all little-endian; the frame and its body are log/'s encoders):
 ///
 ///   <dir>/MANIFEST          magic "AETSSEGM", version, crc, ordered list of
 ///                           segment first-epoch ids; rewritten via tmp +
 ///                           atomic rename whenever a segment is created.
 ///   <dir>/seg-<16hex>.log   frames appended in epoch-id order, named by the
 ///                           first epoch id the segment holds. Frame:
-///                             u32 crc     (CRC32C over the body)
-///                             u32 len     (body length in bytes)
-///                             body: u64 epoch_id, u64 heartbeat_ts,
-///                                   u64 max_commit_ts, u64 num_txns,
-///                                   u64 num_records, u64 first_txn,
-///                                   u64 last_txn, u32 payload_crc,
-///                                   u32 payload_len, payload bytes
+///                             u32 crc | u32 len | body (SealCrcFrame,
+///                             log/codec.h), body = EncodeEpochBody
+///                             (log/shipped_epoch.h) — byte-for-byte the
+///                             net tier's kEpoch frame body
 ///
 /// Epoch ids are contiguous: Append requires exactly next_epoch(). Open()
 /// replays the manifest, scans every segment to rebuild the frame index,
@@ -109,8 +106,9 @@ class SegmentStore {
   Status Append(const ShippedEpoch& epoch);
 
   /// Reads epoch `id` back, or nullopt when it is outside [first_epoch,
-  /// next_epoch). A frame that fails its CRC on read returns nullopt as
-  /// well — callers treat it like an evicted epoch and escalate.
+  /// next_epoch). A frame that fails its CRC on read, or whose CRC-valid
+  /// body does not decode, returns nullopt as well — callers treat it like
+  /// an evicted epoch and escalate.
   std::optional<ShippedEpoch> Read(EpochId id);
 
   /// Forces the active segment to stable storage regardless of policy.

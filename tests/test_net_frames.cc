@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "aets/primary/primary_db.h"
 #include "aets/replication/fault_injection.h"
 #include "aets/replication/log_shipper.h"
+#include "aets/storage/segment_store.h"
 #include "test_seed.h"
 
 static int g_chaos_iters = 2;
@@ -191,6 +194,98 @@ TEST(FrameCodecTest, EpochBodyRoundTripsRealWorkloadEpochs) {
   }
   EXPECT_GT(data_epochs, 0);
   EXPECT_GT(heartbeats, 0);
+}
+
+// Golden bytes of the frozen formats (frame and segment version 1): a fixed
+// data epoch and a heartbeat as a kEpoch body and as segment frames, and a
+// query reply carrying all four value tags. Any change here is a format
+// change and needs a version bump.
+constexpr char kGoldenDataEpochBody[] =
+    "050000000000000000000000000000008403000000000000010000000000000003000000"
+    "000000004d000000000000004d000000000000006886afcf8c000000913092ef19000000"
+    "0001000000000000004d000000000000008403000000000000621c129242000000020200"
+    "0000000000004d0000000000000084030000000000000100000007000000000000000000"
+    "000000000000000000000000000001000000012a00000000000000e108d5b01900000001"
+    "03000000000000004d000000000000008403000000000000";
+constexpr char kGoldenHeartbeatBody[] =
+    "0600000000000000d204000000000000d204000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000000000";
+// The u32 crc | u32 len header of each segment frame.
+constexpr char kGoldenDataFrameHeader[] = "b936008ccc000000";
+constexpr char kGoldenHeartbeatFrameHeader[] = "596cc30540000000";
+constexpr char kGoldenQueryReplyBody[] =
+    "37000000000000003412000000000000010000000000000001000000000000009cffffff"
+    "ffffffff040000000000000001f7ffffffffffffff01000000020000000000000a400200"
+    "0000030200000068690300000000";
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+ShippedEpoch GoldenDataEpoch() {
+  Epoch epoch;
+  epoch.epoch_id = 5;
+  TxnLog txn;
+  txn.txn_id = 77;
+  txn.commit_ts = 900;
+  txn.records = {LogRecord::Begin(1, 77, 900),
+                 LogRecord::Dml(LogRecordType::kInsert, 2, 77, 900, 1, 7,
+                                {{0, Value(int64_t{42})}}),
+                 LogRecord::Commit(3, 77, 900)};
+  epoch.txns.push_back(std::move(txn));
+  return EncodeEpoch(epoch);
+}
+
+TEST(FrameCodecTest, EncodersMatchGoldenBytes) {
+  const ShippedEpoch data = GoldenDataEpoch();
+  const ShippedEpoch heartbeat = MakeHeartbeatEpoch(6, 1234);
+  std::string body;
+  EncodeEpochBody(data, &body);
+  EXPECT_EQ(Hex(body), kGoldenDataEpochBody);
+  body.clear();
+  EncodeEpochBody(heartbeat, &body);
+  EXPECT_EQ(Hex(body), kGoldenHeartbeatBody);
+
+  // The segment store writes the same bodies, each in a CRC frame.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/net_golden_segments";
+  std::filesystem::remove_all(dir);
+  {
+    SegmentStoreOptions options;
+    options.dir = dir;
+    auto store = SegmentStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Append(data).ok());
+    ASSERT_TRUE((*store)->Append(heartbeat).ok());
+  }
+  std::ifstream in(dir + "/seg-0000000000000005.log", std::ios::binary);
+  const std::string segment((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(Hex(segment), std::string(kGoldenDataFrameHeader) +
+                              kGoldenDataEpochBody +
+                              kGoldenHeartbeatFrameHeader +
+                              kGoldenHeartbeatBody);
+  std::filesystem::remove_all(dir);
+
+  QueryReplyBody reply;
+  reply.pinned_ts = 55;
+  reply.digest = 0x1234;
+  Row row;
+  row.Set(0, Value(int64_t{-9}));
+  row.Set(1, Value(3.25));
+  row.Set(2, Value(std::string("hi")));
+  row.Set(3, Value());
+  reply.rows.emplace(-100, row);
+  reply.row_count = 1;
+  body.clear();
+  EncodeQueryReplyBody(reply, &body);
+  EXPECT_EQ(Hex(body), kGoldenQueryReplyBody);
 }
 
 TEST(FrameCodecTest, ControlAndQueryBodiesRoundTrip) {

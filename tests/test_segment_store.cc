@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "aets/log/codec.h"
 #include "aets/log/epoch.h"
 #include "aets/log/record.h"
 #include "aets/log/shipped_epoch.h"
@@ -230,6 +232,40 @@ TEST(SegmentStoreTest, BadFrameInNewestSegmentDropsTheSuffix) {
   for (EpochId id = 0; id < (*reopened)->next_epoch(); ++id) {
     EXPECT_TRUE((*reopened)->Read(id).has_value()) << id;
   }
+}
+
+TEST(SegmentStoreTest, CrcValidMalformedBodyIsAMissNotACrash) {
+  // CRC32C detects damage but does not authenticate: a frame whose checksum
+  // matches a body that does not decode must be reported, never abort.
+  std::string dir = FreshDir("segstore_bad_body");
+  {
+    auto store = SegmentStore::Open(DirOptions(dir));
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Append(MakeHeartbeatEpoch(0, 1000)).ok());
+  }
+  const std::string seg = NewestSegment(dir);
+  std::string raw;
+  {
+    std::ifstream in(seg, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(raw.size(), kCrcFrameHeaderBytes + kEpochBodyHeaderBytes);
+  // payload_len sits at body offset 60; claim 3 bytes the body lacks, then
+  // re-seal the frame so only the body decoder can tell.
+  const uint32_t bad_len = 3;
+  std::memcpy(&raw[kCrcFrameHeaderBytes + 60], &bad_len, sizeof(bad_len));
+  const uint32_t crc = Crc32c(raw.data() + kCrcFrameHeaderBytes,
+                              raw.size() - kCrcFrameHeaderBytes);
+  std::memcpy(&raw[0], &crc, sizeof(crc));
+  {
+    std::ofstream out(seg, std::ios::binary | std::ios::trunc);
+    out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
+  }
+  auto reopened = SegmentStore::Open(DirOptions(dir));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->next_epoch(), 1u);
+  EXPECT_FALSE((*reopened)->Read(0).has_value());
 }
 
 TEST(SegmentStoreTest, SealedSegmentDamageIsCorruption) {

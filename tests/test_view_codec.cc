@@ -115,6 +115,22 @@ TEST_P(ViewCodecFuzzTest, DecodeViewAgreesWithDecode) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewCodecFuzzTest,
                          ::testing::Values(7, 11, 19, 23, 31, 41));
 
+TEST(ViewCodecTest, ValueWireSizeIsExactForEveryTag) {
+  // PackedDelta sizes its buffer from ValueWireSize; the append and parse
+  // paths must agree with it byte for byte.
+  for (const Value& v : {Value(), Value(int64_t{-7}), Value(2.5),
+                         Value(std::string("wire")), Value(std::string())}) {
+    std::string buf = "prefix";
+    AppendValueWire(v, &buf);
+    ASSERT_EQ(buf.size(), 6 + ValueWireSize(v)) << v.ToString();
+    ValueView view;
+    const char* end = buf.data() + buf.size();
+    EXPECT_EQ(ParseValueWire(buf.data() + 6, end, &view), end)
+        << v.ToString();
+    EXPECT_TRUE(view.Equals(v)) << v.ToString();
+  }
+}
+
 TEST(ViewCodecTest, ViewBytesAliasInputBuffer) {
   LogRecord rec = LogRecord::Dml(LogRecordType::kUpdate, 1, 2, 3, 4, 5,
                                  {{0, Value("payload")}});
