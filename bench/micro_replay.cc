@@ -477,12 +477,14 @@ BENCHMARK(BM_ColumnScan)->Unit(benchmark::kMicrosecond);
 // ---------------------------------------------------------------------------
 // Per-epoch columnar publish cost (DESIGN.md §13): what the replayer's merge
 // thread spends turning one epoch's dirty rows into a new generation. A CH
-// stream recorded at epoch 16 is replayed once into a row store with the
-// column store off and no GC, so every historical image stays readable. Each
-// iteration then feeds the stream to a fresh ColumnStore seeded at the end
-// of the load, the way the commit path and the merge thread do: one
-// NoteDirty per (transaction, table) and one Publish per epoch watermark.
-// Items are dirty rows published.
+// stream recorded at epoch 16 (BM_ColumnPublish) or 4 (BM_ColumnPublish-
+// SmallEpochs, the shape an age-sealing shipper produces at OLTP rates) is
+// replayed once into a row store with the column store off and no GC, so
+// every historical image stays readable. Each iteration then feeds the
+// stream to a fresh ColumnStore seeded at the end of the load, the way the
+// commit path and the merge thread do: one NoteDirty per (transaction,
+// table) and one Publish per epoch watermark. Items are dirty rows
+// published, so the two benches compare per dirty row.
 
 struct ColumnPublishFixture {
   struct Batch {
@@ -495,9 +497,8 @@ struct ColumnPublishFixture {
     Timestamp watermark;
   };
 
-  ColumnPublishFixture() : ch(ChConfig()) {
-    log = RecordWorkload(&ch, /*num_txns=*/4000, /*epoch_size=*/16,
-                         /*seed=*/29);
+  explicit ColumnPublishFixture(size_t epoch_size) : ch(ChConfig()) {
+    log = RecordWorkload(&ch, /*num_txns=*/4000, epoch_size, /*seed=*/29);
     EpochChannel channel(log.epochs.size() + 1);
     for (const auto& shipped : log.epochs) channel.Send(shipped);
     channel.Close();
@@ -561,13 +562,7 @@ struct ColumnPublishFixture {
   uint64_t dirty_rows = 0;
 };
 
-ColumnPublishFixture& PublishFixture() {
-  static ColumnPublishFixture* fixture = new ColumnPublishFixture();
-  return *fixture;
-}
-
-void BM_ColumnPublish(benchmark::State& state) {
-  ColumnPublishFixture& fx = PublishFixture();
+void RunColumnPublish(benchmark::State& state, ColumnPublishFixture& fx) {
   for (auto _ : state) {
     state.PauseTiming();
     auto columns = std::make_unique<storage::ColumnStore>(&fx.ch.catalog(),
@@ -589,7 +584,18 @@ void BM_ColumnPublish(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.dirty_rows));
 }
+
+void BM_ColumnPublish(benchmark::State& state) {
+  static ColumnPublishFixture* fixture = new ColumnPublishFixture(16);
+  RunColumnPublish(state, *fixture);
+}
 BENCHMARK(BM_ColumnPublish)->Unit(benchmark::kMillisecond);
+
+void BM_ColumnPublishSmallEpochs(benchmark::State& state) {
+  static ColumnPublishFixture* fixture = new ColumnPublishFixture(4);
+  RunColumnPublish(state, *fixture);
+}
+BENCHMARK(BM_ColumnPublishSmallEpochs)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace aets

@@ -1,5 +1,6 @@
 #include "aets/bench/harness.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -322,13 +323,15 @@ LiveRunResult RunLive(
   Rng rng(options.seed);
   workload->Load(&db, &rng);
   shipper.StartHeartbeats([&db] { return db.AcquireHeartbeatTs(); },
-                          options.heartbeat_interval_us);
+                          options.heartbeat_interval_us,
+                          options.max_epoch_age_us);
 
   std::unique_ptr<Replayer> replayer =
       MakeReplayer(spec, &workload->catalog(), &channel);
   AETS_CHECK(replayer->Start().ok());
 
   OltpDriver oltp(workload.get(), &db, options.seed);
+  const int64_t oltp_start_us = MonotonicMicros();
   oltp.Start(options.oltp_txns);
 
   OlapDriver::Options olap_options;
@@ -342,8 +345,11 @@ LiveRunResult RunLive(
   oltp.Join();
   shipper.Finish();
   replayer->Stop();
+  const int64_t drained_us = MonotonicMicros() - oltp_start_us;
 
   LiveRunResult result;
+  result.txns_per_sec = static_cast<double>(oltp.txns_committed()) * 1e6 /
+                        static_cast<double>(std::max<int64_t>(drained_us, 1));
   result.name = KindName(spec.kind);
   result.queries = static_cast<uint64_t>(olap.delays().count());
   result.mean_delay_us = olap.delays().Mean();

@@ -13,6 +13,7 @@
 #include "aets/common/histogram.h"
 #include "aets/replay/aets_replayer.h"
 #include "aets/replay/sharded_backup.h"
+#include "aets/replication/log_shipper.h"
 #include "aets/workload/driver.h"
 #include "aets/workload/workload.h"
 
@@ -161,6 +162,8 @@ struct LiveRunOptions {
   int64_t think_us = 0;
   std::function<double()> phase_fn;  // for time-varying workloads
   int64_t heartbeat_interval_us = 5'000;
+  /// The shipper's age bound (0 = only the size trigger seals an epoch).
+  int64_t max_epoch_age_us = LogShipper::kDefaultMaxEpochAgeUs;
 };
 
 struct LiveRunResult {
@@ -172,6 +175,9 @@ struct LiveRunResult {
   uint64_t queries = 0;
   /// Mean visibility delay per analytic-query template (Fig. 10's series).
   std::vector<double> per_query_mean_us;
+  /// Committed transactions per second of wall time, from the OLTP start
+  /// until the backup has applied the last of them.
+  double txns_per_sec = 0;
   bool state_matches_primary = false;
 };
 

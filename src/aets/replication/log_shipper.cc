@@ -116,47 +116,76 @@ void LogShipper::FirePendingTriggers() {
 }
 
 void LogShipper::OnCommit(TxnLog txn) {
+  bool wake_sealer = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (finished_) return;
-    last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
-    if (epoch_open_us_ == 0) epoch_open_us_ = MonotonicMicros();
+    const int64_t now = MonotonicMicros();
+    last_activity_us_ = now;
+    if (epoch_open_us_ == 0) {
+      // A new epoch opened. Wake the sealer only if it is parked past this
+      // epoch's age deadline (toward a heartbeat); under load it already
+      // wakes in time for an older deadline and re-arms for this one.
+      epoch_open_us_ = now;
+      wake_sealer = max_epoch_age_us_ > 0 &&
+                    now + max_epoch_age_us_ < sealer_wake_at_us_;
+    }
     auto sealed = builder_.AddTxn(std::move(txn));
-    if (sealed) ShipLocked(std::move(*sealed));
+    if (sealed) {
+      ShipLocked(std::move(*sealed));
+      wake_sealer = false;
+    }
   }
+  if (wake_sealer) sealer_cv_.notify_one();
   FirePendingTriggers();
 }
 
 void LogShipper::StartHeartbeats(std::function<Timestamp()> ts_source,
-                                 int64_t interval_us) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (heartbeats_started_ || finished_) return;
-    heartbeats_started_ = true;
-  }
+                                 int64_t interval_us,
+                                 int64_t max_epoch_age_us) {
+  AETS_CHECK(interval_us > 0 && max_epoch_age_us >= 0);
+  std::lock_guard<std::mutex> lk(mu_);
+  // stop_sealer_ first: once it is set, Finish may be joining the thread.
+  if (stop_sealer_ || finished_ || sealer_thread_.joinable()) return;
   heartbeat_ts_source_ = std::move(ts_source);
   heartbeat_interval_us_ = interval_us;
-  last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
-  stop_heartbeats_.store(false, std::memory_order_relaxed);
-  heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
+  max_epoch_age_us_ = max_epoch_age_us;
+  last_activity_us_ = MonotonicMicros();
+  sealer_thread_ = std::thread([this] { SealerLoop(); });
 }
 
-void LogShipper::HeartbeatLoop() {
-  while (!stop_heartbeats_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(heartbeat_interval_us_ / 4));
-    int64_t now = MonotonicMicros();
-    if (now - last_activity_us_.load(std::memory_order_relaxed) <
-        heartbeat_interval_us_) {
+void LogShipper::SealerLoop() {
+  std::unique_lock<std::mutex> lk(mu_);
+  while (!stop_sealer_) {
+    const int64_t now = MonotonicMicros();
+    const bool aging = epoch_open_us_ != 0 && max_epoch_age_us_ > 0;
+    const int64_t seal_at = epoch_open_us_ + max_epoch_age_us_;
+    if (aging && now >= seal_at) {
+      auto sealed = builder_.Flush();
+      if (sealed) ShipLocked(std::move(*sealed));
+      lk.unlock();
+      FirePendingTriggers();
+      lk.lock();
       continue;
     }
-    // Acquire the heartbeat timestamp before taking the shipper lock: the
-    // source holds the primary's commit mutex, so locking it under mu_
-    // while a committing transaction waits to deliver into OnCommit would
-    // invert the lock order. Everything committed below hb_ts has already
-    // been sunk when the source returns, and the flush ships it.
-    Timestamp hb_ts = heartbeat_ts_source_();
-    if (!FlushAndHeartbeat(hb_ts)) return;
+    const int64_t heartbeat_at = last_activity_us_ + heartbeat_interval_us_;
+    if (now >= heartbeat_at) {
+      lk.unlock();
+      // Acquire the heartbeat timestamp without the shipper lock: the source
+      // holds the primary's commit mutex, so locking it under mu_ while a
+      // committing transaction waits to deliver into OnCommit would invert
+      // the lock order. Everything committed below hb_ts has already been
+      // sunk when the source returns, and the flush ships it.
+      Timestamp hb_ts = heartbeat_ts_source_();
+      if (!FlushAndHeartbeat(hb_ts)) return;
+      lk.lock();
+      continue;
+    }
+    sealer_wake_at_us_ = aging ? std::min(seal_at, heartbeat_at)
+                               : heartbeat_at;
+    sealer_cv_.wait_for(lk,
+                        std::chrono::microseconds(sealer_wake_at_us_ - now));
+    sealer_wake_at_us_ = 0;
   }
 }
 
@@ -171,7 +200,7 @@ bool LogShipper::FlushAndHeartbeat(Timestamp ts) {
       std::vector<ShippedEpoch> subs(lanes_.size(), MakeHeartbeatEpoch(id, ts));
       if (DeliverLocked(id, std::move(subs)) > 0) Bump(heartbeats_);
     }
-    last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
+    last_activity_us_ = MonotonicMicros();
   }
   FirePendingTriggers();
   return true;
@@ -192,10 +221,12 @@ void LogShipper::ShipHeartbeat(Timestamp ts) {
 }
 
 void LogShipper::Finish() {
-  if (heartbeat_thread_.joinable()) {
-    stop_heartbeats_.store(true, std::memory_order_relaxed);
-    heartbeat_thread_.join();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_sealer_ = true;
   }
+  sealer_cv_.notify_all();
+  if (sealer_thread_.joinable()) sealer_thread_.join();
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (finished_) return;

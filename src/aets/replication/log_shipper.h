@@ -2,6 +2,7 @@
 #define AETS_REPLICATION_LOG_SHIPPER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -26,9 +27,12 @@ namespace aets {
 /// channel (paper Section III-B: epochs are sealed on transaction
 /// boundaries, sized by transaction count, and shipped in commit order).
 ///
-/// When the primary goes idle, an optional heartbeat thread first flushes
-/// the partial epoch and then ships heartbeat epochs so the backups'
-/// global_cmt_ts keeps advancing (paper Section V-B, 50 ms default).
+/// An optional sealer thread (StartHeartbeats) bounds how long an epoch
+/// waits to fill: it seals and ships the open epoch once its first
+/// transaction is `max_epoch_age_us` old, whichever of age and size comes
+/// first. When the primary goes idle it ships heartbeat epochs so the
+/// backups' global_cmt_ts keeps advancing (paper Section V-B, 50 ms
+/// default).
 ///
 /// Sharded replication (DESIGN.md §11): with a ShardMap installed the
 /// shipper routes every sealed epoch through N per-shard lanes. Each lane
@@ -128,14 +132,24 @@ class LogShipper : public EpochSource {
   /// Commit-sink entry point: call in primary commit order.
   void OnCommit(TxnLog txn);
 
-  /// Starts the idle-detection heartbeat thread. `ts_source` must return a
+  /// The default age bound of the sealer thread: long enough that an
+  /// epoch still batches a few transactions at OLTP rates, short enough
+  /// that the fill wait no longer dominates the commit-to-visible lag.
+  static constexpr int64_t kDefaultMaxEpochAgeUs = 4'000;
+
+  /// Starts the sealer thread. It seals and ships the open epoch once it is
+  /// `max_epoch_age_us` old (0: only the size trigger seals), and ships a
+  /// heartbeat epoch after every `interval_us` without a commit. It parks
+  /// on a condition variable between deadlines; OnCommit wakes it at most
+  /// once per epoch, on the epoch's first transaction, and only when it is
+  /// parked past that epoch's age deadline. `ts_source` must return a
   /// timestamp below every future commit and above every already-sunk commit
   /// (PrimaryDb::AcquireHeartbeatTs). Called without the shipper lock held.
-  /// Idempotent: only the first call starts a thread (a second call used to
-  /// overwrite `heartbeat_thread_` without joining, i.e. std::terminate);
-  /// calls after Finish() are ignored.
+  /// Idempotent: only the first call starts a thread; calls after Finish()
+  /// are ignored.
   void StartHeartbeats(std::function<Timestamp()> ts_source,
-                       int64_t interval_us = 50'000);
+                       int64_t interval_us = 50'000,
+                       int64_t max_epoch_age_us = kDefaultMaxEpochAgeUs);
 
   /// Seals and ships the currently open partial epoch, if any. The
   /// deterministic simulation harness uses this to place epoch boundaries
@@ -149,8 +163,8 @@ class LogShipper : public EpochSource {
   /// in place of the wall-clock heartbeat thread.
   void ShipHeartbeat(Timestamp ts);
 
-  /// Seals and ships the final partial epoch, stops heartbeats, and closes
-  /// all channels on all lanes. Idempotent.
+  /// Wakes and joins the sealer thread, seals and ships the final partial
+  /// epoch, and closes all channels on all lanes. Idempotent.
   void Finish();
 
   /// EpochSource: the replayers' NACK path, served from the retention
@@ -297,7 +311,9 @@ class LogShipper : public EpochSource {
   /// the number of lanes that accepted (a lane with no channels counts as
   /// accepted, matching the unsharded contract).
   size_t DeliverLocked(EpochId id, std::vector<ShippedEpoch> subs);
-  void HeartbeatLoop();
+  /// The sealer thread: age seals and idle heartbeats, parked on
+  /// sealer_cv_ until the nearer of the two deadlines or Finish().
+  void SealerLoop();
   /// Flushes the open epoch and, unless `ts` is kInvalidTimestamp, ships
   /// one heartbeat epoch carrying `ts` to every lane. Takes mu_ itself, so
   /// callers acquire `ts` (the primary's commit mutex) before the shipper
@@ -342,12 +358,18 @@ class LogShipper : public EpochSource {
   Histogram* batch_latency_us_metric_;
   int64_t epoch_open_us_ = 0;  // first OnCommit of the open epoch; 0 = none
 
-  std::atomic<int64_t> last_activity_us_{0};
-  std::atomic<bool> stop_heartbeats_{false};
-  bool heartbeats_started_ = false;  // guarded by mu_
+  /// Sealer state, guarded by mu_ (the interval and source are fixed before
+  /// the thread starts; sealer_thread_ is assigned under mu_ and joined
+  /// only after stop_sealer_ is set). max_epoch_age_us_ stays 0 without a
+  /// sealer, so OnCommit only wakes a thread that exists.
+  std::condition_variable sealer_cv_;
+  int64_t last_activity_us_ = 0;  // last commit or heartbeat
+  int64_t max_epoch_age_us_ = 0;
+  int64_t sealer_wake_at_us_ = 0;  // while parked: when it wakes; else 0
+  bool stop_sealer_ = false;
   int64_t heartbeat_interval_us_ = 50'000;
   std::function<Timestamp()> heartbeat_ts_source_;
-  std::thread heartbeat_thread_;
+  std::thread sealer_thread_;
 };
 
 }  // namespace aets

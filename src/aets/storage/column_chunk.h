@@ -105,12 +105,12 @@ struct ChunkData {
 };
 
 /// A chunk as one generation sees it: the shared immutable data plus this
-/// generation's tombstone overlay. An epoch that supersedes or deletes some
-/// of its rows only copies the overlay; the column vectors are shared
-/// across generations.
+/// generation's tombstone overlay. Both are shared across generations: an
+/// epoch that supersedes or deletes some of a chunk's rows copies only that
+/// chunk's overlay, so a publish costs O(touched chunks), not O(chunks).
 struct ColumnChunk {
   std::shared_ptr<const ChunkData> data;
-  BitVec tombstones;
+  std::shared_ptr<const BitVec> tombstones;  // never null
   size_t live = 0;  // rows not tombstoned
 
   int64_t min_key() const { return data->keys.front(); }
@@ -122,8 +122,8 @@ struct ColumnChunk {
 /// residual (chunk_ts, qts] range). Immutable once published.
 ///
 /// Delta-main layout: `chunks[0, base_chunks)` are the base (main) chunks,
-/// with disjoint, ascending key ranges; the chunks after them are per-epoch
-/// deltas, oldest first, each sorted by key but free to overlap anything.
+/// with disjoint, ascending key ranges; the chunks after them are the delta
+/// tier, oldest first, each sorted by key but free to overlap anything.
 /// Across all chunks a key has at most one row that is not tombstoned — a
 /// newer image tombstones the one it supersedes — so a scan visits every
 /// chunk in turn and needs no cross-chunk merge.

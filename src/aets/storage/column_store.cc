@@ -1,6 +1,7 @@
 #include "aets/storage/column_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <utility>
 
@@ -48,9 +49,11 @@ ColumnChunk Seal(std::shared_ptr<ChunkData> data) {
   for (ChunkColumn& col : data->cols) {
     col.dense = col.has.CountSet() == n && !col.null.Any();
   }
+  auto tombstones = std::make_shared<BitVec>();
+  tombstones->Reset(n);
   ColumnChunk chunk;
   chunk.data = std::move(data);
-  chunk.tombstones.Reset(n);
+  chunk.tombstones = std::move(tombstones);
   chunk.live = n;
   return chunk;
 }
@@ -105,35 +108,60 @@ struct RowRef {
   int64_t key() const { return data->keys[row]; }
 };
 
-/// Appends the row `src` points at to `dst` column by column — both chunks
-/// belong to one table, so the typed vectors line up and the row never
-/// round-trips through a FlatRow. Keeps its cached hash.
-void CopyRow(RowRef src, ChunkData* dst) {
-  const ChunkData& from = *src.data;
-  const size_t r = src.row;
-  const size_t i = dst->keys.size();
-  dst->keys.push_back(from.keys[r]);
-  dst->row_hash.push_back(from.row_hash[r]);
-  if (from.irregular.Get(r)) {
-    dst->irregular.Set(i);
-    dst->irregular_rows.emplace_back(static_cast<uint32_t>(i),
-                                     from.MaterializeRow(r));
-    return;
-  }
-  for (size_t c = 0; c < from.cols.size(); ++c) {
-    const ChunkColumn& sc = from.cols[c];
-    if (!sc.has.Get(r)) continue;
-    ChunkColumn& dc = dst->cols[c];
-    dc.has.Set(i);
-    if (sc.null.Get(r)) {
-      dc.null.Set(i);
-    } else if (sc.type == ColumnType::kInt64) {
-      dc.i64[i] = sc.i64[r];
-    } else if (sc.type == ColumnType::kDouble) {
-      dc.f64[i] = sc.f64[r];
-    } else {
-      dc.str[i] = sc.str[r];
+/// A payload holding the `n` rows `rows` points at, in that order, copied
+/// out of their source chunks column by column: every chunk of a table has
+/// the same typed vectors, so each column is one tight loop and no row
+/// round-trips through a FlatRow. Rows keep their cached hashes.
+std::shared_ptr<ChunkData> CopyRows(const Schema& schema, const RowRef* rows,
+                                    size_t n) {
+  std::shared_ptr<ChunkData> dst = NewChunkData(schema, n);
+  for (size_t i = 0; i < n; ++i) {
+    const ChunkData& from = *rows[i].data;
+    const size_t r = rows[i].row;
+    dst->keys.push_back(from.keys[r]);
+    dst->row_hash.push_back(from.row_hash[r]);
+    if (from.irregular.Get(r)) {
+      dst->irregular.Set(i);
+      dst->irregular_rows.emplace_back(static_cast<uint32_t>(i),
+                                       from.MaterializeRow(r));
     }
+  }
+  // An irregular row has no typed values (its `has` bits are clear), so the
+  // column loops pass over it.
+  for (size_t c = 0; c < dst->cols.size(); ++c) {
+    ChunkColumn& dc = dst->cols[c];
+    auto copy = [&](auto values) {
+      for (size_t i = 0; i < n; ++i) {
+        const ChunkColumn& sc = rows[i].data->cols[c];
+        const size_t r = rows[i].row;
+        if (!sc.has.Get(r)) continue;
+        dc.has.Set(i);
+        if (sc.null.Get(r)) {
+          dc.null.Set(i);
+        } else {
+          (dc.*values)[i] = (sc.*values)[r];
+        }
+      }
+    };
+    switch (dc.type) {
+      case ColumnType::kInt64:
+        copy(&ChunkColumn::i64);
+        break;
+      case ColumnType::kDouble:
+        copy(&ChunkColumn::f64);
+        break;
+      case ColumnType::kString:
+        copy(&ChunkColumn::str);
+        break;
+    }
+  }
+  return dst;
+}
+
+/// Appends `chunk`'s live rows, in key order, to `rows`.
+void AppendLiveRows(const ColumnChunk& chunk, std::vector<RowRef>* rows) {
+  for (size_t r = 0; r < chunk.data->num_rows(); ++r) {
+    if (!chunk.tombstones->Get(r)) rows->push_back({chunk.data.get(), r});
   }
 }
 
@@ -146,22 +174,23 @@ void EmitChunks(const Schema& schema, const std::vector<RowRef>& rows,
   size_t piece = rows.size() <= 2 * target ? rows.size() : target;
   for (size_t off = 0; off < rows.size(); off += piece) {
     size_t n = std::min(piece, rows.size() - off);
-    std::shared_ptr<ChunkData> data = NewChunkData(schema, n);
-    for (size_t i = off; i < off + n; ++i) CopyRow(rows[i], data.get());
-    out->push_back(Seal(std::move(data)));
+    out->push_back(Seal(CopyRows(schema, rows.data() + off, n)));
     rebuilt_metric->Add(1);
   }
 }
 
 /// Tombstones `chunk`'s live rows whose key is in `dirty` (sorted): a newer
-/// image supersedes them. Records each such row in `found` (indexed like
-/// `dirty`) and returns how many rows it killed.
+/// image supersedes them. The overlay is copied on the first kill only, so
+/// a chunk holding no dirty key keeps sharing the previous generation's.
+/// Records each killed row in `found` (indexed like `dirty`) and returns
+/// how many rows it killed.
 size_t Supersede(const std::vector<int64_t>& dirty, ColumnChunk* chunk,
                  std::vector<RowRef>* found) {
   const auto& keys = chunk->data->keys;
   if (keys.empty()) return 0;
   auto lo = std::lower_bound(dirty.begin(), dirty.end(), keys.front());
   auto hi = std::upper_bound(lo, dirty.end(), keys.back());
+  std::shared_ptr<BitVec> overlay;
   size_t killed = 0;
   auto pos = keys.begin();
   for (auto it = lo; it != hi; ++it) {
@@ -169,14 +198,17 @@ size_t Supersede(const std::vector<int64_t>& dirty, ColumnChunk* chunk,
     if (pos == keys.end()) break;
     if (*pos != *it) continue;
     size_t idx = static_cast<size_t>(pos - keys.begin());
-    if (!chunk->tombstones.Get(idx)) {
-      chunk->tombstones.Set(idx);
-      --chunk->live;
-      ++killed;
-      (*found)[static_cast<size_t>(it - dirty.begin())] = {chunk->data.get(),
-                                                           idx};
+    if (chunk->tombstones->Get(idx)) continue;
+    if (overlay == nullptr) {
+      overlay = std::make_shared<BitVec>(*chunk->tombstones);
     }
+    overlay->Set(idx);
+    --chunk->live;
+    ++killed;
+    (*found)[static_cast<size_t>(it - dirty.begin())] = {chunk->data.get(),
+                                                         idx};
   }
+  if (overlay != nullptr) chunk->tombstones = std::move(overlay);
   return killed;
 }
 
@@ -186,16 +218,60 @@ bool Sparse(const ColumnChunk& chunk) {
   return (n - chunk.live) * 2 > n;
 }
 
-/// Fold triggers. Deltas are folded into the base chunks once their rows
+/// Size-tiered delta tier. While a table holds more delta chunks than
+/// bit_width(live delta rows) — floor(log2) + 1 — its newest run merges
+/// into one chunk of the run's live rows, copied column-wise; base chunks
+/// are never touched. The run starts as the newest two chunks and grows by
+/// the pairwise rule: while the merged chunk would hold at least half the
+/// live rows of the one before it, that one joins. A merged chunk's live
+/// count is the sum of its inputs', so the cascade is decided on counts
+/// first and its rows are copied once, not once per pairwise step. The
+/// bound keeps the delta count O(log) however few rows the epochs touch,
+/// while a few large epochs (a catch-up drain's coalesced publishes) reach
+/// the fold threshold without a merge: every merged chunk is a new
+/// allocation that the retained generations keep alive, so merging large
+/// deltas eagerly raised peak RSS.
+void MergeDeltaTier(const Schema& schema, TableGeneration* gen) {
+  std::vector<ColumnChunk>& chunks = gen->chunks;
+  const size_t base = gen->base_chunks;
+  size_t delta_live = 0;
+  for (size_t ci = base; ci < chunks.size(); ++ci) {
+    delta_live += chunks[ci].live;
+  }
+  const size_t max_deltas = static_cast<size_t>(std::bit_width(delta_live));
+  std::vector<RowRef> rows;
+  while (chunks.size() - base > max_deltas) {
+    size_t first = chunks.size() - 2;
+    size_t live = chunks[first].live + chunks.back().live;
+    while (first > base && live * 2 >= chunks[first - 1].live) {
+      --first;
+      live += chunks[first].live;
+    }
+    // Each chunk's live rows are a sorted run; a key has at most one live
+    // row across all chunks, so merging the runs leaves no ties.
+    rows.clear();
+    rows.reserve(live);
+    for (size_t ci = first; ci < chunks.size(); ++ci) {
+      const size_t run = rows.size();
+      AppendLiveRows(chunks[ci], &rows);
+      std::inplace_merge(rows.begin(), rows.begin() + run, rows.end(),
+                         [](const RowRef& a, const RowRef& b) {
+                           return a.key() < b.key();
+                         });
+    }
+    chunks[first] = Seal(CopyRows(schema, rows.data(), rows.size()));
+    chunks.resize(first + 1);
+  }
+}
+
+/// The fold trigger. Deltas are folded into the base chunks once their rows
 /// exceed max(chunk_rows, live_rows / kFoldDivisor): a fold rewrites at most
 /// every live row, so this bounds write amplification at ~kFoldDivisor rows
 /// per dirty row and a scan's delta overhead at 1/kFoldDivisor of the table,
 /// while deltas worth less than one chunk cost a scan no more than one
-/// extra chunk does. Each delta chunk also costs every publish and every
-/// scan a fixed overhead, so a table whose epochs touch only a few rows
-/// folds after kMaxDeltaChunks of them.
+/// extra chunk does. The trigger counts rows, not epochs, so many small
+/// epochs fold no more often than a few large ones.
 constexpr size_t kFoldDivisor = 8;
-constexpr size_t kMaxDeltaChunks = 64;
 
 }  // namespace
 
@@ -213,7 +289,7 @@ void ColumnSnapshot::LoadResidual() {
 }
 
 BitVec ColumnSnapshot::ScanSkipBits(const ColumnChunk& chunk) const {
-  BitVec skip = chunk.tombstones;
+  BitVec skip = *chunk.tombstones;
   if (!residual_.empty() && chunk.data->num_rows() > 0) {
     const auto& keys = chunk.data->keys;
     auto lo = std::lower_bound(residual_.begin(), residual_.end(),
@@ -453,12 +529,15 @@ std::shared_ptr<const TableGeneration> ColumnStore::BuildGeneration(
     live += gen->chunks[ci].live;
     if (ci >= gen->base_chunks) delta_rows += gen->chunks[ci].data->num_rows();
   }
-  // A table without base chunks (its first generation, or one that emptied
-  // out) folds at once, so its deltas become chunk_rows-sized base chunks.
-  if (compact || gen->base_chunks == 0 ||
-      delta_rows > std::max(options_.chunk_rows, live / kFoldDivisor) ||
-      gen->chunks.size() - gen->base_chunks > kMaxDeltaChunks) {
+  // A table's first generation folds on the same row threshold, so a large
+  // one becomes chunk_rows-sized base chunks while a small one (a TPC-C
+  // warehouse or district) lives in the delta tier instead of being
+  // rewritten every epoch.
+  if (compact ||
+      delta_rows > std::max(options_.chunk_rows, live / kFoldDivisor)) {
     Fold(schema, gen.get());
+  } else {
+    MergeDeltaTier(schema, gen.get());
   }
   return gen;
 }
@@ -474,10 +553,7 @@ void ColumnStore::Fold(const Schema& schema, TableGeneration* gen) const {
   // chunk.
   std::vector<RowRef> delta;
   for (size_t ci = nbase; ci < chunks.size(); ++ci) {
-    const ColumnChunk& chunk = chunks[ci];
-    for (size_t r = 0; r < chunk.data->num_rows(); ++r) {
-      if (!chunk.tombstones.Get(r)) delta.push_back({chunk.data.get(), r});
-    }
+    AppendLiveRows(chunks[ci], &delta);
   }
   std::sort(delta.begin(), delta.end(), [](const RowRef& a, const RowRef& b) {
     return a.key() < b.key();
@@ -511,7 +587,7 @@ void ColumnStore::Fold(const Schema& schema, TableGeneration* gen) const {
     for (size_t r = 0; r < n; ++r) {
       int64_t k = old.data->keys[r];
       while (di < end && delta[di].key() < k) merged.push_back(delta[di++]);
-      if (!old.tombstones.Get(r)) merged.push_back({old.data.get(), r});
+      if (!old.tombstones->Get(r)) merged.push_back({old.data.get(), r});
     }
     while (di < end) merged.push_back(delta[di++]);
     EmitChunks(schema, merged, options_.chunk_rows, &gen->chunks, rebuilt);

@@ -105,8 +105,8 @@ class ColumnSnapshot {
 };
 
 /// Watermark-versioned columnar projections of a TableStore in delta-main
-/// form (DESIGN.md §13): base chunks plus small per-epoch delta chunks,
-/// folded into the base once the deltas outgrow a fraction of the table.
+/// form (DESIGN.md §13): base chunks plus a size-tiered delta tier, folded
+/// into the base once the deltas outgrow a fraction of the table.
 ///
 /// Commit side:
 ///   - Group commits call NoteDirty(table, keys, commit_ts) once per
@@ -118,13 +118,18 @@ class ColumnSnapshot {
 ///     commit_ts <= w into a new generation (later entries stay pending):
 ///     the dirty rows' images at w become one sorted delta chunk, and the
 ///     rows they supersede are tombstoned in copied overlays of the chunks
-///     holding them. Column vectors are shared with the previous generation;
-///     the cost is O(dirty rows), not O(rows of the chunks they touch).
-///   - When a table's delta rows exceed max(chunk_rows, live_rows / 8), the
-///     same Publish folds the deltas into the base chunks by a sorted-merge
-///     rewrite that copies rows column-wise out of the delta chunks (no
-///     second version-chain read). Write amplification stays at ~8 rows
-///     rewritten per dirty row.
+///     holding them. Column vectors and the overlays of untouched chunks
+///     are shared with the previous generation, so the cost is O(dirty rows
+///     + touched chunks), not O(rows of the chunks they touch).
+///   - The delta tier stays O(log) chunks deep: once a table holds more
+///     delta chunks than bit_width(live delta rows), its newest run of
+///     similar-sized deltas merges into one chunk of their live rows. Many
+///     small epochs therefore cost about what a few large ones do.
+///   - When a table's delta rows exceed max(chunk_rows, live_rows / 8), or
+///     a superseded base chunk turns majority-dead, the same Publish folds
+///     the deltas into the base chunks by a sorted-merge rewrite that copies
+///     rows column-wise out of the delta chunks (no second version-chain
+///     read). Write amplification stays at ~8 rows rewritten per dirty row.
 ///
 /// Query side (any thread): SnapshotAt(table, qts) picks the newest
 /// generation with chunk_ts <= qts and derives the residual key set —

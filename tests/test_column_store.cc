@@ -400,6 +400,53 @@ TEST(ColumnStoreTest, IrregularRowsSurviveDeltaAndFold) {
   EXPECT_TRUE(irregular_in_base);
 }
 
+TEST(ColumnStoreTest, DeltaTierStaysLogarithmic) {
+  constexpr int64_t kRows = 40'000;
+  constexpr int kPublishes = 2'000;
+  Rig rig(/*chunk_rows=*/4096);
+  for (int64_t k = 0; k < kRows; ++k) rig.Apply(k, 10);
+  rig.columns->SeedFromRows(10);
+  const Memtable* mt = rig.store.GetTable(kT);
+  ColumnSnapshot seeded = rig.columns->SnapshotAt(kT, 10);
+  ASSERT_TRUE(seeded.valid());
+  ASSERT_FALSE(HasDeltas(seeded));
+  const size_t base = seeded.base_chunks();
+  obs::Counter* rebuilt = obs::GetCounter("column.chunks_rebuilt");
+  const uint64_t rebuilt_before = rebuilt->value();
+
+  // One-row epochs on distinct keys (7919 is coprime to kRows): 2 000 delta
+  // rows stay under the fold threshold max(4096, 40 000 / 8) = 5 000. The
+  // expected digest is the row store's, kept incrementally — a full
+  // DigestAt per generation would dominate the test.
+  uint64_t want = mt->DigestAt(10);
+  for (int i = 1; i <= kPublishes; ++i) {
+    const Timestamp ts = 10 + static_cast<Timestamp>(i);
+    const int64_t key = (static_cast<int64_t>(i) * 7919) % kRows;
+    want ^= HashRow(key, *mt->ReadRow(key, ts - 1));
+    rig.Update(key, ts, -i);
+    want ^= HashRow(key, *mt->ReadRow(key, ts));
+    rig.columns->Publish(ts);
+
+    ColumnSnapshot snap = rig.columns->SnapshotAt(kT, ts);
+    ASSERT_TRUE(snap.valid());
+    ASSERT_EQ(snap.base_chunks(), base) << "base folded at publish " << i;
+    // Each delta chunk holds more than twice the live rows of the next
+    // newer one, so i live delta rows fit in at most log2(i) + 1 chunks.
+    const size_t deltas = snap.chunks().size() - snap.base_chunks();
+    size_t bound = 1;
+    while ((size_t{1} << bound) <= static_cast<size_t>(i)) ++bound;
+    ASSERT_LE(deltas, bound) << "publish " << i;
+    snap.LoadResidual();
+    ASSERT_EQ(snap.Digest(), want) << "publish " << i;
+    if (i % 500 == 0) {
+      ASSERT_EQ(want, mt->DigestAt(ts)) << "publish " << i;
+      ExpectChunkLayout(snap);
+    }
+  }
+  EXPECT_EQ(rebuilt->value(), rebuilt_before)
+      << "a base chunk was rewritten before the row threshold";
+}
+
 // The TSan CI step's target: one commit-context thread publishing
 // generations while reader threads pin snapshots, load residuals, and
 // digest chunks. Readers only use timestamps at or below the published

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -198,6 +199,149 @@ TEST(ShipperTest, StartHeartbeatsIsIdempotent) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   shipper.Finish();
   EXPECT_GE(shipper.heartbeats_shipped(), 1u);
+}
+
+TEST(ShipperTest, FinishWakesTheSealer) {
+  // The sealer sleeps toward a heartbeat 1 s away; Finish must not wait it
+  // out. The fastest of a few teardowns is compared, so one preemption of
+  // a loaded test host does not decide the result.
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    LogShipper shipper(/*epoch_size=*/4);
+    EpochChannel channel(0);
+    shipper.AttachChannel(&channel);
+    std::atomic<Timestamp> ts{10};
+    shipper.StartHeartbeats([&ts] { return ts.fetch_add(1) + 1; },
+                            /*interval_us=*/1'000'000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));  // it parks
+    auto start = std::chrono::steady_clock::now();
+    shipper.Finish();
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+    EXPECT_EQ(shipper.heartbeats_shipped(), 0u);
+  }
+  EXPECT_LT(fastest, std::chrono::milliseconds(5));
+}
+
+/// A one-insert transaction committed at `ts` on table 0.
+TxnLog OneInsertTxn(Timestamp ts) {
+  TxnLog txn;
+  txn.txn_id = ts;
+  txn.commit_ts = ts;
+  txn.records = {LogRecord::Begin(3 * ts, ts, ts),
+                 LogRecord::Dml(LogRecordType::kInsert, 3 * ts + 1, ts, ts, 0,
+                                static_cast<int64_t>(ts),
+                                {{0, Value(static_cast<int64_t>(ts))}}),
+                 LogRecord::Commit(3 * ts + 2, ts, ts)};
+  return txn;
+}
+
+TEST(ShipperTest, SealsPartialEpochAtAgeBound) {
+  constexpr int64_t kAgeUs = 2'000;
+  LogShipper shipper(/*epoch_size=*/16);
+  EpochChannel channel(0);
+  shipper.AttachChannel(&channel);
+  std::atomic<Timestamp> ts{100};
+  shipper.StartHeartbeats([&ts] { return ts.fetch_add(1) + 1; },
+                          /*interval_us=*/1'000'000, kAgeUs);
+  auto start = std::chrono::steady_clock::now();
+  shipper.OnCommit(OneInsertTxn(1));
+  auto got = channel.ReceiveUntil(start + std::chrono::milliseconds(500));
+  auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(got.has_value()) << "the open epoch never sealed on age";
+  EXPECT_FALSE(got->is_heartbeat());
+  EXPECT_EQ(got->epoch_id, 0u);
+  EXPECT_EQ(got->num_txns, 1u);
+  // Sealed by age: not before the bound, and well before the first
+  // heartbeat (which would also have flushed it).
+  EXPECT_GE(took, std::chrono::microseconds(kAgeUs));
+  EXPECT_EQ(shipper.heartbeats_shipped(), 0u);
+  shipper.Finish();
+}
+
+TEST(ShipperTest, SizeTriggerStillBindsUnderLoad) {
+  constexpr size_t kEpochSize = 4;
+  constexpr Timestamp kTxns = 40;
+  LogShipper shipper(kEpochSize);
+  EpochChannel channel(0);
+  shipper.AttachChannel(&channel);
+  std::atomic<Timestamp> ts{1000};
+  // Commits arrive back to back, far inside the 200 ms age bound: every
+  // epoch fills before it ages.
+  shipper.StartHeartbeats([&ts] { return ts.fetch_add(1) + 1; },
+                          /*interval_us=*/1'000'000,
+                          /*max_epoch_age_us=*/200'000);
+  for (Timestamp t = 1; t <= kTxns; ++t) shipper.OnCommit(OneInsertTxn(t));
+  for (EpochId id = 0; id < kTxns / kEpochSize; ++id) {
+    auto got = channel.TryReceive();
+    ASSERT_TRUE(got.has_value()) << "epoch " << id;
+    EXPECT_EQ(got->epoch_id, id);
+    EXPECT_EQ(got->num_txns, kEpochSize) << "epoch " << id;
+  }
+  EXPECT_FALSE(channel.TryReceive().has_value());
+  shipper.Finish();
+}
+
+TEST(ShipperTest, AgeSealRacesFlushFetchFinish) {
+  std::unique_ptr<Catalog> catalog(MakeCatalog(1));
+  LogicalClock clock;
+  PrimaryDb db(catalog.get(), &clock);
+  LogShipper shipper(/*epoch_size=*/8, /*retention_capacity=*/100'000);
+  EpochChannel channel(0);
+  shipper.AttachChannel(&channel);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+  shipper.StartHeartbeats([&db] { return db.AcquireHeartbeatTs(); },
+                          /*interval_us=*/300, /*max_epoch_age_us=*/100);
+
+  std::atomic<bool> finished{false};
+  std::thread committer([&] {
+    for (int64_t i = 0; i < 3000 && !finished.load(); ++i) {
+      PrimaryTxn txn = db.Begin();
+      txn.Insert(0, i, {{0, Value(i)}, {1, Value(std::string("v"))}});
+      ASSERT_TRUE(db.Commit(std::move(txn)).ok());
+      if (i % 64 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  });
+  std::thread flusher([&] {
+    while (!finished.load()) {
+      shipper.FlushEpoch();
+      std::this_thread::sleep_for(std::chrono::microseconds(150));
+    }
+  });
+  std::thread fetcher([&] {
+    Rng rng(test::DeriveSeed(7));
+    while (!finished.load()) {
+      EpochId next = shipper.NextEpochId();
+      if (next > 0) {
+        EpochId id = static_cast<EpochId>(rng.UniformInt(0, next - 1));
+        EXPECT_TRUE(shipper.FetchEpoch(id).has_value()) << "epoch " << id;
+      }
+    }
+  });
+  std::thread finisher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    shipper.Finish();
+    finished.store(true);
+  });
+  finisher.join();
+  committer.join();
+  flusher.join();
+  fetcher.join();
+
+  // Every epoch id arrives once, in order, with commit order preserved.
+  EpochId expect = 0;
+  Timestamp last_commit = 0;
+  while (auto got = channel.TryReceive()) {
+    EXPECT_EQ(got->epoch_id, expect++);
+    if (got->is_heartbeat()) continue;
+    EXPECT_GT(got->max_commit_ts, last_commit);
+    last_commit = got->max_commit_ts;
+  }
+  EXPECT_EQ(expect, shipper.NextEpochId());
+  EXPECT_GT(expect, 0u);
+  EXPECT_EQ(shipper.epochs_produced(),
+            shipper.epochs_shipped() + shipper.epochs_dropped());
 }
 
 TEST(ShipperTest, ClosedChannelSendsAreCountedNotShipped) {
