@@ -10,6 +10,7 @@
 
 #include "aets/bench/harness.h"
 #include "aets/common/clock.h"
+#include "aets/obs/metrics.h"
 #include "aets/replay/aets_replayer.h"
 #include "aets/replication/channel.h"
 #include "aets/workload/chbenchmark.h"
@@ -96,16 +97,22 @@ void Run() {
   aets.replay_threads = threads;
   aets.grouping = GroupingMode::kPerTable;
   AetsReplayer backup(&workload.catalog(), &channel, aets);
+  // Replay stops before the first query, which therefore could not seed the
+  // columns: project order_line up front.
+  backup.column_store()->Project(workload.tpcc().orderline());
   AETS_CHECK(backup.Start().ok());
   backup.Stop();
   AETS_CHECK(backup.error().ok());
 
+  obs::Counter* scanned = obs::GetCounter("column.rows_scanned");
+  const uint64_t scanned_before = scanned->value();
   ChQueryExecutor row_exec(&workload, backup.store());
   ChQueryExecutor col_exec(&workload, backup.store(), backup.column_store());
   AETS_CHECK(row_exec.RunQ1(log.final_ts, INT64_MAX) ==
              col_exec.RunQ1(log.final_ts, INT64_MAX));
   AETS_CHECK(row_exec.RunQ6(log.final_ts, 1, 10) ==
              col_exec.RunQ6(log.final_ts, 1, 10));
+  AETS_CHECK(scanned->value() > scanned_before);  // the columns answered
   auto time_us = [&](auto&& fn) {
     constexpr int kReps = 20;
     int64_t best = INT64_MAX;

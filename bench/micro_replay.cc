@@ -17,6 +17,7 @@
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
 #include "aets/log/shipped_epoch.h"
+#include "aets/obs/metrics.h"
 #include "aets/storage/version_chain.h"
 #include "aets/replay/aets_replayer.h"
 #include "aets/replay/replayer_base.h"
@@ -240,6 +241,16 @@ MultiEpochFixture& MultiFixture() {
   return *fixture;
 }
 
+/// Projects every table of `replayer`'s column store, so the replay benches
+/// charge for maintaining the projection as a queried backup pays it.
+void ProjectEveryTable(AetsReplayer* replayer) {
+  storage::ColumnStore* columns = replayer->column_store();
+  if (columns == nullptr) return;
+  for (size_t t = 0; t < replayer->store()->num_tables(); ++t) {
+    columns->Project(static_cast<TableId>(t));
+  }
+}
+
 void BM_AetsMultiEpochReplay(benchmark::State& state) {
   // range(0) = replay threads, range(1) = pipeline depth. Depth 1 is the
   // unpipelined baseline; the CI bench job compares depth 1 vs 3.
@@ -254,6 +265,7 @@ void BM_AetsMultiEpochReplay(benchmark::State& state) {
     options.grouping = GroupingMode::kStatic;
     options.static_hot_groups = fx.tpcc.DefaultHotGroups();
     AetsReplayer replayer(&fx.tpcc.catalog(), &channel, options);
+    ProjectEveryTable(&replayer);
     AETS_CHECK(replayer.Start().ok());
     replayer.Stop();
     AETS_CHECK(replayer.error().ok());
@@ -286,6 +298,7 @@ void BM_AetsMultiEpochReplayCommitLatency(benchmark::State& state) {
     options.grouping = GroupingMode::kStatic;
     options.static_hot_groups = fx.tpcc.DefaultHotGroups();
     AetsReplayer replayer(&fx.tpcc.catalog(), &channel, options);
+    ProjectEveryTable(&replayer);
     replayer.SetCommitHookForTest([](const ShippedEpoch& epoch) {
       if (!epoch.is_heartbeat()) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -400,8 +413,10 @@ BENCHMARK(BM_ShardedMultiEpochReplay)
 // Columnar OLAP scan vs the row-store version-chain walk (DESIGN.md §13):
 // the same CH-benCHmark Q6 aggregate over order_line, once through
 // Memtable::ScanVisible and once through the ColumnStore's typed vectors.
-// The fixture replays a recorded CH stream into one backup with the column
-// store enabled, so both paths read the identical MVCC state at final_ts.
+// The fixture replays a recorded CH stream into one backup with order_line
+// projected before replay (the backup stops before it is queried, so a
+// first query could not seed it), so both paths read the identical MVCC
+// state at final_ts.
 
 struct ColumnScanFixture {
   ColumnScanFixture() : ch(ChConfig()) {
@@ -414,18 +429,23 @@ struct ColumnScanFixture {
     options.replay_threads = 2;
     options.grouping = GroupingMode::kPerTable;
     backup = std::make_unique<AetsReplayer>(&ch.catalog(), &channel, options);
+    backup->column_store()->Project(ch.tpcc().orderline());
     AETS_CHECK(backup->Start().ok());
     backup->Stop();
     AETS_CHECK(backup->error().ok());
     const Memtable* ol =
         backup->store()->GetTable(ch.tpcc().orderline());
     order_line_rows = ol->VisibleRowCount(log.final_ts);
-    // Both paths must agree before either is worth timing.
+    // Both paths must agree before either is worth timing, and the column
+    // executor must have read columns, not fallen back to the rows.
+    obs::Counter* scanned = obs::GetCounter("column.rows_scanned");
+    const uint64_t scanned_before = scanned->value();
     ChQueryExecutor rows(&ch, backup->store());
     ChQueryExecutor cols(&ch, backup->store(), backup->column_store());
     AETS_CHECK(rows.RunQ6(log.final_ts, 1, 10) ==
                cols.RunQ6(log.final_ts, 1, 10));
     AETS_CHECK(rows.error().ok() && cols.error().ok());
+    AETS_CHECK(scanned->value() > scanned_before);
   }
 
   static TpccConfig ChConfig() {
@@ -481,16 +501,17 @@ BENCHMARK(BM_ColumnScan)->Unit(benchmark::kMicrosecond);
 // SmallEpochs, the shape an age-sealing shipper produces at OLTP rates) is
 // replayed once into a row store with the column store off and no GC, so
 // every historical image stays readable. Each iteration then feeds the
-// stream to a fresh ColumnStore seeded at the end of the load, the way the
-// commit path and the merge thread do: one NoteDirty per (transaction,
-// table) and one Publish per epoch watermark. Items are dirty rows
-// published, so the two benches compare per dirty row.
+// stream to a fresh ColumnStore with every table projected and seeded at
+// the end of the load, the way the commit path and the merge thread do:
+// one NoteDirty per (transaction, table) and one Publish per epoch
+// watermark. Items are dirty rows published, so the two benches compare per
+// dirty row.
 
 struct ColumnPublishFixture {
   struct Batch {
     TableId table;
     Timestamp ts;
-    std::vector<int64_t> keys;
+    std::vector<const MemNode*> nodes;
   };
   struct EpochDirty {
     std::vector<Batch> batches;
@@ -520,13 +541,13 @@ struct ColumnPublishFixture {
       epoch.watermark = shipped.max_commit_ts;
       const std::string& data = *shipped.payload;
       Timestamp txn_ts = kInvalidTimestamp;
-      std::map<TableId, std::vector<int64_t>> txn_keys;
+      std::map<TableId, std::vector<const MemNode*>> txn_nodes;
       auto flush_txn = [&] {
-        for (auto& [table, keys] : txn_keys) {
-          dirty_rows += keys.size();
-          epoch.batches.push_back({table, txn_ts, std::move(keys)});
+        for (auto& [table, nodes] : txn_nodes) {
+          dirty_rows += nodes.size();
+          epoch.batches.push_back({table, txn_ts, std::move(nodes)});
         }
-        txn_keys.clear();
+        txn_nodes.clear();
       };
       size_t offset = 0;
       while (offset < data.size()) {
@@ -537,7 +558,8 @@ struct ColumnPublishFixture {
         } else if (rec->type == LogRecordType::kCommit) {
           flush_txn();
         } else if (rec->is_dml() && txn_ts > log.load_end_ts) {
-          txn_keys[rec->table_id].push_back(rec->row_key);
+          txn_nodes[rec->table_id].push_back(
+              backup->store()->GetTable(rec->table_id)->FindNode(rec->row_key));
         }
       }
       flush_txn();
@@ -567,11 +589,14 @@ void RunColumnPublish(benchmark::State& state, ColumnPublishFixture& fx) {
     state.PauseTiming();
     auto columns = std::make_unique<storage::ColumnStore>(&fx.ch.catalog(),
                                                           fx.backup->store());
-    columns->SeedFromRows(fx.log.load_end_ts);
+    for (size_t t = 0; t < fx.ch.catalog().num_tables(); ++t) {
+      columns->Project(static_cast<TableId>(t));
+    }
+    columns->Publish(fx.log.load_end_ts);
     state.ResumeTiming();
     for (const auto& epoch : fx.epochs) {
       for (const auto& batch : epoch.batches) {
-        columns->NoteDirty(batch.table, batch.keys, batch.ts);
+        columns->NoteDirty(batch.table, batch.nodes, batch.ts);
       }
       columns->Publish(epoch.watermark);
     }

@@ -96,12 +96,9 @@ Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
   global_ts_.store(info->snapshot_ts, std::memory_order_relaxed);
   bell().Ring();
   expected_epoch_ = info->next_epoch_id;
-  // Seed generation 0 of the columnar projections from the restored rows —
-  // without this, keys that never change again would stay invisible to the
-  // column path forever (chunks only track dirty keys).
-  if (column_store() != nullptr) {
-    column_store()->SeedFromRows(info->snapshot_ts);
-  }
+  // The restored rows are committed at snapshot_ts: a table's first query
+  // seeds its columns from them at this watermark, even before any epoch.
+  RequestColumnPublish(info->snapshot_ts);
   return Status::OK();
 }
 
@@ -469,7 +466,7 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   // TPLR phase 2 (Algorithms 1-2): walk the group's commit order; for each
   // transaction wait until phase 1 finished it, then append its cells to the
   // version lists and publish tg_cmt_ts.
-  std::vector<int64_t> dirty_keys;  // one table's keys of one fragment
+  std::vector<const MemNode*> dirty_nodes;  // one table's rows of a fragment
   for (auto& frag_ptr : gs->fragments) {
     Fragment* frag = frag_ptr.get();
     // waiting_commit_list check: park on the work bell until phase 1 flips
@@ -493,17 +490,20 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
       }
     }
     // Feed the column store BEFORE the watermark store below: a reader that
-    // observes tg_cmt_ts >= frag->commit_ts must also observe these keys in
+    // observes tg_cmt_ts >= frag->commit_ts must also observe these rows in
     // the pending dirty set (mutex release → release-store → acquire-load →
     // mutex acquire), or its residual top-up would miss them. One NoteDirty
-    // (one table lock) per (fragment, table), not per row.
+    // (one table lock) per (fragment, table), not per row. The nodes let the
+    // merge thread read the rows without the index.
     if (storage::ColumnStore* cs = column_store()) {
       for (TableId t : group.tables) {
-        dirty_keys.clear();
+        dirty_nodes.clear();
         for (const auto& pc : frag->cells) {
-          if (pc.table == t) dirty_keys.push_back(pc.node->row_key());
+          if (pc.table == t) dirty_nodes.push_back(pc.node);
         }
-        if (!dirty_keys.empty()) cs->NoteDirty(t, dirty_keys, frag->commit_ts);
+        if (!dirty_nodes.empty()) {
+          cs->NoteDirty(t, dirty_nodes, frag->commit_ts);
+        }
       }
     }
     for (TableId t : group.tables) {

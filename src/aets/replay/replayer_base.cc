@@ -1,5 +1,6 @@
 #include "aets/replay/replayer_base.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -63,8 +64,9 @@ void ReplayerBase::SetPipelineDepth(int depth) {
 void ReplayerBase::EnableColumnStore(storage::ColumnStoreOptions options) {
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (started_.load(std::memory_order_relaxed)) return;
-  column_store_ =
-      std::make_unique<storage::ColumnStore>(catalog_, &store_, options);
+  column_store_ = std::make_unique<storage::ColumnStore>(
+      catalog_, &store_, options, name_,
+      [this] { RequestColumnPublish(kInvalidTimestamp); });
 }
 
 void ReplayerBase::SetCommitHookForTest(
@@ -91,7 +93,6 @@ Status ReplayerBase::Start() {
   pipeline_depth_metric_->Set(pipeline_depth_);
   started_.store(true, std::memory_order_release);
   if (column_store_ != nullptr) {
-    col_requested_ = kInvalidTimestamp;
     col_stop_ = false;
     column_thread_ = std::thread([this] { ColumnMergeLoop(); });
   }
@@ -187,9 +188,7 @@ void ReplayerBase::CommitItem(PipelineItem item) {
         // so the asynchronous rebuild reads fully-installed version chains
         // at max_commit_ts; a failed epoch posts nothing and its dirty keys
         // stay pending (queries resolve them through the residual path).
-        if (column_store_ != nullptr) {
-          RequestColumnPublish(item.epoch.max_commit_ts);
-        }
+        RequestColumnPublish(item.epoch.max_commit_ts);
         stats_.epochs.fetch_add(1, std::memory_order_relaxed);
         stats_.records.fetch_add(item.epoch.num_records,
                                  std::memory_order_relaxed);
@@ -423,12 +422,18 @@ void ReplayerBase::MainLoop() {
 }
 
 void ReplayerBase::RequestColumnPublish(Timestamp ts) {
-  if (ts == kInvalidTimestamp) return;
+  if (column_store_ == nullptr) return;
   {
     std::lock_guard<std::mutex> lk(col_mu_);
-    if (col_requested_ == kInvalidTimestamp || ts > col_requested_) {
-      col_requested_ = ts;
+    col_committed_ = std::max(col_committed_, ts);
+    // Unprojected tables need no generation. A projection racing this check
+    // re-posts under col_mu_ after raising the count, so either this post
+    // sees the count or that re-post sees col_committed_.
+    if (col_committed_ == kInvalidTimestamp ||
+        !column_store_->AnyProjected()) {
+      return;
     }
+    col_requested_ = col_committed_;
   }
   col_cv_.notify_one();
 }

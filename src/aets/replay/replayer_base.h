@@ -112,16 +112,19 @@ class ReplayerBase : public Replayer {
   std::string name() const override { return name_; }
 
   /// Attaches a columnar projection store (DESIGN.md §13) over this
-  /// replayer's TableStore. After each committed data epoch the base posts
-  /// the epoch's watermark to a background merge thread, which coalesces
-  /// requests and publishes generations off the replay critical path; the
+  /// replayer's TableStore. Its tables are projected on demand: once a query
+  /// has projected one, the base posts each committed data epoch's
+  /// watermark to a background merge thread, which coalesces requests and
+  /// publishes generations off the replay critical path, and a newly
+  /// projected table wakes it to seed at the last committed watermark. The
   /// subclass's commit path must feed it via column_store()->NoteDirty
   /// before each watermark store, else published chunks go stale silently.
   /// Before Start() only.
   void EnableColumnStore(storage::ColumnStoreOptions options);
 
   /// The attached column store, or nullptr. Non-const flavor for the
-  /// subclass commit path (NoteDirty/SeedFromRows).
+  /// subclass commit path (NoteDirty) and for callers that project tables
+  /// before replay.
   storage::ColumnStore* column_store() { return column_store_.get(); }
   const storage::ColumnStore* ColumnStoreForTable(
       TableId /*table*/) const override {
@@ -193,6 +196,13 @@ class ReplayerBase : public Replayer {
 
   /// Latches the sticky error and rings both bells.
   void SetError(Status status);
+
+  /// Records `ts` as committed — every version at or below it installed and
+  /// noted — and, once any table is projected, posts it to the column-merge
+  /// worker. kInvalidTimestamp re-posts the newest committed watermark (a
+  /// first projection's seed request). No-op without a column store; before
+  /// Start() the request waits for the worker.
+  void RequestColumnPublish(Timestamp ts);
 
   /// Max-guarded store of a visibility watermark, then a ring of the bell
   /// so parked WaitVisible callers re-check.
@@ -294,11 +304,14 @@ class ReplayerBase : public Replayer {
   /// runs ColumnStore::Publish off the replay critical path. Queries stay
   /// exact in the gap through the residual top-up. The worker drains every
   /// posted request before it exits, so a stopped backup is fully chunked.
+  /// While no table is projected, nothing is posted and the thread sleeps.
   void ColumnMergeLoop();
-  void RequestColumnPublish(Timestamp ts);
   std::thread column_thread_;
   std::mutex col_mu_;
   std::condition_variable col_cv_;
+  /// The newest posted watermark: every version at or below it is
+  /// installed and noted. A first projection's seed publishes at it.
+  Timestamp col_committed_ = kInvalidTimestamp;
   Timestamp col_requested_ = kInvalidTimestamp;
   bool col_stop_ = false;
 

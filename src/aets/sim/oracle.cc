@@ -127,6 +127,7 @@ bool ConsistencyOracle::CompareColumns(TableId table, Timestamp qts,
   if (columns == nullptr) return true;
   storage::ColumnSnapshot snap = columns->SnapshotAt(table, qts);
   if (!snap.valid()) return true;  // no chunk generation covers qts yet
+  column_comparisons_.fetch_add(1, std::memory_order_relaxed);
   snap.LoadResidual();
   std::map<int64_t, Row> got;
   bool duplicate_key = false;

@@ -111,6 +111,13 @@ class ConsistencyOracle {
   /// final row set is exact.
   bool CheckConverged();
 
+  /// Column-parity probes that found a generation to compare. Projection is
+  /// on demand, so a replayer whose tables never seed would pass the probe
+  /// vacuously; the sweeps assert this is above zero.
+  uint64_t column_comparisons() const {
+    return column_comparisons_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// Compares replayer vs model rows of `table` at `qts`; reports with
   /// `invariant` on mismatch. Skips (returns true) when GC raced past qts.
@@ -121,8 +128,8 @@ class ConsistencyOracle {
   /// Column-parity probe (DESIGN.md §13): the columnar snapshot at `qts`
   /// (chunks minus tombstones plus the residual top-up) must yield exactly
   /// `rows` — the row-store ScanVisible result — and the same XOR digest as
-  /// Memtable::DigestAt(qts). Skips when no generation covers qts or GC
-  /// raced past it.
+  /// Memtable::DigestAt(qts). Skips when no generation covers qts (the
+  /// first probe of a table projects it) or GC raced past it.
   bool CompareColumns(TableId table, Timestamp qts,
                       const std::map<int64_t, Row>& rows);
 
@@ -130,6 +137,7 @@ class ConsistencyOracle {
   ShardedBackup* backup_;
   ViolationLog* log_;
   std::atomic<Timestamp> gc_floor_{0};
+  std::atomic<uint64_t> column_comparisons_{0};
 
   std::mutex mono_mu_;
   std::vector<Timestamp> last_table_ts_;

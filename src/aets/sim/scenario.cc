@@ -228,10 +228,10 @@ bool AnyShardErrored(ShardedBackup* backup) {
 /// every check sees exactly the same state on every run of the same spec.
 /// The between-epoch window is where a watermark published ahead of its
 /// data, or a coordinator promising more than the slowest shard replayed,
-/// is observable.
-void RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
-                 const ReferenceModel& model, const ReplayerFactory& factory,
-                 ViolationLog* log) {
+/// is observable. Returns the oracle's column comparisons.
+uint64_t RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
+                     const ReferenceModel& model,
+                     const ReplayerFactory& factory, ViolationLog* log) {
   const size_t n = static_cast<size_t>(spec.shard_count);
   std::vector<std::unique_ptr<EpochChannel>> channels;
   std::vector<EpochChannel*> chans;
@@ -312,6 +312,7 @@ void RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
   if (!stalled && !AnyShardErrored(backup.get())) {
     VerifyFinalState(model, &oracle);
   }
+  return oracle.column_comparisons();
 }
 
 /// Concurrent mode: one fault-injecting link per shard (each lane gets its
@@ -322,9 +323,10 @@ void RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
 /// pinned snapshot — never a single shard's own watermark, and its pass
 /// hooks feed the oracle's GC horizon. Checks are sound under the races;
 /// the fault schedule and all probe draws derive from the scenario seed.
-void RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
-                   const ReferenceModel& model, const ReplayerFactory& factory,
-                   ViolationLog* log) {
+/// Returns the oracle's column comparisons.
+uint64_t RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
+                       const ReferenceModel& model,
+                       const ReplayerFactory& factory, ViolationLog* log) {
   const size_t n = static_cast<size_t>(spec.shard_count);
   std::vector<std::unique_ptr<FaultInjectingChannel>> channels;
   std::vector<EpochChannel*> chans;
@@ -421,6 +423,7 @@ void RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
   if (!AnyShardErrored(backup.get())) {
     VerifyFinalState(model, &oracle);
   }
+  return oracle.column_comparisons();
 }
 
 /// Drops no-op structure: empty transactions (PrimaryDb rejects them) and
@@ -502,12 +505,11 @@ ScenarioResult RunScenario(const ScenarioSpec& spec,
     AETS_CHECK_MSG(s.ok(), "reference model rejected the recorded stream");
   }
   ViolationLog log;
-  if (spec.mode == SimMode::kLockstep) {
-    RunLockstep(spec, stream, model, factory, &log);
-  } else {
-    RunConcurrent(spec, stream, model, factory, &log);
-  }
   ScenarioResult result;
+  result.column_comparisons =
+      spec.mode == SimMode::kLockstep
+          ? RunLockstep(spec, stream, model, factory, &log)
+          : RunConcurrent(spec, stream, model, factory, &log);
   result.total_violations = log.total();
   result.first_invariant = log.FirstInvariant();
   result.violations = log.TakeSnapshot();

@@ -88,6 +88,10 @@ struct ScenarioResult {
   /// candidate only when this matches the original failure.
   std::string first_invariant;
   std::vector<Violation> violations;
+  /// Column-parity probes that compared a generation (see
+  /// ConsistencyOracle::column_comparisons); timing-dependent, unlike the
+  /// violations.
+  uint64_t column_comparisons = 0;
 
   bool ok() const { return total_violations == 0; }
 };

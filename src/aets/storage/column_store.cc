@@ -336,8 +336,15 @@ size_t ColumnSnapshot::RowCount() const {
 }
 
 ColumnStore::ColumnStore(const Catalog* catalog, const TableStore* rows,
-                         ColumnStoreOptions options)
-    : catalog_(catalog), rows_(rows), options_(options) {
+                         ColumnStoreOptions options, std::string scope,
+                         std::function<void()> on_project)
+    : catalog_(catalog),
+      rows_(rows),
+      options_(options),
+      on_project_(std::move(on_project)),
+      exported_(std::move(scope),
+                {{"column.tables_projected", &tables_projected_},
+                 {"column.seed_rows", &seed_rows_}}) {
   AETS_CHECK(options_.chunk_rows > 0);
   AETS_CHECK(options_.max_generations > 0);
   tables_.reserve(catalog_->num_tables());
@@ -346,57 +353,86 @@ ColumnStore::ColumnStore(const Catalog* catalog, const TableStore* rows,
   }
 }
 
-void ColumnStore::NoteDirty(TableId table, const std::vector<int64_t>& keys,
+void ColumnStore::NoteDirty(TableId table,
+                            const std::vector<const MemNode*>& nodes,
                             Timestamp commit_ts) {
   AETS_CHECK(table < tables_.size());
   TableState& st = *tables_[table];
   std::lock_guard<std::mutex> lk(st.mu);
-  for (int64_t key : keys) st.pending.emplace_back(key, commit_ts);
+  if (!st.projected) {
+    // Nothing reads this table's columns: keep no keys, only how far its
+    // eventual seed must reach.
+    st.skipped_ts = std::max(st.skipped_ts, commit_ts);
+    return;
+  }
+  for (const MemNode* node : nodes) {
+    st.pending.push_back({node->row_key(), commit_ts, node});
+  }
 }
 
 void ColumnStore::Publish(Timestamp watermark) {
   if (watermark == kInvalidTimestamp) return;
   for (size_t t = 0; t < tables_.size(); ++t) {
     TableState& st = *tables_[t];
-    std::vector<int64_t> dirty;
+    std::vector<std::pair<int64_t, const MemNode*>> dirty;
     std::shared_ptr<const TableGeneration> prev;
     {
       std::lock_guard<std::mutex> lk(st.mu);
-      if (st.pending.empty()) continue;
-      // Take only entries the watermark covers. A key noted for a commit
-      // newer than `watermark` (the poster raced ahead of this build) must
-      // stay pending: the generation built here won't show that change, so
-      // only the pending set keeps the residual top-up complete for it.
-      // COPY, don't remove: while the build below runs outside the lock,
-      // a query ahead of the still-current newest generation derives its
-      // residual from this pending set — dropping the consumed entries now
-      // would make those keys vanish (absent from old chunks AND from the
-      // residual) until the new generation lands. They are erased in the
-      // second lock scope, atomically with the swap that covers them.
-      dirty.reserve(st.pending.size());
-      for (const auto& [key, ts] : st.pending) {
-        if (ts <= watermark) dirty.push_back(key);
+      if (!st.projected) continue;
+      if (st.gens.empty()) {
+        // The seed reads every row at `watermark`, so it must cover every
+        // change NoteDirty skipped before the table was projected. A skipped
+        // commit newer than `watermark` is still being installed; the
+        // watermark its epoch posts next seeds the table instead.
+        if (st.skipped_ts > watermark) continue;
+      } else {
+        // Take only entries the watermark covers. A key noted for a commit
+        // newer than `watermark` (the poster raced ahead of this build)
+        // must stay pending: the generation built here won't show that
+        // change, so only the pending set keeps the residual top-up
+        // complete for it. COPY, don't remove: while the build below runs
+        // outside the lock, a query ahead of the still-current newest
+        // generation derives its residual from this pending set — dropping
+        // the consumed entries now would make those keys vanish (absent
+        // from old chunks AND from the residual) until the new generation
+        // lands. They are erased in the second lock scope, atomically with
+        // the swap that covers them.
+        dirty.reserve(st.pending.size());
+        for (const Dirty& d : st.pending) {
+          if (d.commit_ts <= watermark) dirty.emplace_back(d.key, d.node);
+        }
+        if (dirty.empty()) continue;
+        prev = st.gens.back();
       }
-      if (dirty.empty()) continue;
-      if (!st.gens.empty()) prev = st.gens.back();
     }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
     // Build outside the lock: queries keep snapshotting the old generation
     // list; the sources (previous chunks, version chains) are
     // immutable/latched respectively.
-    auto gen = BuildGeneration(static_cast<TableId>(t), prev.get(), dirty,
-                               watermark);
+    std::shared_ptr<const TableGeneration> gen;
+    if (prev == nullptr) {
+      gen = SeedGeneration(static_cast<TableId>(t), watermark);
+    } else {
+      std::sort(dirty.begin(), dirty.end());
+      dirty.erase(std::unique(dirty.begin(), dirty.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.first == b.first;
+                              }),
+                  dirty.end());
+      gen = BuildGeneration(static_cast<TableId>(t), *prev, dirty, watermark);
+    }
     {
       std::lock_guard<std::mutex> lk(st.mu);
       // Erase the consumed entries now that the generation covering them is
       // about to be visible. No new entry with commit_ts <= watermark can
       // have arrived since the copy above (the publisher is only handed a
       // watermark after every version it covers is installed and noted), so
-      // this removes exactly the copied set.
+      // this removes exactly the copied set — or, for a seed, exactly the
+      // entries noted since projection that the full build covers.
       size_t kept = 0;
       for (size_t i = 0; i < st.pending.size(); ++i) {
-        if (st.pending[i].second > watermark) st.pending[kept++] = st.pending[i];
+        if (st.pending[i].commit_ts > watermark) {
+          st.pending[kept++] = st.pending[i];
+        }
       }
       st.pending.resize(kept);
       st.gens.push_back(std::move(gen));
@@ -405,34 +441,33 @@ void ColumnStore::Publish(Timestamp watermark) {
   }
 }
 
-void ColumnStore::SeedFromRows(Timestamp snapshot_ts) {
-  if (snapshot_ts == kInvalidTimestamp) return;
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    const Memtable* mem = rows_->GetTable(static_cast<TableId>(t));
-    TableState& st = *tables_[t];
+void ColumnStore::Project(TableId table) const {
+  AETS_CHECK(table < tables_.size());
+  TableState& st = *tables_[table];
+  {
     std::lock_guard<std::mutex> lk(st.mu);
-    mem->ScanVisible(snapshot_ts, [&](int64_t key, const FlatRow&) {
-      st.pending.emplace_back(key, snapshot_ts);
-      return true;
-    });
+    if (st.projected) return;
+    st.projected = true;
   }
-  Publish(snapshot_ts);
+  tables_projected_.fetch_add(1, std::memory_order_acq_rel);
+  if (on_project_) on_project_();
 }
 
 ColumnSnapshot ColumnStore::SnapshotAt(TableId table, Timestamp qts) const {
   static obs::Counter* row_fallbacks = obs::GetCounter("column.row_fallbacks");
   ColumnSnapshot snap;
   if (table >= tables_.size() || qts == kInvalidTimestamp) return snap;
+  Project(table);
   TableState& st = *tables_[table];
   std::lock_guard<std::mutex> lk(st.mu);
   size_t gi = st.gens.size();
   while (gi > 0 && st.gens[gi - 1]->chunk_ts > qts) --gi;
   if (gi == 0) {
-    // qts predates every retained generation (or none published yet): the
-    // caller takes the ~200x slower row path. Count it when the table has
-    // columnar state at all, so retention too short for the pinned
-    // snapshots shows up.
-    if (!st.gens.empty() || !st.pending.empty()) row_fallbacks->Add(1);
+    // The seed has not landed yet (the table's first queries), or qts
+    // predates every retained generation: the caller takes the ~200x slower
+    // row path. Counted, so retention too short for the pinned snapshots
+    // shows up.
+    row_fallbacks->Add(1);
     return snap;
   }
   snap.gen_ = st.gens[gi - 1];
@@ -450,9 +485,10 @@ ColumnSnapshot ColumnStore::SnapshotAt(TableId table, Timestamp qts) const {
     // every key changed after chunk_ts. NoteDirty happens before the
     // watermark that made qts visible was stored, so the copy is complete;
     // keys committed after qts are a harmless superset (their row-store
-    // read at qts returns the same state the chunk holds).
+    // read at qts returns the same state the chunk holds). No change after
+    // chunk_ts was skipped: the seed waited for the newest skipped one.
     snap.residual_.reserve(st.pending.size());
-    for (const auto& [key, ts] : st.pending) snap.residual_.push_back(key);
+    for (const Dirty& d : st.pending) snap.residual_.push_back(d.key);
     std::sort(snap.residual_.begin(), snap.residual_.end());
     snap.residual_.erase(
         std::unique(snap.residual_.begin(), snap.residual_.end()),
@@ -468,55 +504,76 @@ Timestamp ColumnStore::PublishedTs(TableId table) const {
   return st.gens.empty() ? kInvalidTimestamp : st.gens.back()->chunk_ts;
 }
 
+std::shared_ptr<const TableGeneration> ColumnStore::SeedGeneration(
+    TableId table, Timestamp watermark) {
+  auto info = catalog_->GetTable(table);
+  AETS_CHECK(info.ok());
+  const Schema& schema = (*info)->schema;
+  std::vector<std::pair<int64_t, FlatRow>> images;
+  rows_->GetTable(table)->ScanVisible(
+      watermark, [&](int64_t key, const FlatRow& row) {
+        images.emplace_back(key, row);
+        return true;
+      });
+  seed_rows_.fetch_add(images.size(), std::memory_order_relaxed);
+
+  // No dirty list: nothing older than the seed is retained, so no query
+  // reads this generation's residual range.
+  auto gen = std::make_shared<TableGeneration>();
+  gen->chunk_ts = watermark;
+  if (images.empty()) return gen;
+  gen->chunks.push_back(MakeChunk(schema, images.data(), images.size()));
+  // The fold's row threshold: a large table becomes chunk_rows-sized base
+  // chunks, while a small one (a TPC-C warehouse or district) stays one
+  // delta chunk instead of being rewritten every epoch.
+  if (images.size() > options_.chunk_rows) Fold(schema, gen.get());
+  return gen;
+}
+
 std::shared_ptr<const TableGeneration> ColumnStore::BuildGeneration(
-    TableId table, const TableGeneration* prev,
-    const std::vector<int64_t>& dirty, Timestamp watermark) const {
+    TableId table, const TableGeneration& prev,
+    const std::vector<std::pair<int64_t, const MemNode*>>& dirty_rows,
+    Timestamp watermark) const {
   auto info = catalog_->GetTable(table);
   AETS_CHECK(info.ok());
   const Schema& schema = (*info)->schema;
   auto gen = std::make_shared<TableGeneration>();
   gen->chunk_ts = watermark;
-  gen->dirty = dirty;
+  gen->dirty.reserve(dirty_rows.size());
+  for (const auto& [key, node] : dirty_rows) gen->dirty.push_back(key);
+  const std::vector<int64_t>& dirty = gen->dirty;
 
   // Tombstone each dirty key's current row in a copied overlay of whichever
   // base or delta chunk holds it; the column vectors stay shared. Chunks
   // left without a live row are dropped.
   std::vector<RowRef> found(dirty.size());
   bool compact = false;
-  if (prev != nullptr) {
-    gen->chunks.reserve(prev->chunks.size() + 1);
-    for (size_t ci = 0; ci < prev->chunks.size(); ++ci) {
-      ColumnChunk chunk = prev->chunks[ci];
-      size_t killed = Supersede(dirty, &chunk, &found);
-      if (chunk.live == 0) continue;
-      if (ci < prev->base_chunks) {
-        ++gen->base_chunks;
-        compact |= killed > 0 && Sparse(chunk);
-      }
-      gen->chunks.push_back(std::move(chunk));
+  gen->chunks.reserve(prev.chunks.size() + 1);
+  for (size_t ci = 0; ci < prev.chunks.size(); ++ci) {
+    ColumnChunk chunk = prev.chunks[ci];
+    size_t killed = Supersede(dirty, &chunk, &found);
+    if (chunk.live == 0) continue;
+    if (ci < prev.base_chunks) {
+      ++gen->base_chunks;
+      compact |= killed > 0 && Sparse(chunk);
     }
+    gen->chunks.push_back(std::move(chunk));
   }
 
   // The new images at the watermark, in key order (a key without one was
   // deleted), become the delta chunk. Each rolls the superseded image
-  // forward through only the versions committed since the previous
-  // generation — the one version-chain read of a publish, and no more: a
-  // hot row's chain is never refolded from its start.
-  const Memtable* mem = rows_->GetTable(table);
+  // forward through the noted node's versions committed since the previous
+  // generation — the one version-chain read of a publish, with no index
+  // lookup, and no more: a hot row's chain is never refolded from its start.
   std::vector<std::pair<int64_t, FlatRow>> images;
   images.reserve(dirty.size());
   for (size_t i = 0; i < dirty.size(); ++i) {
-    std::optional<FlatRow> row;
-    if (prev == nullptr) {
-      row = mem->ReadRow(dirty[i], watermark);
-    } else {
-      std::optional<FlatRow> base;
-      if (found[i].data != nullptr) {
-        base = found[i].data->MaterializeRow(found[i].row);
-      }
-      row = mem->ReadRowFrom(dirty[i], prev->chunk_ts, std::move(base),
-                             watermark);
+    std::optional<FlatRow> base;
+    if (found[i].data != nullptr) {
+      base = found[i].data->MaterializeRow(found[i].row);
     }
+    std::optional<FlatRow> row = dirty_rows[i].second->ReadVisibleFrom(
+        prev.chunk_ts, std::move(base), watermark);
     if (row) images.emplace_back(dirty[i], std::move(*row));
   }
   if (!images.empty()) {
@@ -529,10 +586,6 @@ std::shared_ptr<const TableGeneration> ColumnStore::BuildGeneration(
     live += gen->chunks[ci].live;
     if (ci >= gen->base_chunks) delta_rows += gen->chunks[ci].data->num_rows();
   }
-  // A table's first generation folds on the same row threshold, so a large
-  // one becomes chunk_rows-sized base chunks while a small one (a TPC-C
-  // warehouse or district) lives in the delta tier instead of being
-  // rewritten every epoch.
   if (compact ||
       delta_rows > std::max(options_.chunk_rows, live / kFoldDivisor)) {
     Fold(schema, gen.get());

@@ -1,15 +1,20 @@
 #ifndef AETS_STORAGE_COLUMN_STORE_H_
 #define AETS_STORAGE_COLUMN_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "aets/catalog/catalog.h"
 #include "aets/common/clock.h"
+#include "aets/obs/metrics.h"
 #include "aets/storage/column_chunk.h"
 #include "aets/storage/table_store.h"
 
@@ -108,19 +113,30 @@ class ColumnSnapshot {
 /// form (DESIGN.md §13): base chunks plus a size-tiered delta tier, folded
 /// into the base once the deltas outgrow a fraction of the table.
 ///
+/// Projection is on demand. A table starts unprojected: NoteDirty keeps no
+/// keys for it, only the newest commit timestamp it skipped, and Publish
+/// passes it by. The first SnapshotAt (or Project) marks it projected and
+/// runs the owner's `on_project` hook, which schedules a publish at the last
+/// committed watermark. That publish seeds the table with one full build
+/// from the row store — but only at a watermark at or above the skipped
+/// timestamp, so no change skipped before projection is lost (an older
+/// watermark leaves the table unseeded until a newer one arrives). From the
+/// seed on, publishes are per-epoch deltas.
+///
 /// Commit side:
-///   - Group commits call NoteDirty(table, keys, commit_ts) once per
+///   - Group commits call NoteDirty(table, nodes, commit_ts) once per
 ///     (fragment, table) for the rows they install, BEFORE publishing the
 ///     group watermark — so any reader that observed a watermark also
-///     observes the dirty keys accumulated up to it.
+///     observes the dirty rows accumulated up to it.
 ///   - After an epoch's watermarks publish, the replayer's background merge
-///     thread runs Publish(w), turning each table's pending entries with
-///     commit_ts <= w into a new generation (later entries stay pending):
-///     the dirty rows' images at w become one sorted delta chunk, and the
-///     rows they supersede are tombstoned in copied overlays of the chunks
-///     holding them. Column vectors and the overlays of untouched chunks
-///     are shared with the previous generation, so the cost is O(dirty rows
-///     + touched chunks), not O(rows of the chunks they touch).
+///     thread runs Publish(w), turning each seeded table's pending entries
+///     with commit_ts <= w into a new generation (later entries stay
+///     pending): the dirty rows' images at w, rolled forward through their
+///     noted MemNodes (no index lookup), become one sorted delta chunk, and
+///     the rows they supersede are tombstoned in copied overlays of the
+///     chunks holding them. Column vectors and the overlays of untouched
+///     chunks are shared with the previous generation, so the cost is
+///     O(dirty rows + touched chunks), not O(rows of the chunks they touch).
 ///   - The delta tier stays O(log) chunks deep: once a table holds more
 ///     delta chunks than bit_width(live delta rows), its newest run of
 ///     similar-sized deltas merges into one chunk of their live rows. Many
@@ -139,61 +155,93 @@ class ColumnSnapshot {
 /// (per-table mutex held only for the pending/generation-list swap).
 class ColumnStore {
  public:
+  /// `scope` names this store's exported counters (the owning replayer's
+  /// name). `on_project` runs, outside every lock of this store, each time a
+  /// table is first projected; the owner uses it to schedule the seed.
   ColumnStore(const Catalog* catalog, const TableStore* rows,
-              ColumnStoreOptions options = {});
+              ColumnStoreOptions options = {}, std::string scope = "",
+              std::function<void()> on_project = {});
 
   ColumnStore(const ColumnStore&) = delete;
   ColumnStore& operator=(const ColumnStore&) = delete;
 
   const ColumnStoreOptions& options() const { return options_; }
 
-  /// Marks `keys` of `table` changed at `commit_ts` — one lock per call, so
-  /// the commit path batches a fragment's rows per table. Thread-safe across
-  /// concurrent group commits. Must happen before the corresponding
-  /// watermark store (see class comment). The timestamp lets an
-  /// asynchronous Publish at an older watermark take only the entries it
-  /// actually covers — keys whose change committed later stay pending, so
-  /// the residual top-up never loses them.
-  void NoteDirty(TableId table, const std::vector<int64_t>& keys,
+  /// Marks the rows of `nodes` (all of `table`) changed at `commit_ts` —
+  /// one lock per call, so the commit path batches a fragment's rows per
+  /// table. Thread-safe across concurrent group commits. Must happen before
+  /// the corresponding watermark store (see class comment). The timestamp
+  /// lets an asynchronous Publish at an older watermark take only the
+  /// entries it actually covers — rows whose change committed later stay
+  /// pending, so the residual top-up never loses them. Nodes live as long
+  /// as their Memtable, so Publish reads them without the index.
+  void NoteDirty(TableId table, const std::vector<const MemNode*>& nodes,
                  Timestamp commit_ts);
 
-  /// Publishes one generation per table that has pending entries with
-  /// commit_ts <= watermark, reading those keys' rows from the row store at
+  /// Publishes one generation per projected table: a seed (one full build
+  /// from the rows visible at `watermark`) for a table not seeded yet whose
+  /// skipped changes `watermark` covers, else a delta over its pending
+  /// entries with commit_ts <= watermark, read from the row store at
   /// `watermark`; later entries stay pending (the residual path covers
   /// them). Single publisher at a time — the replayer runs it on a
   /// background merge thread, posting a watermark only after that epoch's
-  /// watermarks published, so every consumed key's versions up to
-  /// `watermark` are fully installed.
+  /// watermarks published, so every version up to `watermark` is fully
+  /// installed and noted.
   void Publish(Timestamp watermark);
 
-  /// Bootstrap seeding: builds generation 0 of every table from the rows
-  /// visible at `snapshot_ts` (a checkpoint restore's snapshot timestamp).
-  /// No-op for kInvalidTimestamp.
-  void SeedFromRows(Timestamp snapshot_ts);
+  /// Marks `table` projected (idempotent); the first call counts in
+  /// column.tables_projected and runs `on_project`. SnapshotAt calls it;
+  /// callers that need columns before their first query (a backup that
+  /// stops replaying before it is queried) call it up front. Const because
+  /// demand is not part of the projection's contents: a query holding a
+  /// const store is what creates it.
+  void Project(TableId table) const;
 
-  /// The query-side entry point; see ColumnSnapshot. Returns an invalid
-  /// snapshot (caller falls back to the row path) when no retained
-  /// generation has chunk_ts <= qts; for a table that has columnar state,
-  /// that fallback is counted in column.row_fallbacks.
+  /// True once any table is projected: until then Publish has nothing to do.
+  bool AnyProjected() const {
+    return tables_projected_.load(std::memory_order_acquire) > 0;
+  }
+
+  /// The query-side entry point; see ColumnSnapshot. Projects `table`.
+  /// Returns an invalid snapshot (caller falls back to the row path) when
+  /// no retained generation has chunk_ts <= qts — which includes every
+  /// query before the table's seed lands; each fallback counts in
+  /// column.row_fallbacks.
   ColumnSnapshot SnapshotAt(TableId table, Timestamp qts) const;
 
-  /// chunk_ts of `table`'s newest generation, or kInvalidTimestamp.
+  /// chunk_ts of `table`'s newest generation, or kInvalidTimestamp (also
+  /// for a table never projected).
   Timestamp PublishedTs(TableId table) const;
 
  private:
+  /// One pending change: the row's key, its node, and its commit time.
+  struct Dirty {
+    int64_t key;
+    Timestamp commit_ts;
+    const MemNode* node;
+  };
+
   struct TableState {
     mutable std::mutex mu;
+    bool projected = false;
+    /// Newest commit_ts NoteDirty dropped while the table was unprojected.
+    /// The seed waits for a watermark at or above it.
+    Timestamp skipped_ts = kInvalidTimestamp;
     /// Unsorted, may hold duplicates. Publish(w) consumes only entries with
     /// commit_ts <= w; later ones ride into the next generation.
-    std::vector<std::pair<int64_t, Timestamp>> pending;
+    std::vector<Dirty> pending;
     std::deque<std::shared_ptr<const TableGeneration>> gens;  // ascending ts
   };
 
-  /// The generation after `prev` (nullptr: the table's first) covering the
-  /// sorted, unique `dirty` keys at `watermark`.
+  /// A table's first generation: every row visible at `watermark`.
+  std::shared_ptr<const TableGeneration> SeedGeneration(TableId table,
+                                                         Timestamp watermark);
+  /// The generation after `prev` covering the `dirty` rows (sorted by key,
+  /// unique) at `watermark`.
   std::shared_ptr<const TableGeneration> BuildGeneration(
-      TableId table, const TableGeneration* prev,
-      const std::vector<int64_t>& dirty, Timestamp watermark) const;
+      TableId table, const TableGeneration& prev,
+      const std::vector<std::pair<int64_t, const MemNode*>>& dirty,
+      Timestamp watermark) const;
   /// Rewrites `gen`'s base chunks with its delta rows merged in, leaving a
   /// delta-free generation with the same visible rows.
   void Fold(const Schema& schema, TableGeneration* gen) const;
@@ -201,7 +249,13 @@ class ColumnStore {
   const Catalog* catalog_;
   const TableStore* rows_;
   ColumnStoreOptions options_;
+  std::function<void()> on_project_;
   std::vector<std::unique_ptr<TableState>> tables_;
+  /// Component-owned counters: tables projected so far, and rows written
+  /// by seed builds.
+  mutable std::atomic<uint64_t> tables_projected_{0};
+  std::atomic<uint64_t> seed_rows_{0};
+  obs::ExportedCounters exported_;
 };
 
 }  // namespace storage

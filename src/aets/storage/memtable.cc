@@ -43,14 +43,6 @@ std::optional<Row> Memtable::ReadRow(int64_t row_key, Timestamp ts) const {
   return node->ReadVisible(ts);
 }
 
-std::optional<Row> Memtable::ReadRowFrom(int64_t row_key, Timestamp base_ts,
-                                         std::optional<Row> base,
-                                         Timestamp ts) const {
-  MemNode* node = index_.Find(row_key);
-  if (node == nullptr) return std::nullopt;
-  return node->ReadVisibleFrom(base_ts, std::move(base), ts);
-}
-
 void Memtable::ScanVisible(
     Timestamp ts, const std::function<bool(int64_t, const Row&)>& visit) const {
   // Type-erased shim over the template fast path (existing callers that

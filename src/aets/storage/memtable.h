@@ -44,10 +44,6 @@ class Memtable {
 
   /// The row visible at snapshot `ts`, or nullopt.
   std::optional<Row> ReadRow(int64_t row_key, Timestamp ts) const;
-  /// ReadRow(row_key, ts) rolled forward from `base`, the row visible at
-  /// `base_ts` (see MemNode::ReadVisibleFrom).
-  std::optional<Row> ReadRowFrom(int64_t row_key, Timestamp base_ts,
-                                 std::optional<Row> base, Timestamp ts) const;
 
   /// Visits rows visible at `ts` in ascending key order. Callback returns
   /// false to stop. Template so the per-row visit inlines (the row-scan hot

@@ -1,26 +1,36 @@
 // ColumnStore unit tests (DESIGN.md §13): chunk builds, per-epoch delta
 // generations, folds into the base chunks, residual top-up at every
 // snapshot shape, tombstone overlays, irregular-row overflow, generation
-// pruning — each asserted provably identical to the row store's
-// ScanVisible/DigestAt at the same snapshot. The ColumnStoreRaceTest suite
-// is the TSan CI step's race surface: concurrent Publish against pinned
+// pruning, on-demand projection and its seed — each asserted provably
+// identical to the row store's ScanVisible/DigestAt at the same snapshot.
+// ColumnProjectionTest seeds through a live replayer (idle, and restored
+// from a checkpoint). The ColumnStoreRaceTest suite is the TSan CI step's
+// race surface: concurrent Publish and first projections against pinned
 // readers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "aets/catalog/catalog.h"
 #include "aets/common/rng.h"
 #include "aets/obs/metrics.h"
+#include "aets/primary/primary_db.h"
+#include "aets/replay/aets_replayer.h"
+#include "aets/replication/log_shipper.h"
 #include "aets/storage/column_store.h"
 #include "aets/storage/memtable.h"
 #include "aets/storage/table_store.h"
+#include "aets/workload/driver.h"
+#include "aets/workload/query_exec.h"
 #include "test_seed.h"
 
 namespace aets {
@@ -66,7 +76,7 @@ struct Rig {
              {1, Value(static_cast<double>(key) * 0.5)},
              {2, Value("r" + std::to_string(key))}}),
         ts);
-    columns->NoteDirty(kT, {key}, ts);
+    Note(key, ts);
   }
 
   /// Overwrites column a of an existing row: each call leaves a distinct
@@ -76,12 +86,23 @@ struct Rig {
         LogRecord::Dml(LogRecordType::kUpdate, static_cast<Lsn>(ts), 1, ts, kT,
                        key, {{0, Value(a)}}),
         ts);
-    columns->NoteDirty(kT, {key}, ts);
+    Note(key, ts);
   }
 
   void Delete(int64_t key, Timestamp ts) {
     store.GetTable(kT)->ApplyCommitted(Del(key, ts), ts);
-    columns->NoteDirty(kT, {key}, ts);
+    Note(key, ts);
+  }
+
+  /// What the commit path does after installing `key`'s version at `ts`.
+  void Note(int64_t key, Timestamp ts) {
+    columns->NoteDirty(kT, {store.GetTable(kT)->FindNode(key)}, ts);
+  }
+
+  /// Projects the table and seeds it from the rows visible at `ts`.
+  void Seed(Timestamp ts) {
+    columns->Project(kT);
+    columns->Publish(ts);
   }
 
   /// Column snapshot vs row-store ScanVisible at `qts`: same rows, same
@@ -134,7 +155,7 @@ bool HasDeltas(const ColumnSnapshot& snap) {
 TEST(ColumnStoreTest, SeedMatchesRowStoreAcrossChunks) {
   Rig rig(/*chunk_rows=*/4);
   for (int64_t k = 1; k <= 10; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   EXPECT_EQ(rig.columns->PublishedTs(kT), 10);
   rig.ExpectParity(10);
   // qts past the seed with nothing pending: empty residual, same rows.
@@ -144,7 +165,7 @@ TEST(ColumnStoreTest, SeedMatchesRowStoreAcrossChunks) {
 TEST(ColumnStoreTest, SnapshotBelowFirstGenerationIsInvalid) {
   Rig rig;
   rig.Apply(1, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   EXPECT_FALSE(rig.columns->SnapshotAt(kT, 9).valid());
   EXPECT_TRUE(rig.columns->SnapshotAt(kT, 10).valid());
   // Unknown tables (off the catalog) also fall back to the row path.
@@ -154,7 +175,7 @@ TEST(ColumnStoreTest, SnapshotBelowFirstGenerationIsInvalid) {
 TEST(ColumnStoreTest, IncrementalPublishRoutesDirtyKeysToChunks) {
   Rig rig(/*chunk_rows=*/4);
   for (int64_t k = 1; k <= 20; ++k) rig.Apply(k, 20);
-  rig.columns->SeedFromRows(20);  // 5 chunks of 4
+  rig.Seed(20);  // 5 chunks of 4
   // Touch three distinct chunks, append past max_key, delete in another.
   rig.Apply(2, 21);    // chunk 0 update
   rig.Apply(9, 22);    // chunk 2 update
@@ -172,7 +193,7 @@ TEST(ColumnStoreTest, IncrementalPublishRoutesDirtyKeysToChunks) {
 TEST(ColumnStoreTest, PendingResidualCoversUnpublishedTail) {
   Rig rig(/*chunk_rows=*/4);
   for (int64_t k = 1; k <= 8; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   // Dirty-but-unpublished writes: served from the newest generation plus
   // the live pending set (the residual path a mid-epoch query takes).
   rig.Apply(3, 11);
@@ -186,7 +207,7 @@ TEST(ColumnStoreTest, PendingResidualCoversUnpublishedTail) {
 TEST(ColumnStoreTest, DeleteHeavyChunksCompactAndDisappear) {
   Rig rig(/*chunk_rows=*/4);
   for (int64_t k = 1; k <= 12; ++k) rig.Apply(k, 12);
-  rig.columns->SeedFromRows(12);
+  rig.Seed(12);
   // Kill chunk 1 (keys 5..8) entirely plus one key of chunk 0: the rebuild
   // must drop the empty chunk, tombstone the lightly-touched one, and stay
   // row-identical throughout.
@@ -222,14 +243,14 @@ TEST(ColumnStoreTest, IrregularRowsStayExact) {
   // the irregular overflow (or null bitmap) without perturbing digests.
   rig.store.GetTable(kT)->ApplyCommitted(
       Ins(7, 10, {{0, Value("not-an-int")}, {1, Value(0.5)}}), 10);
-  rig.columns->NoteDirty(kT, {7}, 10);
+  rig.Note(7, 10);
   rig.store.GetTable(kT)->ApplyCommitted(
       Ins(8, 10, {{0, Value(int64_t{80})}, {9, Value(int64_t{1})}}), 10);
-  rig.columns->NoteDirty(kT, {8}, 10);
+  rig.Note(8, 10);
   rig.store.GetTable(kT)->ApplyCommitted(
       Ins(9, 10, {{0, Value(int64_t{90})}, {1, Value()}}), 10);
-  rig.columns->NoteDirty(kT, {9}, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Note(9, 10);
+  rig.Seed(10);
   rig.ExpectParity(10);
   // An irregular row updated back to a regular shape leaves the overflow.
   rig.Apply(7, 11);
@@ -241,7 +262,7 @@ TEST(ColumnStoreTest, IrregularRowsStayExact) {
 TEST(ColumnStoreTest, GenerationPruningBoundsHistory) {
   Rig rig(/*chunk_rows=*/4, /*max_generations=*/2);
   rig.Apply(1, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   rig.Apply(2, 20);
   rig.columns->Publish(20);
   rig.Apply(3, 30);
@@ -257,7 +278,7 @@ TEST(ColumnStoreTest, GenerationPruningBoundsHistory) {
 TEST(ColumnStoreTest, PublishWithoutDirtyKeysPublishesNothing) {
   Rig rig;
   rig.Apply(1, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   rig.columns->Publish(20);  // no dirty keys: watermark must not advance
   EXPECT_EQ(rig.columns->PublishedTs(kT), 10);
   rig.ExpectParity(20);  // still exact via the empty residual
@@ -266,7 +287,7 @@ TEST(ColumnStoreTest, PublishWithoutDirtyKeysPublishesNothing) {
 TEST(ColumnStoreTest, ResidualIsOneEpochOfKeys) {
   Rig rig(/*chunk_rows=*/16);
   for (int64_t k = 0; k < 64; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   const std::set<int64_t> first = {3, 17, 40};
   rig.Update(3, 12, 1);
   rig.Update(17, 15, 2);
@@ -305,7 +326,7 @@ TEST(ColumnStoreTest, ResidualIsOneEpochOfKeys) {
 TEST(ColumnStoreTest, KeyUpdatedEveryEpochScansOnceWithNewestImage) {
   Rig rig(/*chunk_rows=*/16);
   for (int64_t k = 0; k < 64; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   constexpr int64_t kHot = 7;
   for (int64_t e = 1; e <= 6; ++e) {
     Timestamp ts = 10 + 10 * e;
@@ -335,7 +356,7 @@ TEST(ColumnStoreTest, KeyUpdatedEveryEpochScansOnceWithNewestImage) {
 TEST(ColumnStoreTest, FoldLeavesDeltaFreeGenerationWithSameRows) {
   Rig rig(/*chunk_rows=*/4);
   for (int64_t k = 0; k < 40; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   obs::Counter* rebuilt = obs::GetCounter("column.chunks_rebuilt");
   const uint64_t rebuilt_before = rebuilt->value();
   bool saw_delta = false;
@@ -362,13 +383,13 @@ TEST(ColumnStoreTest, FoldLeavesDeltaFreeGenerationWithSameRows) {
 TEST(ColumnStoreTest, IrregularRowsSurviveDeltaAndFold) {
   Rig rig(/*chunk_rows=*/4);
   for (int64_t k = 0; k < 40; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   // One delta carrying every shape the typed vectors cannot hold as-is: a
   // wrong-typed column, an unknown column id, a NULL, and absent columns.
   // The keys sit in different base chunks, so none turns sparse and folds.
   auto put = [&](int64_t key, std::vector<ColumnValue> values) {
     rig.store.GetTable(kT)->ApplyCommitted(Ins(key, 11, std::move(values)), 11);
-    rig.columns->NoteDirty(kT, {key}, 11);
+    rig.Note(key, 11);
   };
   put(5, {{0, Value("not-an-int")}, {1, Value(0.5)}});
   put(14, {{0, Value(int64_t{140})}, {9, Value(int64_t{1})}});
@@ -405,7 +426,7 @@ TEST(ColumnStoreTest, DeltaTierStaysLogarithmic) {
   constexpr int kPublishes = 2'000;
   Rig rig(/*chunk_rows=*/4096);
   for (int64_t k = 0; k < kRows; ++k) rig.Apply(k, 10);
-  rig.columns->SeedFromRows(10);
+  rig.Seed(10);
   const Memtable* mt = rig.store.GetTable(kT);
   ColumnSnapshot seeded = rig.columns->SnapshotAt(kT, 10);
   ASSERT_TRUE(seeded.valid());
@@ -447,6 +468,57 @@ TEST(ColumnStoreTest, DeltaTierStaysLogarithmic) {
       << "a base chunk was rewritten before the row threshold";
 }
 
+// Projection is on demand: an unprojected table keeps no dirty keys, and
+// its seed waits for a watermark covering every change it skipped. Here key
+// 9 and key 3's update are noted at ts 20 before the table is projected,
+// and the first publish after projection is at 15.
+TEST(ColumnStoreTest, SeedWaitsForChangesSkippedBeforeProjection) {
+  Rig rig(/*chunk_rows=*/4);
+  int hook_calls = 0;
+  rig.columns = std::make_unique<ColumnStore>(
+      &rig.catalog, &rig.store, rig.columns->options(), "",
+      [&] { ++hook_calls; });
+  auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Instance().Snapshot().counters[name];
+  };
+  const uint64_t projected_before = counter("column.tables_projected");
+  const uint64_t seeded_before = counter("column.seed_rows");
+
+  for (int64_t k = 1; k <= 8; ++k) rig.Apply(k, 10);
+  rig.Update(3, 20, 333);
+  rig.Apply(9, 20);
+  rig.columns->Publish(20);  // nothing projected: nothing to publish
+  EXPECT_EQ(rig.columns->PublishedTs(kT), kInvalidTimestamp);
+  EXPECT_FALSE(rig.columns->AnyProjected());
+
+  // The first query projects the table and takes the row path, counted.
+  obs::Counter* fallbacks = obs::GetCounter("column.row_fallbacks");
+  const uint64_t fallbacks_before = fallbacks->value();
+  EXPECT_FALSE(rig.columns->SnapshotAt(kT, 20).valid());
+  EXPECT_FALSE(rig.columns->SnapshotAt(kT, 20).valid());
+  EXPECT_TRUE(rig.columns->AnyProjected());
+  EXPECT_EQ(fallbacks->value(), fallbacks_before + 2);
+  EXPECT_EQ(hook_calls, 1);
+  EXPECT_EQ(counter("column.tables_projected"), projected_before + 1);
+
+  // From projection on, changes are kept.
+  rig.Apply(10, 25);
+  // A watermark older than a skipped change does not seed...
+  rig.columns->Publish(15);
+  EXPECT_EQ(rig.columns->PublishedTs(kT), kInvalidTimestamp);
+  // ...one covering them all does, and the seed holds every one of them.
+  rig.columns->Publish(20);
+  EXPECT_EQ(rig.columns->PublishedTs(kT), 20);
+  EXPECT_EQ(counter("column.seed_rows"), seeded_before + 9);
+  rig.ExpectParity(20);
+  // The change noted after projection rides the residual, then a delta.
+  rig.ExpectParity(25);
+  rig.columns->Publish(25);
+  EXPECT_EQ(rig.columns->PublishedTs(kT), 25);
+  for (Timestamp qts = 20; qts <= 25; ++qts) rig.ExpectParity(qts);
+  EXPECT_EQ(hook_calls, 1);
+}
+
 // The TSan CI step's target: one commit-context thread publishing
 // generations while reader threads pin snapshots, load residuals, and
 // digest chunks. Readers only use timestamps at or below the published
@@ -458,7 +530,7 @@ void RacePublishAgainstPinnedQueries(size_t chunk_rows, int64_t seed_keys,
                                      Timestamp last_ts) {
   Rig rig(chunk_rows);
   for (int64_t k = 0; k < seed_keys; ++k) rig.Apply(k, 1);
-  rig.columns->SeedFromRows(1);
+  rig.Seed(1);
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -522,6 +594,228 @@ TEST(ColumnStoreRaceTest, RebuildRacesPinnedQueries) {
 TEST(ColumnStoreRaceTest, DeltaChainRacesPinnedQueries) {
   RacePublishAgainstPinnedQueries(/*chunk_rows=*/32, /*seed_keys=*/128,
                                   /*publish_every=*/1, /*last_ts=*/150);
+}
+
+// The first projection races the commit side: a writer applies and notes
+// rows (skipped while the table is unprojected), a merge thread publishes
+// at watermarks trailing the writer by a random lag, and readers that only
+// start querying mid-stream project the table with their first SnapshotAt.
+// Whenever the seed lands, every valid snapshot must digest like the rows.
+// The writer holds at mid-stream until some reader has projected the table,
+// so the projection races the first half and the seed races the second.
+TEST(ColumnStoreRaceTest, ProjectionRacesCommits) {
+  constexpr int64_t kKeys = 64;
+  constexpr Timestamp kLastTs = 300;
+  Rig rig(/*chunk_rows=*/16);
+  std::atomic<Timestamp> committed{kInvalidTimestamp};
+  std::atomic<bool> done{false};
+  std::atomic<bool> published_last{false};
+
+  std::thread writer([&] {
+    Rng rng(test::DeriveSeed(7));
+    for (Timestamp ts = 1; ts <= kLastTs; ++ts) {
+      while (ts == kLastTs / 2 && !rig.columns->AnyProjected()) {
+        std::this_thread::yield();
+      }
+      int writes = static_cast<int>(rng.UniformInt(1, 4));
+      for (int w = 0; w < writes; ++w) {
+        int64_t key = rng.UniformInt(0, kKeys - 1);
+        if (rng.UniformInt(0, 9) < 8) {
+          rig.Apply(key, ts);
+        } else {
+          rig.Delete(key, ts);
+        }
+      }
+      committed.store(ts, std::memory_order_release);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  // The merge thread: publishes only at watermarks the writer already
+  // passed, sometimes one older than the newest change it skipped.
+  std::thread publisher([&] {
+    Rng rng(test::DeriveSeed(8));
+    while (!done.load(std::memory_order_acquire)) {
+      Timestamp w = committed.load(std::memory_order_acquire);
+      Timestamp lag = rng.UniformInt(0, 3);
+      if (w > lag) rig.columns->Publish(w - lag);
+      std::this_thread::yield();
+    }
+    rig.columns->Publish(kLastTs);
+    published_last.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  std::atomic<uint64_t> checked{0};
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(test::DeriveSeed(200 + static_cast<uint64_t>(r)));
+      const Memtable* mt = rig.store.GetTable(kT);
+      // Each reader's first query comes at a different point of the stream.
+      const Timestamp start = kLastTs / 8 * static_cast<Timestamp>(r + 1);
+      while (committed.load(std::memory_order_acquire) < start) {
+        std::this_thread::yield();
+      }
+      // The last pass reads the final publish's exact generation.
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = published_last.load(std::memory_order_acquire);
+        Timestamp w = committed.load(std::memory_order_acquire);
+        Timestamp delta = last_pass ? 0 : rng.UniformInt(0, 5);
+        Timestamp qts = w > delta ? w - delta : 1;
+        ColumnSnapshot snap = rig.columns->SnapshotAt(kT, qts);
+        if (!snap.valid()) continue;  // not seeded yet, or pruned
+        snap.LoadResidual();
+        ASSERT_EQ(snap.Digest(), mt->DigestAt(qts)) << "qts " << qts;
+        ASSERT_EQ(snap.RowCount(), mt->VisibleRowCount(qts));
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  writer.join();
+  publisher.join();
+  for (auto& t : readers) t.join();
+  EXPECT_GE(checked.load(), 3u);
+  EXPECT_EQ(rig.columns->PublishedTs(kT), kLastTs);
+  rig.ExpectParity(kLastTs);
+}
+
+// ---------------------------------------------------------------------------
+// Projection through a live replayer: the first query wakes the merge
+// thread, which seeds at the last committed watermark with no new epoch.
+
+/// Closes a replayer's input when it leaves scope. Declared after the
+/// replayer, it runs first, so a failed ASSERT cannot leave the replayer's
+/// Stop() waiting for more epochs.
+struct CloseOnExit {
+  EpochChannel* channel;
+  ~CloseOnExit() { channel->Close(); }
+};
+
+/// Polls until `table` has a generation (or ~10 s pass); its chunk_ts.
+Timestamp WaitSeeded(const ColumnStore& columns, TableId table) {
+  for (int i = 0; i < 10'000; ++i) {
+    Timestamp ts = columns.PublishedTs(table);
+    if (ts != kInvalidTimestamp) return ts;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return kInvalidTimestamp;
+}
+
+TEST(ColumnProjectionTest, IdleBackupSeedsANewlyProjectedTable) {
+  Catalog catalog;
+  Rig::MakeCatalog(catalog);
+  LogicalClock clock;
+  PrimaryDb db(&catalog, &clock);
+  LogShipper shipper(/*epoch_size=*/8);
+  EpochChannel channel(1024);
+  shipper.AttachChannel(&channel);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+  AetsOptions options;
+  options.replay_threads = 2;
+  options.grouping = GroupingMode::kPerTable;
+  options.column_chunk_rows = 16;
+  AetsReplayer backup(&catalog, &channel, options);
+  CloseOnExit close_channel{&channel};
+  ASSERT_TRUE(backup.Start().ok());
+
+  for (int64_t i = 0; i < 100; ++i) {
+    PrimaryTxn txn = db.Begin();
+    std::vector<ColumnValue> values = {{0, Value(i)},
+                                       {1, Value(static_cast<double>(i))},
+                                       {2, Value("v" + std::to_string(i))}};
+    if (i < 40) {
+      txn.Insert(kT, i, std::move(values));
+    } else {
+      txn.Update(kT, i % 40, std::move(values));
+    }
+    ASSERT_TRUE(db.Commit(std::move(txn)).ok());
+  }
+  shipper.FlushEpoch();
+  const Timestamp last = db.last_commit_ts();
+  for (int i = 0; i < 10'000 && backup.GlobalVisibleTs() < last; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(backup.GlobalVisibleTs(), last);
+  const uint64_t epochs = backup.stats().epochs.load();
+
+  const ColumnStore* columns = backup.ColumnStoreForTable(kT);
+  ASSERT_NE(columns, nullptr);
+  EXPECT_EQ(columns->PublishedTs(kT), kInvalidTimestamp);  // never queried
+  EXPECT_FALSE(columns->SnapshotAt(kT, last).valid());    // projects it
+  EXPECT_EQ(WaitSeeded(*columns, kT), last);
+  EXPECT_EQ(backup.stats().epochs.load(), epochs);  // no epoch arrived
+  ColumnSnapshot snap = columns->SnapshotAt(kT, last);
+  ASSERT_TRUE(snap.valid());
+  snap.LoadResidual();
+  EXPECT_EQ(snap.Digest(), backup.store()->GetTable(kT)->DigestAt(last));
+  EXPECT_EQ(snap.RowCount(), 40u);
+
+  shipper.Finish();
+  backup.Stop();
+  EXPECT_TRUE(backup.error().ok()) << backup.error().ToString();
+}
+
+TEST(ColumnProjectionTest, RestoredBackupAnswersColumnarQ6OnceSeeded) {
+  TpccConfig config;
+  config.warehouses = 1;
+  config.items = 80;
+  config.customers_per_district = 8;
+  config.init_orders_per_district = 3;
+  ChBenchmarkWorkload ch(config);
+  LogicalClock clock;
+  PrimaryDb db(&ch.catalog(), &clock);
+  LogShipper shipper(/*epoch_size=*/32);
+  EpochChannel channel(1024);
+  shipper.AttachChannel(&channel);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+  Rng rng(test::DeriveSeed(5));
+  ch.Load(&db, &rng);
+  {
+    OltpDriver oltp(&ch, &db, 5);
+    oltp.Run(200);
+  }
+  shipper.Finish();
+
+  AetsOptions options;
+  options.replay_threads = 2;
+  options.grouping = GroupingMode::kPerTable;
+  options.column_chunk_rows = 64;
+  const std::string path =
+      std::string(::testing::TempDir()) + "/column_projection_restore.ckpt";
+  {
+    AetsReplayer source(&ch.catalog(), &channel, options);
+    ASSERT_TRUE(source.Start().ok());
+    source.Stop();
+    ASSERT_TRUE(source.error().ok()) << source.error().ToString();
+    ASSERT_TRUE(source.WriteCheckpoint(path).ok());
+  }
+
+  EpochChannel idle(16);
+  AetsReplayer restored(&ch.catalog(), &idle, options);
+  CloseOnExit close_idle{&idle};
+  ASSERT_TRUE(restored.Bootstrap(path).ok());
+  ASSERT_TRUE(restored.Start().ok());
+  const Timestamp ts = restored.GlobalVisibleTs();
+  ASSERT_EQ(ts, db.last_commit_ts());
+  const TableId ol = ch.tpcc().orderline();
+  ChQueryExecutor rows(&ch, restored.store());
+  ChQueryExecutor cols(&ch, restored.store(), restored.column_store());
+  const auto want = rows.RunQ6(ts, 1, 5);
+  EXPECT_GT(want.lines, 0u);
+  // The first query takes the row path and projects order_line.
+  EXPECT_TRUE(cols.RunQ6(ts, 1, 5) == want);
+  EXPECT_EQ(WaitSeeded(*restored.column_store(), ol), ts);
+  obs::Counter* scanned = obs::GetCounter("column.rows_scanned");
+  const uint64_t before = scanned->value();
+  EXPECT_TRUE(cols.RunQ6(ts, 1, 5) == want);
+  EXPECT_GT(scanned->value(), before);  // the columns answered
+  EXPECT_TRUE(cols.error().ok());
+
+  idle.Close();
+  restored.Stop();
+  EXPECT_TRUE(restored.error().ok()) << restored.error().ToString();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -97,14 +97,19 @@ TEST_F(QueryExecTest, ColumnPathMatchesRowPathThroughReplay) {
   options.grouping = GroupingMode::kPerTable;
   options.column_chunk_rows = 64;  // many chunks even at test scale
   AetsReplayer backup(&ch_->catalog(), &channel, options);
+  ASSERT_NE(backup.column_store(), nullptr);
+  // The backup stops replaying before it is queried, so a first query could
+  // no longer seed the columns: project order_line up front.
+  backup.column_store()->Project(ch_->tpcc().orderline());
   ASSERT_TRUE(backup.Start().ok());
   backup.Stop();
   ASSERT_TRUE(backup.error().ok());
-  ASSERT_NE(backup.column_store(), nullptr);
 
   // Same store, two scan paths: vectorized chunks + residual top-up vs the
   // row-store version-chain walk. Aggregates must be identical at a
   // mid-stream snapshot (residual-heavy) and at the final one.
+  obs::Counter* scanned = obs::GetCounter("column.rows_scanned");
+  const uint64_t scanned_before = scanned->value();
   ChQueryExecutor rows(ch_.get(), backup.store());
   ChQueryExecutor cols(ch_.get(), backup.store(), backup.column_store());
   for (Timestamp snapshot : {mid_ts, db.last_commit_ts()}) {
@@ -119,6 +124,7 @@ TEST_F(QueryExecTest, ColumnPathMatchesRowPathThroughReplay) {
     EXPECT_TRUE(cols.RunQ6(snapshot, 1, 5) == rows.RunQ6(snapshot, 1, 5));
     EXPECT_TRUE(cols.RunQ1(snapshot, 0) == rows.RunQ1(snapshot, 0));
   }
+  EXPECT_GT(scanned->value(), scanned_before);  // the columns answered
   // Well-typed TPC-C data: neither path may have flagged anything.
   EXPECT_EQ(rows.column_type_mismatches(), 0u);
   EXPECT_EQ(cols.column_type_mismatches(), 0u);
@@ -166,8 +172,8 @@ TEST_F(QueryExecTest, MismatchedColumnsAreCountedNotSilentlyCoerced) {
   // amount lands in the chunk's irregular overflow, the missing quantity
   // in the has-bitmap check.
   storage::ColumnStore columns(&ch_->catalog(), &store);
-  columns.NoteDirty(ol, {1, 2, 3}, kTs);
-  columns.SeedFromRows(kTs);
+  columns.Project(ol);
+  columns.Publish(kTs);
   ChQueryExecutor vec(ch_.get(), &store, &columns);
   auto q6_vec = vec.RunQ6(kTs, 1, 10);
   EXPECT_TRUE(q6_vec == q6);
@@ -189,7 +195,7 @@ TEST_F(QueryExecTest, SnapshotOlderThanRetainedGenerationsFallsBackExactly) {
         LogRecord::Dml(type, static_cast<Lsn>(ts), 1, ts, ol, key,
                        std::move(values)),
         ts);
-    columns.NoteDirty(ol, {key}, ts);
+    columns.NoteDirty(ol, {store.GetTable(ol)->FindNode(key)}, ts);
   };
   constexpr Timestamp kPinned = 10;
   for (int64_t key = 1; key <= 20; ++key) {
@@ -199,7 +205,8 @@ TEST_F(QueryExecTest, SnapshotOlderThanRetainedGenerationsFallsBackExactly) {
            {5, Value(static_cast<double>(key) * 1.5)},
            {6, Value(int64_t{0})}});
   }
-  columns.SeedFromRows(kPinned);
+  columns.Project(ol);
+  columns.Publish(kPinned);
   ChQueryExecutor rows(ch_.get(), &store);
   ChQueryExecutor cols(ch_.get(), &store, &columns);
   const auto pinned_answer = rows.RunQ6(kPinned, 1, 5);

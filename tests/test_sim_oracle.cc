@@ -113,6 +113,8 @@ TEST(SimScheduleTest, TiesBreakByRegistrationOrder) {
 struct SimReplayerSpec {
   const char* label;
   sim::ReplayerFactory make;
+  /// Maintains a columnar projection the oracle's parity probe compares.
+  bool columnar = false;
 };
 
 // The global --pipeline_depth override, or each factory's `fallback` when
@@ -132,7 +134,8 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                      o.grouping = GroupingMode::kPerTable;
                      o.pipeline_depth = DepthOr(1);
                      return std::make_unique<AetsReplayer>(c, ch, o);
-                   }});
+                   },
+                   /*columnar=*/true});
   specs.push_back({"aets-per-table-d3", [](const Catalog* c, EpochChannel* ch) {
                      AetsOptions o;
                      o.replay_threads = 3;
@@ -140,7 +143,8 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                      o.grouping = GroupingMode::kPerTable;
                      o.pipeline_depth = DepthOr(3);
                      return std::make_unique<AetsReplayer>(c, ch, o);
-                   }});
+                   },
+                   /*columnar=*/true});
   // Tiny column chunks: every generation splits into many chunks, so the
   // chaos scenarios drive the rebuild router (dirty keys across chunk
   // boundaries, all-delete fast path, compaction) and the oracle's
@@ -153,7 +157,8 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                      o.pipeline_depth = DepthOr(2);
                      o.column_chunk_rows = 8;
                      return std::make_unique<AetsReplayer>(c, ch, o);
-                   }});
+                   },
+                   /*columnar=*/true});
   specs.push_back({"aets-by-rate", [](const Catalog* c, EpochChannel* ch) {
                      AetsOptions o;
                      o.replay_threads = 3;
@@ -163,12 +168,14 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                          std::vector<double>(c->num_tables(), 5.0);
                      o.pipeline_depth = DepthOr(o.pipeline_depth);
                      return std::make_unique<AetsReplayer>(c, ch, o);
-                   }});
+                   },
+                   /*columnar=*/true});
   specs.push_back({"tplr", [](const Catalog* c, EpochChannel* ch) {
                      AetsOptions o = TplrBaselineOptions(/*replay_threads=*/3);
                      o.pipeline_depth = DepthOr(o.pipeline_depth);
                      return std::make_unique<AetsReplayer>(c, ch, o);
-                   }});
+                   },
+                   /*columnar=*/true});
   specs.push_back({"atr", [](const Catalog* c, EpochChannel* ch) {
                      AtrOptions o;
                      o.workers = 3;
@@ -187,6 +194,18 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                                                              DepthOr(2));
                    }});
   return specs;
+}
+
+// Projection is on demand, so a columnar replayer whose tables never seed
+// would pass every parity probe vacuously: each sweep must have compared
+// columns at least once per columnar replayer.
+void ExpectColumnsCompared(const std::vector<SimReplayerSpec>& specs,
+                           const std::vector<uint64_t>& compared) {
+  for (size_t k = 0; k < specs.size(); ++k) {
+    if (specs[k].columnar) {
+      EXPECT_GT(compared[k], 0u) << specs[k].label << ": no columnar probe";
+    }
+  }
 }
 
 std::string FailureReport(const char* label, const ScenarioSpec& spec,
@@ -223,31 +242,37 @@ int SweepShards() { return g_shard_count > 0 ? g_shard_count : 1; }
 
 TEST(SimOracleTest, SeededScenariosAllReplayersLockstep) {
   auto specs = AllReplayerSpecs();
+  std::vector<uint64_t> compared(specs.size(), 0);
   for (int i = 0; i < g_sim_iters; ++i) {
     ScenarioSpec spec = sim::GenerateScenario(test::DeriveSeed(1000 + i));
     spec.mode = SimMode::kLockstep;
     spec.shard_count = SweepShards();
-    for (const SimReplayerSpec& rs : specs) {
-      ScenarioResult result = sim::RunScenario(spec, rs.make);
-      ASSERT_TRUE(result.ok()) << FailureReport(rs.label, spec, result);
+    for (size_t k = 0; k < specs.size(); ++k) {
+      ScenarioResult result = sim::RunScenario(spec, specs[k].make);
+      ASSERT_TRUE(result.ok()) << FailureReport(specs[k].label, spec, result);
+      compared[k] += result.column_comparisons;
     }
   }
+  ExpectColumnsCompared(specs, compared);
 }
 
 TEST(SimOracleTest, SeededScenariosAllReplayersConcurrent) {
   // Faulty link + prober threads + (scenario-dependent) live GC. Fewer
   // iterations: each run costs recovery windows and thread churn.
   auto specs = AllReplayerSpecs();
+  std::vector<uint64_t> compared(specs.size(), 0);
   int iters = g_sim_iters / 5 + 1;
   for (int i = 0; i < iters; ++i) {
     ScenarioSpec spec = sim::GenerateScenario(test::DeriveSeed(2000 + i));
     spec.mode = SimMode::kConcurrent;
     spec.shard_count = SweepShards();
-    for (const SimReplayerSpec& rs : specs) {
-      ScenarioResult result = sim::RunScenario(spec, rs.make);
-      ASSERT_TRUE(result.ok()) << FailureReport(rs.label, spec, result);
+    for (size_t k = 0; k < specs.size(); ++k) {
+      ScenarioResult result = sim::RunScenario(spec, specs[k].make);
+      ASSERT_TRUE(result.ok()) << FailureReport(specs[k].label, spec, result);
+      compared[k] += result.column_comparisons;
     }
   }
+  ExpectColumnsCompared(specs, compared);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,20 +287,23 @@ std::vector<int> ShardCounts() {
 
 TEST(ShardedSimOracleTest, SeededScenariosLockstep) {
   auto specs = AllReplayerSpecs();
+  std::vector<uint64_t> compared(specs.size(), 0);
   int iters = g_sim_iters / 5 + 1;
   for (int shards : ShardCounts()) {
     for (int i = 0; i < iters; ++i) {
       ScenarioSpec spec = sim::GenerateScenario(test::DeriveSeed(4000 + i));
       spec.mode = SimMode::kLockstep;
       spec.shard_count = shards;
-      for (const SimReplayerSpec& rs : specs) {
-        ScenarioResult result = sim::RunScenario(spec, rs.make);
+      for (size_t k = 0; k < specs.size(); ++k) {
+        ScenarioResult result = sim::RunScenario(spec, specs[k].make);
         ASSERT_TRUE(result.ok())
             << "shards=" << shards << " "
-            << FailureReport(rs.label, spec, result);
+            << FailureReport(specs[k].label, spec, result);
+        compared[k] += result.column_comparisons;
       }
     }
   }
+  ExpectColumnsCompared(specs, compared);
 }
 
 TEST(ShardedSimOracleTest, ConcurrentUnderAcceptanceFaultMix) {
@@ -283,6 +311,7 @@ TEST(ShardedSimOracleTest, ConcurrentUnderAcceptanceFaultMix) {
   // link (each lane draws its own seeded schedule), probers pinning
   // cross-shard snapshots throughout.
   auto specs = AllReplayerSpecs();
+  std::vector<uint64_t> compared(specs.size(), 0);
   int iters = g_sim_iters / 10 + 1;
   for (int shards : ShardCounts()) {
     for (int i = 0; i < iters; ++i) {
@@ -293,14 +322,16 @@ TEST(ShardedSimOracleTest, ConcurrentUnderAcceptanceFaultMix) {
       spec.faults.duplicate = 0.05;
       spec.faults.reorder = 0.0;
       spec.faults.corrupt = 0.01;
-      for (const SimReplayerSpec& rs : specs) {
-        ScenarioResult result = sim::RunScenario(spec, rs.make);
+      for (size_t k = 0; k < specs.size(); ++k) {
+        ScenarioResult result = sim::RunScenario(spec, specs[k].make);
         ASSERT_TRUE(result.ok())
             << "shards=" << shards << " "
-            << FailureReport(rs.label, spec, result);
+            << FailureReport(specs[k].label, spec, result);
+        compared[k] += result.column_comparisons;
       }
     }
   }
+  ExpectColumnsCompared(specs, compared);
 }
 
 // ---------------------------------------------------------------------------
