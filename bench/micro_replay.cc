@@ -1,11 +1,14 @@
 // Micro-benchmarks for the replay-side hot paths: metadata dispatch, the
 // full-image dispatch C5 pays, epoch encode, the translate stage in both its
-// owning-decode and zero-copy-view forms, and end-to-end single-epoch replay
-// through AETS. Reports allocs/record via the global new counter.
+// owning-decode and zero-copy-view forms, end-to-end single-epoch replay
+// through AETS, and the fixed replay cost of one small epoch. Reports
+// allocs/record via the global new counter.
 
 #include "alloc_counter.h"  // must precede everything: replaces operator new
 
 #include <benchmark/benchmark.h>
+
+#include <time.h>
 
 #include <chrono>
 #include <map>
@@ -252,8 +255,9 @@ void ProjectEveryTable(AetsReplayer* replayer) {
 }
 
 void BM_AetsMultiEpochReplay(benchmark::State& state) {
-  // range(0) = replay threads, range(1) = pipeline depth. Depth 1 is the
-  // unpipelined baseline; the CI bench job compares depth 1 vs 3.
+  // range(0) = replay threads and commit threads, range(1) = pipeline
+  // depth. Depth 1 is the unpipelined baseline; the CI bench job compares
+  // depth 1 vs 3. 1/2 is one replay and one commit thread.
   const MultiEpochFixture& fx = MultiFixture();
   for (auto _ : state) {
     EpochChannel channel(fx.epochs.size() + 1);
@@ -261,6 +265,7 @@ void BM_AetsMultiEpochReplay(benchmark::State& state) {
     channel.Close();
     AetsOptions options;
     options.replay_threads = static_cast<int>(state.range(0));
+    options.commit_threads = static_cast<int>(state.range(0));
     options.pipeline_depth = static_cast<int>(state.range(1));
     options.grouping = GroupingMode::kStatic;
     options.static_hot_groups = fx.tpcc.DefaultHotGroups();
@@ -278,6 +283,7 @@ BENCHMARK(BM_AetsMultiEpochReplay)
     ->Args({4, 1})
     ->Args({4, 2})
     ->Args({4, 3})
+    ->Args({1, 2})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -317,6 +323,105 @@ BENCHMARK(BM_AetsMultiEpochReplayCommitLatency)
     ->Args({4, 3})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Fixed replay cost of one epoch (ROADMAP item 2): an age-sealing shipper
+// cuts epochs of a few transactions each, so whatever one epoch costs
+// regardless of its size is paid at the seal rate. range(0) TPC-C
+// transactions per epoch are fed one epoch at a time into a default
+// AetsReplayer (4 replay + 4 commit threads, depth 2, per-table groups,
+// order_line hot and projected, as a queried backup runs), and the feeder
+// waits until each epoch is visible before it sends the next, so every
+// epoch lands on a parked pipeline the way a live 2 ms seal does. Counters
+// are per epoch: process CPU (every thread, CLOCK_PROCESS_CPUTIME_ID) and
+// the replayer's dispatch / phase-1 translate / phase-2 install split.
+
+struct FixedCostFixture {
+  static constexpr int kNumEpochs = 64;
+
+  explicit FixedCostFixture(size_t epoch_txns)
+      : tpcc(EpochFixture::SmallConfig()) {
+    LogicalClock clock;
+    PrimaryDb db(&tpcc.catalog(), &clock);
+    Rng rng(11);
+    tpcc.Load(&db, &rng);
+    std::vector<TxnLog> txns;
+    db.SetCommitSink([&](TxnLog t) { txns.push_back(std::move(t)); });
+    for (int e = 0; e < kNumEpochs; ++e) {
+      for (size_t i = 0; i < epoch_txns; ++i) {
+        AETS_CHECK(tpcc.RunOltpTransaction(&db, &rng).ok());
+      }
+      Epoch epoch;
+      epoch.epoch_id = static_cast<uint64_t>(e);
+      epoch.txns = std::move(txns);
+      txns = {};
+      epochs.push_back(EncodeEpoch(epoch));
+    }
+  }
+
+  TpccWorkload tpcc;
+  std::vector<ShippedEpoch> epochs;
+};
+
+int64_t ProcessCpuNs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+void BM_EpochFixedCost(benchmark::State& state) {
+  static std::map<int64_t, FixedCostFixture*> fixtures;
+  FixedCostFixture*& slot = fixtures[state.range(0)];
+  if (slot == nullptr) {
+    slot = new FixedCostFixture(static_cast<size_t>(state.range(0)));
+  }
+  const FixedCostFixture& fx = *slot;
+  const TableId order_line = fx.tpcc.orderline();
+  int64_t cpu_ns = 0, dispatch_ns = 0, replay_ns = 0, commit_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    EpochChannel channel(fx.epochs.size() + 1);
+    AetsOptions options;
+    options.initial_rates.assign(fx.tpcc.catalog().num_tables(), 0.0);
+    options.initial_rates[order_line] = 50.0;
+    AetsReplayer replayer(&fx.tpcc.catalog(), &channel, options);
+    replayer.column_store()->Project(order_line);
+    AETS_CHECK(replayer.Start().ok());
+    state.ResumeTiming();
+    const int64_t cpu_start = ProcessCpuNs();
+    for (const ShippedEpoch& shipped : fx.epochs) {
+      channel.Send(shipped);
+      replayer.bell().WaitUntil([&] {
+        return replayer.GlobalVisibleTs() >= shipped.max_commit_ts ||
+               !replayer.error().ok();
+      });
+    }
+    cpu_ns += ProcessCpuNs() - cpu_start;
+    state.PauseTiming();
+    channel.Close();
+    replayer.Stop();
+    AETS_CHECK(replayer.error().ok());
+    dispatch_ns += replayer.stats().dispatch_ns.load();
+    replay_ns += replayer.stats().replay_ns.load();
+    commit_ns += replayer.stats().commit_ns.load();
+    state.ResumeTiming();
+  }
+  const double epochs = static_cast<double>(state.iterations()) *
+                        static_cast<double>(fx.epochs.size());
+  state.counters["cpu_ns/epoch"] = static_cast<double>(cpu_ns) / epochs;
+  state.counters["dispatch_ns"] = static_cast<double>(dispatch_ns) / epochs;
+  state.counters["replay_ns"] = static_cast<double>(replay_ns) / epochs;
+  state.counters["commit_ns"] = static_cast<double>(commit_ns) / epochs;
+  state.SetItemsProcessed(static_cast<int64_t>(epochs));
+}
+BENCHMARK(BM_EpochFixedCost)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // A recorded BusTracker stream split once into per-shard sub-epoch lanes for
 // shard counts 1/2/4 (DESIGN.md §11). The split runs in the fixture so only

@@ -153,12 +153,12 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
     // under the same lock attach takes, so this check cannot miss the cut.
     channel->Close();
   }
-  std::string body;
+  std::string wire;  // reused: one payload copy per epoch, no allocation
   while (auto epoch = channel->Receive()) {
     if (stop_.load(std::memory_order_relaxed)) break;
-    body.clear();
-    EncodeEpochBody(*epoch, &body);
-    Status s = WriteFrame(&socket, FrameType::kEpoch, body, kIoTimeoutMs);
+    wire.clear();
+    EncodeEpochFrame(FrameType::kEpoch, *epoch, &wire);
+    Status s = socket.WriteAll(wire.data(), wire.size(), kIoTimeoutMs);
     if (!s.ok()) {
       // Dead or wedged subscriber. Close the staging channel so the
       // shipper's Sends fail fast (counted as send_failures / dropped —
@@ -212,8 +212,8 @@ void EpochStreamServer::RunControl(TcpSocket socket, FrameDecoder decoder,
         if (!fetch.ok()) return;
         fetches->Add(1);
         if (auto epoch = source->FetchEpoch(fetch->epoch_id)) {
-          EncodeEpochBody(*epoch, &body);
-          s = WriteFrame(&socket, FrameType::kFetchOk, body, kIoTimeoutMs);
+          EncodeEpochFrame(FrameType::kFetchOk, *epoch, &body);
+          s = socket.WriteAll(body.data(), body.size(), kIoTimeoutMs);
         } else {
           EpochIdsBody ids{source->NextEpochId(), source->FloorEpochId()};
           EncodeEpochIdsBody(ids, &body);

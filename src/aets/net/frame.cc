@@ -78,17 +78,43 @@ Status BodyCorruption(const char* what) {
   return Status::Corruption(std::string("malformed ") + what + " frame body");
 }
 
-}  // namespace
-
-void EncodeFrame(FrameType type, std::string_view body, std::string* out) {
+/// Appends a frame header whose length field FinishFrame fills in once the
+/// body is written after it; returns where the header starts.
+size_t BeginFrame(FrameType type, std::string* out) {
   size_t header_at = out->size();
   PutU16(kFrameMagic, out);
   PutU8(kFrameVersion, out);
   PutU8(static_cast<uint8_t>(type), out);
-  PutU32(static_cast<uint32_t>(body.size()), out);
-  out->append(body);
+  PutU32(0, out);
+  return header_at;
+}
+
+void FinishFrame(size_t header_at, std::string* out) {
+  const auto body_len = static_cast<uint32_t>(out->size() - header_at -
+                                              kFrameHeaderBytes);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[header_at + 4 + static_cast<size_t>(i)] =
+        static_cast<char>(body_len >> (8 * i));
+  }
   uint32_t crc = Crc32c(out->data() + header_at, out->size() - header_at);
   PutU32(crc, out);
+}
+
+}  // namespace
+
+void EncodeFrame(FrameType type, std::string_view body, std::string* out) {
+  size_t header_at = BeginFrame(type, out);
+  out->append(body);
+  FinishFrame(header_at, out);
+}
+
+void EncodeEpochFrame(FrameType type, const ShippedEpoch& epoch,
+                      std::string* out) {
+  out->reserve(out->size() + kFrameHeaderBytes + kEpochBodyHeaderBytes +
+               epoch.ByteSize() + kFrameTrailerBytes);
+  size_t header_at = BeginFrame(type, out);
+  EncodeEpochBody(epoch, out);
+  FinishFrame(header_at, out);
 }
 
 void FrameDecoder::Feed(const void* data, size_t n) {

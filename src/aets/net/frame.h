@@ -60,6 +60,12 @@ struct Frame {
 /// Appends the framed encoding of (type, body) to *out.
 void EncodeFrame(FrameType type, std::string_view body, std::string* out);
 
+/// Appends the same bytes as EncodeFrame(type, EncodeEpochBody(epoch)),
+/// but encodes the body in place: the payload is copied once, straight into
+/// *out. A sender that reuses *out across epochs allocates nothing.
+void EncodeEpochFrame(FrameType type, const ShippedEpoch& epoch,
+                      std::string* out);
+
 /// Incremental frame parser: Feed() raw bytes as they arrive, then call
 /// Next() until it yields nullopt (need more bytes). Corruption is sticky —
 /// after a bad frame every Next() fails until Reset(), because a framed

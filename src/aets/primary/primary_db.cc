@@ -33,7 +33,7 @@ void PrimaryDb::SetCommitSink(std::function<void(TxnLog)> sink) {
   sink_ = std::move(sink);
 }
 
-Result<TxnLog> PrimaryDb::Commit(PrimaryTxn&& txn) {
+Result<CommitInfo> PrimaryDb::Commit(PrimaryTxn&& txn) {
   if (txn.writes_.empty()) {
     return Status::InvalidArgument("empty transaction");
   }
@@ -82,13 +82,13 @@ Result<TxnLog> PrimaryDb::Commit(PrimaryTxn&& txn) {
       LogRecord::Commit(next_lsn_.fetch_add(1), txn_id, commit_ts));
 
   last_commit_ts_.store(commit_ts, std::memory_order_release);
-  if (sink_) sink_(out);
+  if (sink_) sink_(std::move(out));
 
   txns_metric->Add(1);
   writes_metric->Add(txn.writes_.size());
   commit_ts_metric->Set(static_cast<int64_t>(commit_ts));
   commit_us_metric->Record(MonotonicMicros() - start_us);
-  return out;
+  return CommitInfo{txn_id, commit_ts};
 }
 
 std::map<TableId, uint64_t> PrimaryDb::DmlCountsByTable() const {

@@ -40,6 +40,13 @@ class PrimaryTxn {
   std::vector<Write> writes_;
 };
 
+/// What PrimaryDb::Commit returns: the identity the commit was assigned.
+/// The transaction's log is not part of it — it goes to the commit sink.
+struct CommitInfo {
+  TxnId txn_id = kInvalidTxnId;
+  Timestamp commit_ts = kInvalidTimestamp;
+};
+
 /// The primary-node OLTP engine. It stands in for the MySQL primary of the
 /// paper's testbed: it executes read-write transactions against its own
 /// MVCC TableStore, assigns monotonically increasing transaction IDs that
@@ -57,9 +64,12 @@ class PrimaryDb {
   PrimaryTxn Begin() const { return PrimaryTxn(); }
 
   /// Commits `txn`: assigns txn id + commit timestamp, applies the writes to
-  /// the primary state, counts them per table, and forwards the TxnLog to the
-  /// commit sink. Empty transactions are rejected.
-  Result<TxnLog> Commit(PrimaryTxn&& txn);
+  /// the primary state, counts them per table, and moves the TxnLog into the
+  /// commit sink — the log exists once and is never copied; without a sink
+  /// it is dropped. Returns only the assigned id and timestamp, so a caller
+  /// that wants the records installs a sink. Empty transactions are
+  /// rejected.
+  Result<CommitInfo> Commit(PrimaryTxn&& txn);
 
   /// Registers the commit-order consumer (at most one; typically the
   /// LogShipper). Must be set before the first commit that should ship.

@@ -44,8 +44,10 @@ struct AetsOptions {
 
   /// Total replay worker threads (T in Section IV-B).
   int replay_threads = 4;
-  /// Committer pool size; each group's commit runs on one thread, groups
-  /// commit in parallel up to this bound. 1 models a single commit thread.
+  /// Group commits in parallel at most; each group's commit runs on one
+  /// thread. The commit context counts as one of them (it claims a stage's
+  /// groups alongside the pool), so the pool holds commit_threads - 1
+  /// workers. 1 models a single commit thread.
   int commit_threads = 4;
   /// Cross-epoch pipeline depth (DESIGN.md §9): how many epochs may sit
   /// between dispatch/translation and commit at once. 1 reproduces the fully
@@ -197,14 +199,13 @@ class AetsReplayer : public ReplayerBase {
   };
 
   /// Everything PrepareEpoch hands across the pipeline to CommitEpoch. Its
-  /// destructor quiesces this epoch's translate tasks, so a dropped
-  /// (post-error-latch) item can never leave a worker touching freed state.
+  /// destructor parks on the work bell until every translate job launched
+  /// for this epoch returned, so neither a dropped (post-error-latch) item
+  /// nor a committed one whose jobs found nothing left to claim can leave
+  /// a worker touching freed state.
   struct PreparedAets : PreparedEpoch {
     explicit PreparedAets(WatermarkBell* bell) : work_bell(bell) {}
     ~PreparedAets() override;
-    /// Parks on the replayer's work bell until every translate task
-    /// launched for this epoch returned.
-    void WaitTranslationDrained();
 
     WatermarkBell* work_bell;
     std::shared_ptr<const GroupingSnapshot> grouping;
@@ -216,6 +217,12 @@ class AetsReplayer : public ReplayerBase {
     /// Groups that received no log entries this epoch; their tables publish
     /// max_commit_ts only after the epoch commits cleanly.
     std::vector<int> quiet_groups;
+    /// Phase-1 tasks, each the groups one replay worker translates in
+    /// order: hot stage first, then cold. Complete before the first submit;
+    /// replay jobs claim them through next_task.
+    std::vector<std::vector<int>> tasks;
+    std::atomic<size_t> next_task{0};
+    /// Replay jobs launched for this epoch that have not returned.
     std::atomic<int> outstanding_translate{0};
     int64_t apply_start_us = 0;
   };
@@ -226,11 +233,13 @@ class AetsReplayer : public ReplayerBase {
   bool DispatchEpoch(const ShippedEpoch& epoch,
                      const GroupingSnapshot& grouping,
                      std::vector<GroupEpochState>* gstate);
-  /// Plans the stage's thread allocation and submits its phase-1 translate
-  /// tasks to the replay pool (asynchronously — the commit stage, possibly
-  /// epochs later, synchronizes on the per-fragment translated flags).
-  void LaunchTranslate(PreparedAets* prep,
-                       const std::vector<int>& member_groups);
+  /// Plans the stage's thread allocation and appends its phase-1 translate
+  /// tasks to prep->tasks.
+  void PlanTranslate(PreparedAets* prep, const std::vector<int>& member_groups);
+  /// Hands the planned translate tasks to the replay pool
+  /// (asynchronously — the commit stage, possibly epochs later,
+  /// synchronizes on the per-fragment translated flags).
+  void LaunchTranslate(PreparedAets* prep);
   /// Runs the stage's phase-2 group commits and waits for them to finish.
   void CommitStage(PreparedAets* prep, const std::vector<int>& member_groups);
   void TranslateGroup(const std::string& payload, GroupEpochState* gs);
@@ -258,6 +267,7 @@ class AetsReplayer : public ReplayerBase {
   std::vector<int> last_alloc_;
 
   std::unique_ptr<ThreadPool> replay_pool_;
+  /// commit_threads - 1 workers; null at commit_threads = 1.
   std::unique_ptr<ThreadPool> commit_pool_;
 };
 

@@ -135,7 +135,7 @@ class LogShipper : public EpochSource {
   /// The default age bound of the sealer thread: long enough that an
   /// epoch still batches a few transactions at OLTP rates, short enough
   /// that the fill wait no longer dominates the commit-to-visible lag.
-  static constexpr int64_t kDefaultMaxEpochAgeUs = 4'000;
+  static constexpr int64_t kDefaultMaxEpochAgeUs = 2'000;
 
   /// Starts the sealer thread. It seals and ships the open epoch once it is
   /// `max_epoch_age_us` old (0: only the size trigger seals), and ships a

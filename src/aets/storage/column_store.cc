@@ -441,28 +441,31 @@ void ColumnStore::Publish(Timestamp watermark) {
   }
 }
 
-void ColumnStore::Project(TableId table) const {
+bool ColumnStore::Project(TableId table) const {
   AETS_CHECK(table < tables_.size());
   TableState& st = *tables_[table];
   {
     std::lock_guard<std::mutex> lk(st.mu);
-    if (st.projected) return;
+    if (st.projected) return false;
     st.projected = true;
   }
   tables_projected_.fetch_add(1, std::memory_order_acq_rel);
   if (on_project_) on_project_();
+  return true;
 }
 
 ColumnSnapshot ColumnStore::SnapshotAt(TableId table, Timestamp qts) const {
   static obs::Counter* row_fallbacks = obs::GetCounter("column.row_fallbacks");
   ColumnSnapshot snap;
   if (table >= tables_.size() || qts == kInvalidTimestamp) return snap;
-  Project(table);
+  // The projecting call falls back even if the merge thread it just woke
+  // seeded the table already, so a table's first query always reads rows.
+  const bool first_query = Project(table);
   TableState& st = *tables_[table];
   std::lock_guard<std::mutex> lk(st.mu);
   size_t gi = st.gens.size();
   while (gi > 0 && st.gens[gi - 1]->chunk_ts > qts) --gi;
-  if (gi == 0) {
+  if (first_query || gi == 0) {
     // The seed has not landed yet (the table's first queries), or qts
     // predates every retained generation: the caller takes the ~200x slower
     // row path. Counted, so retention too short for the pinned snapshots

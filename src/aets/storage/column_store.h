@@ -189,13 +189,14 @@ class ColumnStore {
   /// installed and noted.
   void Publish(Timestamp watermark);
 
-  /// Marks `table` projected (idempotent); the first call counts in
-  /// column.tables_projected and runs `on_project`. SnapshotAt calls it;
+  /// Marks `table` projected (idempotent) and returns true on the call that
+  /// projected it; that call counts in column.tables_projected and runs
+  /// `on_project`. SnapshotAt calls it;
   /// callers that need columns before their first query (a backup that
   /// stops replaying before it is queried) call it up front. Const because
   /// demand is not part of the projection's contents: a query holding a
   /// const store is what creates it.
-  void Project(TableId table) const;
+  bool Project(TableId table) const;
 
   /// True once any table is projected: until then Publish has nothing to do.
   bool AnyProjected() const {
@@ -205,8 +206,9 @@ class ColumnStore {
   /// The query-side entry point; see ColumnSnapshot. Projects `table`.
   /// Returns an invalid snapshot (caller falls back to the row path) when
   /// no retained generation has chunk_ts <= qts — which includes every
-  /// query before the table's seed lands; each fallback counts in
-  /// column.row_fallbacks.
+  /// query before the table's seed lands, and always the call that
+  /// projects the table, however fast the merge thread seeds it; each
+  /// fallback counts in column.row_fallbacks.
   ColumnSnapshot SnapshotAt(TableId table, Timestamp qts) const;
 
   /// chunk_ts of `table`'s newest generation, or kInvalidTimestamp (also

@@ -288,6 +288,28 @@ TEST(FrameCodecTest, EncodersMatchGoldenBytes) {
   EXPECT_EQ(Hex(body), kGoldenQueryReplyBody);
 }
 
+TEST(FrameCodecTest, InPlaceEpochFrameMatchesFramedBody) {
+  // The stream server frames epochs in place into one reused buffer; the
+  // bytes must equal framing the separately encoded body, and a reused
+  // buffer must carry no trace of the previous frame.
+  std::string wire;
+  for (const ShippedEpoch& epoch :
+       {GoldenDataEpoch(), MakeHeartbeatEpoch(6, 1234), GoldenDataEpoch()}) {
+    std::string body;
+    EncodeEpochBody(epoch, &body);
+    std::string expected;
+    EncodeFrame(FrameType::kEpoch, body, &expected);
+    wire.clear();
+    EncodeEpochFrame(FrameType::kEpoch, epoch, &wire);
+    EXPECT_EQ(Hex(wire), Hex(expected));
+    FrameDecoder decoder;
+    decoder.Feed(wire.data(), wire.size());
+    auto frame = decoder.Next();
+    ASSERT_TRUE(frame.ok() && frame->has_value());
+    EXPECT_EQ((*frame)->body, body);
+  }
+}
+
 TEST(FrameCodecTest, ControlAndQueryBodiesRoundTrip) {
   for (HelloRole role : {HelloRole::kSubscribe, HelloRole::kControl}) {
     std::string body;

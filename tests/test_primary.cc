@@ -45,13 +45,18 @@ TEST_F(PrimaryTest, CommitAssignsMonotonicIdsAndTimestamps) {
 
 TEST_F(PrimaryTest, TxnLogIsBeginDmlCommit) {
   PrimaryDb db(&catalog_, &clock_);
+  std::vector<TxnLog> sunk;
+  db.SetCommitSink([&](TxnLog txn) { sunk.push_back(std::move(txn)); });
   PrimaryTxn txn = db.Begin();
   txn.Insert(t0_, 1, {{0, Value(int64_t{1})}});
   txn.Update(t1_, 2, {{0, Value(int64_t{2})}});
   txn.Delete(t0_, 3);
   auto result = db.Commit(std::move(txn));
   ASSERT_TRUE(result.ok());
-  const auto& records = result->records;
+  ASSERT_EQ(sunk.size(), 1u);
+  EXPECT_EQ(sunk[0].txn_id, result->txn_id);
+  EXPECT_EQ(sunk[0].commit_ts, result->commit_ts);
+  const auto& records = sunk[0].records;
   ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records.front().type, LogRecordType::kBegin);
   EXPECT_EQ(records[1].type, LogRecordType::kInsert);
@@ -70,13 +75,16 @@ TEST_F(PrimaryTest, TxnLogIsBeginDmlCommit) {
 
 TEST_F(PrimaryTest, BeforeImageChainIsWellFormed) {
   PrimaryDb db(&catalog_, &clock_);
+  std::vector<TxnLog> sunk;
+  db.SetCommitSink([&](TxnLog txn) { sunk.push_back(std::move(txn)); });
   TxnId writer = kInvalidTxnId;
   for (int i = 0; i < 5; ++i) {
     PrimaryTxn txn = db.Begin();
     txn.Update(t0_, 77, {{0, Value(static_cast<int64_t>(i))}});
     auto result = db.Commit(std::move(txn));
     ASSERT_TRUE(result.ok());
-    const LogRecord& dml = result->records[1];
+    ASSERT_EQ(sunk.size(), static_cast<size_t>(i + 1));
+    const LogRecord& dml = sunk.back().records[1];
     EXPECT_EQ(dml.prev_txn_id, writer);
     EXPECT_EQ(dml.row_seq, static_cast<uint64_t>(i));
     writer = result->txn_id;

@@ -777,6 +777,122 @@ TEST(PipelineTest, QuietTableWatermarkFrozenByStageFailure) {
   }
 }
 
+// One transaction at `commit_ts` writing rows `key` and `key + 1` into each
+// of `tables`. The second row of `poison_table` carries `marker`, so
+// corrupting it fails that group's fragment after its first record already
+// translated.
+TxnLog MultiTableTxn(const std::vector<TableId>& tables, Timestamp commit_ts,
+                     int64_t key, TableId poison_table,
+                     const std::string& marker) {
+  TxnLog txn;
+  txn.txn_id = commit_ts;
+  txn.commit_ts = commit_ts;
+  uint64_t lsn = commit_ts * 100;
+  txn.records.push_back(LogRecord::Begin(lsn++, txn.txn_id, commit_ts));
+  for (TableId t : tables) {
+    for (int64_t k : {key, key + 1}) {
+      std::string text =
+          t == poison_table && k == key + 1 ? marker : "row" + std::to_string(k);
+      txn.records.push_back(LogRecord::Dml(
+          LogRecordType::kInsert, lsn++, txn.txn_id, commit_ts, t, k,
+          {{0, Value(static_cast<int64_t>(commit_ts))}, {1, Value(text)}}));
+    }
+  }
+  txn.records.push_back(LogRecord::Commit(lsn, txn.txn_id, commit_ts));
+  return txn;
+}
+
+TEST(PipelineTest, StageFailureInlineOrPooledGroupPublishesNothing) {
+  // Table 0 is the one-group hot stage, which the commit context commits
+  // itself; tables 1-3 form a multi-group cold stage whose groups the
+  // commit context and the commit pool's jobs claim; table 4 stays quiet.
+  // Epoch 0 commits cleanly at ts 10. Epoch 1 (ts 20) carries a corrupt
+  // record in one group — once in the hot group, once in a cold group. In
+  // both cases the poisoned fragment's first row (translated before the
+  // corrupt one) is never installed, the poisoned group's and the quiet
+  // table's watermarks stay at 10, and the epoch publishes nothing: no
+  // global watermark, no epoch count, no column generation.
+  constexpr int kTables = 5;
+  const std::vector<TableId> written = {0, 1, 2, 3};
+  const std::string marker = "stagepoisonmarker";
+  struct Case {
+    const char* name;
+    TableId poison;
+  };
+  for (const Case& c : {Case{"commit-context group", 0},
+                        Case{"multi-group stage, first group", 1},
+                        Case{"multi-group stage, last group", 3}}) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+    EpochChannel channel(8);
+    AetsOptions options;
+    options.replay_threads = 2;
+    options.commit_threads = 3;
+    options.grouping = GroupingMode::kStatic;
+    options.static_hot_groups = {{0}};
+    AetsReplayer replayer(catalog.get(), &channel, options);
+    replayer.column_store()->Project(c.poison);
+    ASSERT_TRUE(replayer.Start().ok());
+
+    Epoch clean;
+    clean.epoch_id = 0;
+    clean.txns.push_back(MultiTableTxn(written, 10, /*key=*/1,
+                                       /*poison_table=*/kTables, marker));
+    channel.Send(EncodeEpoch(clean));
+    // The latch is sticky across the pipeline: let epoch 0 publish before
+    // epoch 1's translation can trip it.
+    replayer.bell().WaitUntil([&] { return replayer.GlobalVisibleTs() >= 10; });
+    Epoch bad;
+    bad.epoch_id = 1;
+    bad.txns.push_back(MultiTableTxn(written, 20, /*key=*/5, c.poison, marker));
+    ShippedEpoch shipped = EncodeEpoch(bad);
+    CorruptValueBytes(&shipped, marker);
+    channel.Send(shipped);
+    channel.Close();
+    replayer.Stop();
+
+    EXPECT_TRUE(replayer.error().IsCorruption()) << replayer.error().ToString();
+    const Memtable* poisoned = replayer.store()->GetTable(c.poison);
+    EXPECT_TRUE(poisoned->ReadRow(1, 10).has_value());  // epoch 0 landed
+    EXPECT_FALSE(poisoned->ReadRow(5, 1000).has_value());
+    EXPECT_FALSE(poisoned->ReadRow(6, 1000).has_value());
+    EXPECT_EQ(replayer.TableVisibleTs(c.poison), 10u);
+    EXPECT_EQ(replayer.TableVisibleTs(4), 10u);  // quiet table
+    EXPECT_EQ(replayer.GlobalVisibleTs(), 10u);
+    EXPECT_EQ(replayer.stats().epochs.load(), 1u);
+    EXPECT_EQ(replayer.stats().txns.load(), 1u);
+    EXPECT_EQ(replayer.column_store()->PublishedTs(c.poison), 10u);
+  }
+}
+
+TEST(PipelineTest, SingleCommitThreadReplaysToPrimaryDigest) {
+  // commit_threads = 1 leaves the commit context without a pool: it
+  // commits every group of every stage itself, in turn.
+  constexpr int kTables = 6;
+  for (int replay_threads : {1, 3}) {
+    SCOPED_TRACE(replay_threads);
+    std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+    Pipeline pipeline(catalog.get(), /*epoch_size=*/8);
+    AetsOptions options;
+    options.replay_threads = replay_threads;
+    options.commit_threads = 1;
+    options.grouping = GroupingMode::kPerTable;
+    options.initial_rates = RatesForTables(kTables);
+    AetsReplayer replayer(catalog.get(), pipeline.AddChannel(), options);
+    ASSERT_TRUE(replayer.Start().ok());
+    RunRandomWorkload(&pipeline.db, kTables, /*num_txns=*/300,
+                      test::DeriveSeed(83));
+    pipeline.shipper.Finish();
+    replayer.Stop();
+    Timestamp final_ts = pipeline.db.last_commit_ts();
+    ASSERT_TRUE(replayer.error().ok()) << replayer.error().ToString();
+    EXPECT_EQ(replayer.GlobalVisibleTs(), final_ts);
+    EXPECT_EQ(replayer.store()->DigestAt(final_ts),
+              pipeline.db.store().DigestAt(final_ts));
+    EXPECT_EQ(replayer.stats().txns.load(), 300u);
+  }
+}
+
 // A NACK source that misses every fetch until released, then serves
 // `epochs` by id: a gap the replayer can only wait out.
 class HeldSource : public EpochSource {
