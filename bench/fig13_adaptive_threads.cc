@@ -118,8 +118,7 @@ void Run() {
       spec.rate_provider = [estimate] { return estimate; };
 
       CatchUpOptions options;
-      options.pace_on_global = true;  // measure within-epoch publication order
-      options.lead_txns = 128;        // half an epoch of freshness demand
+      options.lead_txns = 128;  // half an epoch of freshness demand
       options.queries = queries_per_slot;
       double phase = static_cast<double>(slot % config.rate_period_slots) /
                      config.rate_period_slots;

@@ -73,6 +73,7 @@
 //   $ ./replica client --connect 127.0.0.1:9yyy
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -338,10 +339,13 @@ int RunMode(const Config& cfg, bool paced) {
 
   // Disk budget: the shipper's trigger marks the over-budget lane; the
   // driver consumes the mark at one deterministic point per txn (below), so
-  // paced and unpaced runs checkpoint and truncate at identical epochs.
+  // paced and unpaced runs checkpoint and truncate at identical epochs. A
+  // mark is level-held until consumed, so a slow driver never misses one.
+  std::vector<std::atomic<bool>> checkpoint_wanted(static_cast<size_t>(n));
   if (cfg.disk_budget > 0) {
     shipper.SetCheckpointTrigger([&](int shard, EpochId, uint64_t) {
-      Lane(backup.get(), shard)->RequestCheckpoint();
+      checkpoint_wanted[static_cast<size_t>(shard)].store(
+          true, std::memory_order_release);
     });
   }
 
@@ -391,7 +395,7 @@ int RunMode(const Config& cfg, bool paced) {
     harvest();  // the epochs below a new floor leave the disk now
     AetsReplayer* lane = Lane(backup.get(), s);
     const EpochId floor = lane->next_expected_epoch();
-    st = lane->WriteLiveCheckpoint(CheckpointPathFor(LaneDir(cfg, s), floor));
+    st = lane->WriteCheckpoint(CheckpointPathFor(LaneDir(cfg, s), floor));
     if (st.ok() && cfg.disk_budget > 0) st = stores[s]->TruncateBelow(floor);
     if (!st.ok()) return st;
     PruneCheckpoints(LaneDir(cfg, s), kKeepCkpts, stores[s]->first_epoch());
@@ -424,7 +428,8 @@ int RunMode(const Config& cfg, bool paced) {
       // deterministic txn index, so the reference stream must incur the same
       // extra flush. Without a budget only the paced run writes images.
       bool due = cfg.disk_budget > 0
-                     ? Lane(backup.get(), s)->TakeCheckpointRequest()
+                     ? checkpoint_wanted[static_cast<size_t>(s)].exchange(
+                           false, std::memory_order_acq_rel)
                      : paced && i % kCkptEvery == 0;
       if (due) failed = checkpoint(s, i);
     }
@@ -486,8 +491,8 @@ int RecoverMode(const Config& cfg) {
   if (!OpenStores(cfg, &stores)) return 2;
 
   // The channel is already closed, so Start() + Stop() drives the normal
-  // FinalDrain: every epoch in [restart point, next_epoch) is fetched from
-  // disk and replayed through the regular two-stage loop.
+  // gap-filling loop: every epoch in [restart point, next_epoch) is fetched
+  // from disk and replayed through the regular two-stage loop.
   EpochChannel closed_channel;
   closed_channel.Close();
   std::vector<std::unique_ptr<AetsReplayer>> lanes;
@@ -533,6 +538,13 @@ int RecoverMode(const Config& cfg) {
   if (!backup) return 2;
   backup->Stop();
 
+  // A kill can land between two lanes' appends of one epoch, leaving their
+  // logs at different lengths. The digest is taken at the last data epoch
+  // every lane holds: past it, a shorter lane has not replayed its part.
+  EpochId common_end = stores[0]->next_epoch();
+  for (int s = 1; s < n; ++s) {
+    common_end = std::min(common_end, stores[s]->next_epoch());
+  }
   EpochId last_data = 0;
   Timestamp last_ts = kInvalidTimestamp;
   EpochId floor = stores[0]->first_epoch();
@@ -585,7 +597,7 @@ int RecoverMode(const Config& cfg) {
         }
         head = std::max(head, epoch->max_commit_ts);
       }
-      if (!epoch->is_heartbeat()) {
+      if (!epoch->is_heartbeat() && id < common_end) {
         last_data = std::max(last_data, id);
         last_ts = std::max(last_ts, epoch->max_commit_ts);
       }

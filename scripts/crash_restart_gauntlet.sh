@@ -83,6 +83,7 @@ kill_and_recover() {
 total_fetches=0
 for seed in $SEEDS; do
   ref="$WORK/ref-$seed.txt"
+  rm -rf "$WORK/ref-$seed"
   "$BIN" digest --dir "$WORK/ref-$seed" --seed "$seed" --txns "$TXNS" > "$ref" \
       || fail "seed $seed: reference run failed"
   full_ms=$(time_run "$seed")
@@ -152,6 +153,7 @@ kill_after_trunc_and_recover() {
 BUDGET=${BUDGET:-1200000}
 seed=31
 ref="$WORK/ref-budget-$seed.txt"
+rm -rf "$WORK/ref-budget-$seed"
 "$BIN" digest --dir "$WORK/ref-budget-$seed" --seed "$seed" --txns "$TXNS" \
     --disk_budget "$BUDGET" > "$ref" \
     || fail "budget reference run failed"
@@ -165,6 +167,7 @@ echo "gauntlet: truncated-log recovery passed" >&2
 # kill after every shard truncated at least once.
 seed=37
 ref="$WORK/ref-shbudget-$seed.txt"
+rm -rf "$WORK/ref-shbudget-$seed"
 "$BIN" digest --dir "$WORK/ref-shbudget-$seed" --seed "$seed" --txns "$TXNS" \
     --shard_count 2 --disk_budget 700000 > "$ref" \
     || fail "sharded budget reference run failed"
@@ -177,6 +180,7 @@ echo "gauntlet: sharded truncated-log recovery passed" >&2
 if [ "$CHAOS" = "--chaos" ]; then
   seed=101
   ref="$WORK/ref-$seed.txt"
+  rm -rf "$WORK/ref-$seed"
   "$BIN" digest --dir "$WORK/ref-$seed" --seed "$seed" --txns "$TXNS" > "$ref" \
       || fail "chaos: reference run failed"
 

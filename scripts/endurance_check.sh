@@ -29,6 +29,7 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 
 # --- Reference soak: uninterrupted digest run under the budget. -------------
 ref="$WORK/ref.txt"
+rm -rf "$WORK/ref-dir"
 "$BIN" digest --dir "$WORK/ref-dir" --seed "$SEED" --txns "$TXNS" \
     --disk_budget "$BUDGET" > "$ref" \
     || fail "reference endurance run failed"

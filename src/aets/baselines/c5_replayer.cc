@@ -33,8 +33,7 @@ Status C5Replayer::StartWorkers() {
   if (options_.workers <= 0) {
     return Status::InvalidArgument("workers must be positive");
   }
-  pool_ = std::make_unique<ThreadPool>(
-      options_.workers, /*max_queue=*/static_cast<size_t>(options_.workers) * 2);
+  pool_ = std::make_unique<ThreadPool>(options_.workers);
   return Status::OK();
 }
 

@@ -337,7 +337,6 @@ LiveRunResult RunLive(
   OlapDriver::Options olap_options;
   olap_options.num_queries = options.olap_queries;
   olap_options.think_us = options.think_us;
-  olap_options.phase_fn = options.phase_fn;
   olap_options.seed = options.seed ^ 0xABCD;
   OlapDriver olap(workload.get(), replayer.get(), &clock, olap_options);
   olap.Run();
@@ -401,23 +400,10 @@ CatchUpResult RunCatchUp(const RecordedLog& log, Workload* workload,
       double phase = options.phase_fn ? options.phase_fn() : progress;
       size_t qi = workload->SampleQuery(&rng, phase);
       const AnalyticQuery& query = workload->analytic_queries()[qi];
-      // The query demands data `lead_txns` fresher than the pacing frontier
-      // — its delay is how long its tables' groups take to publish that
-      // snapshot.
-      Timestamp base;
-      if (options.pace_on_global) {
-        base = replayer->GlobalVisibleTs();
-      } else {
-        Timestamp min_tg = kInvalidTimestamp;
-        bool first = true;
-        for (TableId t : query.tables) {
-          Timestamp ts = replayer->TableVisibleTs(t);
-          min_tg = first ? ts : std::min(min_tg, ts);
-          first = false;
-        }
-        base = std::max(min_tg, replayer->GlobalVisibleTs());
-      }
-      base = std::max(lo, base);
+      // The query demands data `lead_txns` fresher than the global
+      // watermark — its delay is how long its tables' groups take to
+      // publish that snapshot.
+      Timestamp base = std::max(lo, replayer->GlobalVisibleTs());
       Timestamp qts = std::min(hi, base + options.lead_txns);
       int64_t waited = WaitVisible(*replayer, query.tables, qts);
       delays.Record(waited);
@@ -426,10 +412,6 @@ CatchUpResult RunCatchUp(const RecordedLog& log, Workload* workload,
       // Touch a row per table at the snapshot (the MVCC read path).
       for (TableId t : query.tables) {
         (void)replayer->store()->GetTable(t)->ReadRow(1, qts);
-      }
-      if (options.think_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options.think_us));
       }
     }
   });

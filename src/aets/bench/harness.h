@@ -160,7 +160,6 @@ struct LiveRunOptions {
   size_t epoch_size = 256;
   uint64_t seed = 7;
   int64_t think_us = 0;
-  std::function<double()> phase_fn;  // for time-varying workloads
   int64_t heartbeat_interval_us = 5'000;
   /// The shipper's age bound (0 = only the size trigger seals an epoch).
   int64_t max_epoch_age_us = LogShipper::kDefaultMaxEpochAgeUs;
@@ -201,18 +200,12 @@ struct CatchUpOptions {
   /// real-time query asks for data the backup has not replayed yet). The
   /// delay is how long Algorithm 3 blocks until the query's tables publish
   /// that snapshot — hot-prioritized replay answers hot queries early.
+  /// Pacing on the global watermark asks for a fixed fresh point:
+  /// prioritized replay publishes it on hot groups after only the hot share
+  /// of the backlog — the paper's Fig. 1 effect. Queries form a continuous
+  /// stream, so every query immediately demands the next `lead_txns` of
+  /// freshness.
   uint64_t lead_txns = 256;
-  /// What the freshness demand is relative to. Pacing on the global
-  /// watermark (default) asks for a fixed fresh point: prioritized replay
-  /// publishes it on hot groups after only the hot share of the backlog —
-  /// the paper's Fig. 1 effect. Pacing on the query's own tables instead
-  /// measures per-group advance rates (and self-defeats for prioritized
-  /// groups: the fresher the group, the more freshness gets demanded).
-  bool pace_on_global = true;
-  /// Optional pause between queries (0 = a continuous query stream, which
-  /// gives the most stable relative signal: every query immediately demands
-  /// the next `lead_txns` of freshness).
-  int64_t think_us = 0;
   /// Called once per query, in issue order, before sampling the template;
   /// returns the workload phase in [0,1). Defaults to drain progress.
   std::function<double()> phase_fn;

@@ -54,42 +54,9 @@ inline void StoreMaxTimestamp(std::atomic<Timestamp>& slot, Timestamp ts) {
   }
 }
 
-/// Seam for the monotonic wall clock. Production code never sees this: the
-/// default source reads std::chrono::steady_clock. The deterministic
-/// simulation harness (aets/sim) installs a virtual source so every
-/// MonotonicMicros/MonotonicNanos reading — stats wall times, channel wait
-/// histograms, GC pauses — is a pure function of the simulated schedule
-/// instead of host timing.
-class ClockSource {
- public:
-  virtual ~ClockSource() = default;
-  virtual int64_t NowNanos() const = 0;
-};
-
-namespace internal {
-/// The installed override, or nullptr for the real clock. One relaxed load
-/// on the hot path; only tests ever store to it.
-inline std::atomic<const ClockSource*> g_clock_source{nullptr};
-}  // namespace internal
-
-/// Installs `source` as the process-wide monotonic clock (nullptr restores
-/// the real clock). Returns the previous source. Not for concurrent use
-/// against itself — install before spawning the threads under test.
-inline const ClockSource* InstallClockSource(const ClockSource* source) {
-  return internal::g_clock_source.exchange(source, std::memory_order_acq_rel);
-}
-
-inline const ClockSource* InstalledClockSource() {
-  return internal::g_clock_source.load(std::memory_order_acquire);
-}
-
-/// Wall-clock helpers (steady clock, unless a ClockSource override is
-/// installed) used for measuring visibility delay and phase breakdowns.
+/// Wall-clock helpers (steady clock) used for measuring visibility delay and
+/// phase breakdowns.
 inline int64_t MonotonicNanos() {
-  if (const ClockSource* src =
-          internal::g_clock_source.load(std::memory_order_acquire)) {
-    return src->NowNanos();
-  }
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();

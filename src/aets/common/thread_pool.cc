@@ -1,13 +1,10 @@
 #include "aets/common/thread_pool.h"
 
-#include <chrono>
-
 #include "aets/common/macros.h"
 
 namespace aets {
 
-ThreadPool::ThreadPool(int num_threads, size_t max_queue)
-    : max_queue_(max_queue) {
+ThreadPool::ThreadPool(int num_threads) {
   AETS_CHECK(num_threads > 0);
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
@@ -24,51 +21,16 @@ void ThreadPool::Shutdown() {
     shutdown_ = true;
   }
   task_ready_.notify_all();
-  space_.notify_all();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
 }
 
-void ThreadPool::EnqueueLocked(std::function<void()>&& task) {
-  tasks_.push_back(std::move(task));
-}
-
 bool ThreadPool::Submit(std::function<void()> task) {
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!shutdown_ && !HasSpaceLocked()) {
-      submit_stalls_.fetch_add(1, std::memory_order_relaxed);
-      space_.wait(lk, [&] { return shutdown_ || HasSpaceLocked(); });
-    }
-    if (shutdown_) return false;
-    EnqueueLocked(std::move(task));
-  }
-  task_ready_.notify_one();
-  return true;
-}
-
-bool ThreadPool::TrySubmit(std::function<void()> task) {
-  {
     std::lock_guard<std::mutex> lk(mu_);
-    if (shutdown_ || !HasSpaceLocked()) return false;
-    EnqueueLocked(std::move(task));
-  }
-  task_ready_.notify_one();
-  return true;
-}
-
-bool ThreadPool::SubmitFor(std::function<void()> task, int64_t timeout_us) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!shutdown_ && !HasSpaceLocked()) {
-      submit_stalls_.fetch_add(1, std::memory_order_relaxed);
-      bool ok = space_.wait_for(lk, std::chrono::microseconds(timeout_us),
-                                [&] { return shutdown_ || HasSpaceLocked(); });
-      if (!ok) return false;  // timed out with a full queue
-    }
     if (shutdown_) return false;
-    EnqueueLocked(std::move(task));
+    tasks_.push_back(std::move(task));
   }
   task_ready_.notify_one();
   return true;
@@ -90,7 +52,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop_front();
       ++in_flight_;
     }
-    space_.notify_one();
     task();
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -98,29 +59,6 @@ void ThreadPool::WorkerLoop() {
       if (tasks_.empty() && in_flight_ == 0) idle_.notify_all();
     }
   }
-}
-
-void ParallelFor(int num_threads, int n, const std::function<void(int)>& fn) {
-  AETS_CHECK(num_threads > 0);
-  if (n <= 0) return;
-  if (num_threads == 1 || n == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  std::vector<std::thread> threads;
-  int workers = std::min(num_threads, n);
-  threads.reserve(static_cast<size_t>(workers));
-  for (int t = 0; t < workers; ++t) {
-    threads.emplace_back([&] {
-      for (;;) {
-        int i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
 }
 
 }  // namespace aets

@@ -1,9 +1,7 @@
 #ifndef AETS_COMMON_THREAD_POOL_H_
 #define AETS_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -12,41 +10,27 @@
 
 namespace aets {
 
-/// Fixed-size worker pool with a shared task queue and a barrier-style
+/// Fixed-size worker pool with an unbounded task queue and a barrier-style
 /// `WaitIdle()`. Replay stages submit a batch of tasks and wait for the stage
-/// to drain; predictors use it for data-parallel training loops.
-///
-/// The submit queue may be bounded (`max_queue > 0`), in which case `Submit`
-/// blocks the producer until a worker frees a slot — this is the backpressure
-/// that lets a slow commit stage throttle upstream translation instead of
-/// growing an unbounded deque. `TrySubmit` and `SubmitFor` are the
-/// non-blocking / deadline-bounded variants.
+/// to drain. The queue needs no bound: every caller submits at most a few
+/// tasks per worker per epoch, and the replayer's pipeline queue is what
+/// throttles the prepare stage.
 ///
 /// Shutdown semantics: `Shutdown()` (also run by the destructor) drains tasks
-/// already accepted, then stops the workers. Any `Submit`/`TrySubmit`/
-/// `SubmitFor` that races with or follows shutdown is a documented no-op that
-/// returns false — the task is never silently enqueued into a dying pool.
+/// already accepted, then stops the workers. A `Submit` that races with or
+/// follows shutdown is a documented no-op that returns false — the task is
+/// never silently enqueued into a dying pool.
 class ThreadPool {
  public:
-  /// `max_queue == 0` means unbounded (submits never block on capacity).
-  explicit ThreadPool(int num_threads, size_t max_queue = 0);
+  explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task, blocking while the bounded queue is full. Returns true
-  /// once the task is accepted; returns false (task dropped, never run) if
-  /// the pool is shut down before a slot frees up.
+  /// Enqueues a task. Returns false (task dropped, never run) once the pool
+  /// is shut down.
   bool Submit(std::function<void()> task);
-
-  /// Enqueues a task only if a queue slot is free right now. Returns false on
-  /// a full queue or a shut-down pool; the task is never run in that case.
-  bool TrySubmit(std::function<void()> task);
-
-  /// Like `Submit` but gives up after `timeout_us` microseconds of waiting
-  /// for a free slot. Returns false on timeout or shutdown.
-  bool SubmitFor(std::function<void()> task, int64_t timeout_us);
 
   /// Blocks until every accepted task has finished executing.
   void WaitIdle();
@@ -56,36 +40,18 @@ class ThreadPool {
   void Shutdown();
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
-  size_t max_queue() const { return max_queue_; }
-
-  /// Producers observed blocking on a full queue (backpressure events).
-  uint64_t submit_stalls() const {
-    return submit_stalls_.load(std::memory_order_relaxed);
-  }
 
  private:
   void WorkerLoop();
-  // Pre: `lk` holds mu_. Enqueues and wakes a worker.
-  void EnqueueLocked(std::function<void()>&& task);
-  bool HasSpaceLocked() const {
-    return max_queue_ == 0 || tasks_.size() < max_queue_;
-  }
 
-  const size_t max_queue_;
   std::mutex mu_;
   std::condition_variable task_ready_;
   std::condition_variable idle_;
-  std::condition_variable space_;
   std::deque<std::function<void()>> tasks_;
   int in_flight_ = 0;
   bool shutdown_ = false;
-  std::atomic<uint64_t> submit_stalls_{0};
   std::vector<std::thread> threads_;
 };
-
-/// Runs `fn(i)` for i in [0, n) across `num_threads` workers created on the
-/// spot, then joins. Convenience for one-shot parallel sections.
-void ParallelFor(int num_threads, int n, const std::function<void(int)>& fn);
 
 }  // namespace aets
 

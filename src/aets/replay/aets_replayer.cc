@@ -9,6 +9,10 @@
 
 namespace aets {
 
+// Minimum predicted access rate for a table to count as hot (filters
+// predictor noise on unqueried tables).
+constexpr double kHotRateThreshold = 0.5;
+
 AetsReplayer::PreparedAets::~PreparedAets() {
   work_bell->WaitUntil([this] {
     return outstanding_translate.load(std::memory_order_acquire) == 0;
@@ -43,19 +47,14 @@ Status AetsReplayer::StartWorkers() {
   if (options_.replay_threads <= 0 || options_.commit_threads <= 0) {
     return Status::InvalidArgument("thread counts must be positive");
   }
-  // Bounded queues: the pipeline depth already caps how many epochs feed the
-  // pools, so these bounds are a backstop sized to the worst-case task count
-  // per in-flight epoch — hitting one blocks the producer (backpressure)
-  // instead of growing an unbounded deque.
-  size_t depth = static_cast<size_t>(std::max(1, pipeline_depth()));
-  size_t replay_cap = depth * static_cast<size_t>(options_.replay_threads + 1);
-  replay_pool_ =
-      std::make_unique<ThreadPool>(options_.replay_threads, replay_cap);
+  // At most replay_threads translate jobs per epoch, for at most
+  // pipeline_depth + 1 epochs in flight, reach the replay pool; the pipeline
+  // queue, not a pool queue bound, is what throttles the prepare stage.
+  replay_pool_ = std::make_unique<ThreadPool>(options_.replay_threads);
   // The commit context claims a stage's groups alongside the pool (see
   // CommitStage), so the pool holds the other commit_threads - 1.
   if (options_.commit_threads > 1) {
-    commit_pool_ = std::make_unique<ThreadPool>(options_.commit_threads - 1,
-                                                /*max_queue=*/1024);
+    commit_pool_ = std::make_unique<ThreadPool>(options_.commit_threads - 1);
   }
   return Status::OK();
 }
@@ -105,11 +104,6 @@ Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
 }
 
 Status AetsReplayer::WriteCheckpoint(const std::string& path) const {
-  if (started()) return Status::InvalidArgument("WriteCheckpoint while running");
-  return Checkpointer::Write(store_, global_ts_.load(), expected_epoch_, path);
-}
-
-Status AetsReplayer::WriteLiveCheckpoint(const std::string& path) const {
   // Read the epoch cursor before the watermark: if an epoch slips in
   // between the two loads, the image claims an older next-epoch than the
   // rows it holds could support — and re-replaying an epoch is idempotent
@@ -118,7 +112,7 @@ Status AetsReplayer::WriteLiveCheckpoint(const std::string& path) const {
   EpochId next_epoch = next_expected_epoch();
   Timestamp watermark = global_ts_.load(std::memory_order_acquire);
   if (watermark == kInvalidTimestamp) {
-    return Status::InvalidArgument("live checkpoint before any watermark");
+    return Status::InvalidArgument("checkpoint before any watermark");
   }
   return Checkpointer::Write(store_, watermark, next_epoch, path);
 }
@@ -154,7 +148,7 @@ void AetsReplayer::RefreshRates() {
       for (TableId t : g.tables) g.access_rate += current_rates_[t];
       if (options_.grouping != GroupingMode::kStatic &&
           options_.grouping != GroupingMode::kSingle) {
-        g.hot = g.access_rate >= options_.hot_rate_threshold;
+        g.hot = g.access_rate >= kHotRateThreshold;
       }
     }
     std::lock_guard<std::mutex> lk(groups_mu_);
@@ -166,11 +160,11 @@ void AetsReplayer::RebuildGroups(const std::vector<double>& rates) {
   auto next = std::make_shared<GroupingSnapshot>();
   switch (options_.grouping) {
     case GroupingMode::kPerTable:
-      next->groups = TableGrouping::PerTable(rates, options_.hot_rate_threshold);
+      next->groups = TableGrouping::PerTable(rates, kHotRateThreshold);
       break;
     case GroupingMode::kByAccessRate:
       next->groups = TableGrouping::ByAccessRate(rates, options_.dbscan_eps,
-                                                 options_.hot_rate_threshold);
+                                                 kHotRateThreshold);
       break;
     case GroupingMode::kStatic:
       next->groups = TableGrouping::Static(options_.static_hot_groups, rates,
@@ -391,8 +385,6 @@ void AetsReplayer::LaunchTranslate(PreparedAets* prep) {
   // the prepared state's outstanding_translate counter keeps the gstate
   // alive until every job returned. The ring after the decrement touches
   // only replayer memory: the drained epoch's state may already be freed.
-  // A full replay queue blocks right here, throttling the prepare stage
-  // (bounded-queue backpressure).
   const size_t jobs = std::min(prep->tasks.size(),
                                static_cast<size_t>(options_.replay_threads));
   prep->outstanding_translate.store(static_cast<int>(jobs),

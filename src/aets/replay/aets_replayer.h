@@ -70,9 +70,6 @@ struct AetsOptions {
   std::vector<std::vector<TableId>> static_hot_groups;
   /// DBSCAN neighbor radius in log10(rate) space for kByAccessRate.
   double dbscan_eps = 0.3;
-  /// Minimum predicted access rate for a table to count as hot (filters
-  /// predictor noise on unqueried tables).
-  double hot_rate_threshold = 0.5;
 
   /// Called at each epoch start for the predicted per-table access rates
   /// (the Table Access Rate Predictor feeding component 2 of Fig. 3). When
@@ -131,20 +128,15 @@ class AetsReplayer : public ReplayerBase {
   /// before Start(), on a fresh replayer.
   Status Bootstrap(const std::string& checkpoint_path);
 
-  /// Writes a checkpoint of the current backup state at the global
-  /// watermark. Only valid while stopped (quiesced) — checkpoint a backup
-  /// after Stop(), or bootstrap-chain across process restarts.
+  /// Writes a checkpoint of the backup state at the global watermark, with
+  /// the epoch cursor as the image's next epoch id. Callable stopped or
+  /// running; a running backup must be quiescent at the moment of the call
+  /// (the channel drained and the watermark caught up to the primary: flush
+  /// an epoch, then wait on GlobalVisibleTs()). The MVCC scan at the
+  /// published watermark is always consistent — the risk of calling this
+  /// mid-apply is only that the image lands at an older watermark than
+  /// intended, never that it is torn. Fails before any watermark exists.
   Status WriteCheckpoint(const std::string& path) const;
-
-  /// Same image, but callable while the replayer is running. The CALLER
-  /// must guarantee quiescence at the moment of the call: the channel
-  /// drained and the watermark caught up to the primary (flush an epoch,
-  /// then poll GlobalVisibleTs()). The MVCC scan at the published watermark
-  /// is always consistent — the risk of calling this mid-apply is only that
-  /// the image lands at an older watermark than intended, never that it is
-  /// torn. The durable-replay tool uses this for periodic checkpoints
-  /// between epochs.
-  Status WriteLiveCheckpoint(const std::string& path) const;
 
  protected:
   Status StartWorkers() override;

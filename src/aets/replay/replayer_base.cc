@@ -275,29 +275,31 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
   }
 }
 
-void ReplayerBase::RecoverGaps(PendingMap* pending) {
-  // Invariant here: pending is non-empty, so some epoch beyond
-  // expected_epoch_ arrived — the shipper definitely assigned (and
-  // retained or evicted) every id up to it. source_ is non-null, because
-  // Ingest latches instead of parking without one.
+void ReplayerBase::FillGaps(PendingMap* pending, EpochId end) {
+  // source_ is non-null past the loop test: Ingest latches instead of
+  // parking without one, and MainLoop passes a non-zero `end` only with one.
   int rounds_without_progress = 0;
-  while (!pending->empty() && !HasError()) {
+  while (!HasError() && (!pending->empty() || expected_epoch_ < end)) {
     EpochId gap = expected_epoch_;
-    // Reorder window: the missing epoch may be queued right behind what we
-    // already pulled (or held back by the link). Wait on the channel before
-    // NACKing. The window also bounds how long a queued backlog is ingested
-    // into the pending buffer before the gap is NACKed.
-    const auto deadline = std::chrono::steady_clock::now() + kReorderWindow;
-    while (std::chrono::steady_clock::now() < deadline) {
-      auto epoch = channel_->ReceiveUntil(deadline);
-      if (!epoch) break;
-      Ingest(std::move(*epoch), pending, false);
-      if (pending->empty() || HasError()) return;
-      if (expected_epoch_ > gap) break;
-    }
-    if (expected_epoch_ > gap) {
-      rounds_without_progress = 0;
-      continue;
+    // Reorder window: once an epoch beyond the gap is parked, the missing one
+    // may be queued right behind it (or held back by the link), so wait on
+    // the channel before NACKing. After a missed round the same wait is the
+    // pause before the next NACK; a closed, drained channel waits it out.
+    // The window also bounds how long a queued backlog is ingested into the
+    // pending buffer before the gap is NACKed.
+    if (!pending->empty() || rounds_without_progress > 0) {
+      const auto deadline = std::chrono::steady_clock::now() + kReorderWindow;
+      while (expected_epoch_ == gap && !HasError() &&
+             std::chrono::steady_clock::now() < deadline) {
+        auto epoch = channel_->ReceiveUntil(deadline);
+        if (!epoch) break;
+        Ingest(std::move(*epoch), pending, false);
+      }
+      if (HasError()) return;
+      if (expected_epoch_ > gap) {
+        rounds_without_progress = 0;
+        continue;
+      }
     }
     // NACK: re-fetch the gap head from the shipper's retention buffer.
     bool fetch_missed = false;
@@ -321,8 +323,8 @@ void ReplayerBase::RecoverGaps(PendingMap* pending) {
       // A miss is not proof of loss: over a socket source the same nullopt
       // also covers a timed-out NACK RPC, and latching on the first one
       // would poison the replayer on a transient stall. Burn a retry round
-      // (the reorder window above is the pause) and only conclude eviction
-      // once the budget is spent.
+      // (the next round's reorder window is the pause) and only conclude
+      // eviction once the budget is spent.
       fetch_missed = true;
     }
     if (++rounds_without_progress >= recovery_.max_retries) {
@@ -342,64 +344,6 @@ void ReplayerBase::RecoverGaps(PendingMap* pending) {
   }
 }
 
-void ReplayerBase::FinalDrain(PendingMap* pending) {
-  if (source_ == nullptr) {
-    // Unreachable in practice: without a source Ingest latches on the first
-    // out-of-order id, so nothing is ever parked. Kept as a backstop.
-    if (!pending->empty()) {
-      SetError(Status::Corruption(
-          "channel closed with an epoch gap at " +
-          std::to_string(expected_epoch_) + " (no retransmission source)"));
-    }
-    return;
-  }
-  // The channel is closed and drained, so the shipper has finished: every id
-  // in [0, end) was handed to the link, and anything we have not applied was
-  // swallowed by it. Pull the remainder straight from retention. As in
-  // RecoverGaps, a fetch miss is retried after a reorder-window pause before
-  // it is treated as eviction — over a socket source nullopt also covers a
-  // transient timeout on the NACK RPC.
-  EpochId end = source_->NextEpochId();
-  int fetch_misses = 0;
-  while (!HasError() && expected_epoch_ < end) {
-    auto it = pending->find(expected_epoch_);
-    if (it != pending->end()) {
-      ShippedEpoch epoch = std::move(it->second);
-      pending->erase(it);
-      Ingest(std::move(epoch), pending, false);
-      fetch_misses = 0;
-      continue;
-    }
-    if (auto epoch = source_->FetchEpoch(expected_epoch_)) {
-      Ingest(std::move(*epoch), pending, true);
-      fetch_misses = 0;
-      continue;
-    }
-    if (expected_epoch_ < source_->FloorEpochId()) {
-      SetError(Status::BelowCheckpoint(
-          "epoch " + std::to_string(expected_epoch_) +
-          " is below the durable log's truncation floor " +
-          std::to_string(source_->FloorEpochId()) +
-          "; a checkpoint image covers it — bootstrap from that image"));
-      return;
-    }
-    if (++fetch_misses >= recovery_.max_retries) {
-      SetError(Status::Corruption(
-          "epoch " + std::to_string(expected_epoch_) +
-          " lost in transit and evicted from the shipper's retention buffer "
-          "(" + std::to_string(recovery_.max_retries) +
-          " NACK attempts); re-bootstrap from a checkpoint"));
-      return;
-    }
-    // The channel is closed and drained, so this parks on its condition
-    // variable for one full window: nothing can arrive to end it early.
-    if (auto epoch = channel_->ReceiveUntil(std::chrono::steady_clock::now() +
-                                            kReorderWindow)) {
-      Ingest(std::move(*epoch), pending, false);
-    }
-  }
-}
-
 void ReplayerBase::MainLoop() {
   PendingMap pending;
   while (auto epoch = channel_->Receive()) {
@@ -409,9 +353,15 @@ void ReplayerBase::MainLoop() {
     // watermark moves.
     if (HasError()) continue;
     Ingest(std::move(*epoch), &pending, false);
-    if (!pending.empty() && !HasError()) RecoverGaps(&pending);
+    FillGaps(&pending, /*end=*/0);
   }
-  if (!HasError()) FinalDrain(&pending);
+  // The channel is closed and drained, so the shipper has finished: every id
+  // below its NextEpochId() was handed to the link, and whatever is still
+  // unapplied was swallowed by it. Pull the remainder straight from
+  // retention through the same loop.
+  if (source_ != nullptr && !HasError()) {
+    FillGaps(&pending, source_->NextEpochId());
+  }
   if (pipeline_depth_ > 1) {
     {
       std::lock_guard<std::mutex> lk(pipe_mu_);

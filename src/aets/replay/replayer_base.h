@@ -143,20 +143,6 @@ class ReplayerBase : public Replayer {
     return expected_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Disk-budget plumbing: the shipper's CheckpointTrigger (or any other
-  /// observer) marks this backup as needing a checkpoint; the driver that
-  /// owns the checkpoint cadence consumes the mark with
-  /// TakeCheckpointRequest, quiesces, writes the image, and truncates the
-  /// durable log. A latched request is level-held (re-requesting is
-  /// idempotent) so a slow driver never misses it. Thread-safe.
-  void RequestCheckpoint() {
-    checkpoint_requested_.store(true, std::memory_order_release);
-  }
-  /// Returns true exactly once per pending request, clearing it.
-  bool TakeCheckpointRequest() {
-    return checkpoint_requested_.exchange(false, std::memory_order_acq_rel);
-  }
-
  protected:
   /// Opaque per-epoch state carried from PrepareEpoch to CommitEpoch.
   /// Destroying it must quiesce anything the prepare phase left in flight
@@ -258,12 +244,12 @@ class ReplayerBase : public Replayer {
   /// Commit-thread body at pipeline_depth > 1: pops the queue FIFO until it
   /// is closed and drained.
   void CommitLoop();
-  /// Closes the gap at expected_epoch_ while the channel is live: bounded
-  /// reorder wait, then NACK via the EpochSource, then the error latch.
-  void RecoverGaps(PendingMap* pending);
-  /// After the channel closed: drain parked epochs and NACK-fetch whatever
-  /// the link swallowed up to the source's NextEpochId().
-  void FinalDrain(PendingMap* pending);
+  /// Fills the gap at expected_epoch_ until no epoch is parked and every id
+  /// below `end` is applied: a bounded reorder wait on the channel, then a
+  /// NACK via the EpochSource, then the error latch once max_retries rounds
+  /// pass without progress. MainLoop calls it with end = 0 while the channel
+  /// is live, and with the source's NextEpochId() once it has closed.
+  void FillGaps(PendingMap* pending, EpochId end);
 
   std::string name_;
 
@@ -318,8 +304,6 @@ class ReplayerBase : public Replayer {
   mutable std::mutex error_mu_;
   Status error_;
   std::atomic<bool> error_flag_{false};
-
-  std::atomic<bool> checkpoint_requested_{false};
 };
 
 }  // namespace aets

@@ -16,9 +16,10 @@ namespace aets {
 /// EpochSource view of a SegmentStore: the restart-recovery path. After a
 /// crash, a fresh replayer bootstraps from the newest valid checkpoint and
 /// then replays the durable segment tail through its normal main loop —
-/// Start() against an already-closed channel drives FinalDrain, which pulls
-/// every epoch in [expected, NextEpochId()) from this source exactly as if
-/// they were NACK retransmits. No recovery-only replay code path exists.
+/// Start() against an already-closed channel drives the gap-filling loop,
+/// which pulls every epoch in [expected, NextEpochId()) from this source
+/// exactly as if they were NACK retransmits. No recovery-only replay code
+/// path exists.
 ///
 /// Also usable as a live shipper's fallback: see
 /// LogShipper::AttachSegmentStore, which folds the same disk fetch into its

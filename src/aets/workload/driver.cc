@@ -40,8 +40,7 @@ void OlapDriver::Run() {
       std::vector<Histogram>(workload_->analytic_queries().size());
   Rng rng(options_.seed);
   for (uint64_t i = 0; i < options_.num_queries; ++i) {
-    double phase = options_.phase_fn ? options_.phase_fn() : 0.0;
-    size_t qi = workload_->SampleQuery(&rng, phase);
+    size_t qi = workload_->SampleQuery(&rng, /*phase=*/0.0);
     const AnalyticQuery& query = workload_->analytic_queries()[qi];
 
     // Real-time query: snapshot at the primary's latest timestamp, then wait

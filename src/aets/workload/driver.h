@@ -2,7 +2,6 @@
 #define AETS_WORKLOAD_DRIVER_H_
 
 #include <atomic>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -51,8 +50,6 @@ class OlapDriver {
     uint64_t num_queries = 1000;
     /// Pause between queries (microseconds of think time, 0 = none).
     int64_t think_us = 0;
-    /// Phase supplier in [0,1) for time-varying workloads; null = 0.
-    std::function<double()> phase_fn;
     /// Optional access tracker to feed.
     AccessTracker* tracker = nullptr;
     /// Read a sample row after visibility (exercises the MVCC read path).

@@ -575,21 +575,30 @@ TEST(RecoveryTest, EvictedEpochIsACleanTerminalError) {
   auto epochs = RecordWorkload(&db, &shipper, kTables, 200, test::DeriveSeed(51));
   ASSERT_GT(epochs.size(), 8u);
 
-  EpochChannel channel(0);
-  for (size_t i = 1; i < epochs.size(); ++i) {  // epoch 0 lost forever
-    ASSERT_TRUE(channel.Send(epochs[i]));
+  // A lost head is NACKed while later epochs sit parked; a lost tail is
+  // NACKed after the channel closed, with nothing parked. Retention holds
+  // only the last two epochs, so the third-from-last is already evicted.
+  const size_t n = epochs.size();
+  for (bool lose_tail : {false, true}) {
+    SCOPED_TRACE(lose_tail ? "epochs n-3.. lost" : "epoch 0 lost");
+    EpochChannel channel(0);
+    for (size_t i = lose_tail ? 0 : 1; i < (lose_tail ? n - 3 : n); ++i) {
+      ASSERT_TRUE(channel.Send(epochs[i]));
+    }
+    channel.Close();
+
+    SerialReplayer replayer(catalog.get(), &channel);
+    replayer.SetEpochSource(&shipper);
+    replayer.SetRecoveryOptions(FastRecovery());
+    ASSERT_TRUE(replayer.Start().ok());
+    replayer.Stop();
+
+    EXPECT_TRUE(replayer.error().IsCorruption())
+        << replayer.error().ToString();
+    EXPECT_NE(replayer.error().ToString().find("evicted"), std::string::npos)
+        << replayer.error().ToString();
+    EXPECT_EQ(replayer.next_expected_epoch(), lose_tail ? n - 3 : 0u);
   }
-  channel.Close();
-
-  SerialReplayer replayer(catalog.get(), &channel);
-  replayer.SetEpochSource(&shipper);
-  replayer.SetRecoveryOptions(FastRecovery());
-  ASSERT_TRUE(replayer.Start().ok());
-  replayer.Stop();
-
-  EXPECT_TRUE(replayer.error().IsCorruption()) << replayer.error().ToString();
-  EXPECT_NE(replayer.error().ToString().find("evicted"), std::string::npos)
-      << replayer.error().ToString();
 }
 
 TEST(RecoveryTest, NackBelowTruncationFloorIsBelowCheckpointNotLoss) {
@@ -617,29 +626,41 @@ TEST(RecoveryTest, NackBelowTruncationFloorIsBelowCheckpointNotLoss) {
   auto epochs = RecordWorkload(&db, &shipper, kTables, 200, test::DeriveSeed(51));
   ASSERT_GT(epochs.size(), 8u);
 
-  // Truncate under (simulated) checkpoint coverage: epoch 0 leaves the disk.
+  // Truncate under (simulated) checkpoint coverage: every epoch below the
+  // active segment leaves the disk.
   ASSERT_TRUE((*store)->TruncateBelow((*store)->next_epoch()).ok());
-  ASSERT_GT((*store)->first_epoch(), 0u);
-  EXPECT_EQ(shipper.FloorEpochId(), (*store)->first_epoch());
+  const size_t floor = static_cast<size_t>((*store)->first_epoch());
+  EXPECT_EQ(shipper.FloorEpochId(), floor);
+  // The lost tail starts below both the floor and retention (the last two
+  // epochs), so its head is gone from RAM and from disk.
+  const size_t lost_from = std::min(floor, epochs.size() - 2) - 1;
+  ASSERT_GT(lost_from, 0u);
 
-  EpochChannel channel(0);
-  for (size_t i = 1; i < epochs.size(); ++i) {  // epoch 0 NACKs a hole
-    ASSERT_TRUE(channel.Send(epochs[i]));
+  // A lost head is NACKed while later epochs sit parked; a lost tail is
+  // NACKed after the channel closed, with nothing parked.
+  for (bool lose_tail : {false, true}) {
+    SCOPED_TRACE(lose_tail ? "tail lost" : "epoch 0 lost");
+    EpochChannel channel(0);
+    for (size_t i = lose_tail ? 0 : 1;
+         i < (lose_tail ? lost_from : epochs.size()); ++i) {
+      ASSERT_TRUE(channel.Send(epochs[i]));
+    }
+    channel.Close();
+
+    SerialReplayer replayer(catalog.get(), &channel);
+    replayer.SetEpochSource(&shipper);
+    replayer.SetRecoveryOptions(FastRecovery());
+    ASSERT_TRUE(replayer.Start().ok());
+    replayer.Stop();
+
+    EXPECT_TRUE(replayer.error().IsBelowCheckpoint())
+        << replayer.error().ToString();
+    EXPECT_FALSE(replayer.error().IsCorruption());
+    EXPECT_NE(replayer.error().ToString().find("truncation floor"),
+              std::string::npos)
+        << replayer.error().ToString();
+    EXPECT_EQ(replayer.next_expected_epoch(), lose_tail ? lost_from : 0u);
   }
-  channel.Close();
-
-  SerialReplayer replayer(catalog.get(), &channel);
-  replayer.SetEpochSource(&shipper);
-  replayer.SetRecoveryOptions(FastRecovery());
-  ASSERT_TRUE(replayer.Start().ok());
-  replayer.Stop();
-
-  EXPECT_TRUE(replayer.error().IsBelowCheckpoint())
-      << replayer.error().ToString();
-  EXPECT_FALSE(replayer.error().IsCorruption());
-  EXPECT_NE(replayer.error().ToString().find("truncation floor"),
-            std::string::npos)
-      << replayer.error().ToString();
   std::filesystem::remove_all(dir);
 }
 
@@ -900,7 +921,7 @@ TEST(CrashRestartTest, DurableRecoveryFromSegmentTailIsExact) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     ASSERT_TRUE(live.error().ok()) << live.error().ToString();
-    ASSERT_TRUE(live.WriteLiveCheckpoint(
+    ASSERT_TRUE(live.WriteCheckpoint(
                         CheckpointPathFor(dir, live.next_expected_epoch()))
                     .ok());
 

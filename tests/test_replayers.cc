@@ -442,9 +442,9 @@ TEST(RecoveryTest, TransientNackTimeoutOnHeartbeatDoesNotPoisonReplayer) {
             scenario.pipeline->db.store().DigestAt(final_ts));
 }
 
-TEST(RecoveryTest, TransientNackTimeoutInFinalDrainDoesNotPoisonReplayer) {
-  // The link swallows the LAST epoch, so recovery happens in the post-close
-  // final drain; the one timed-out fetch must be retried there too.
+TEST(RecoveryTest, TransientNackTimeoutAfterCloseDoesNotPoisonReplayer) {
+  // The link swallows the LAST epoch, so recovery happens after the channel
+  // closed; the one timed-out fetch must be retried there too.
   NackScenario scenario(test::DeriveSeed(79));
   ASSERT_GT(scenario.epochs.size(), 2u);
 

@@ -27,7 +27,6 @@
 #include "aets/sim/oracle.h"
 #include "aets/sim/reference_model.h"
 #include "aets/sim/scenario.h"
-#include "aets/sim/sim_clock.h"
 #include "test_seed.h"
 
 static int g_sim_iters = 50;
@@ -48,64 +47,6 @@ namespace {
 using sim::ScenarioResult;
 using sim::ScenarioSpec;
 using sim::SimMode;
-
-// ---------------------------------------------------------------------------
-// Virtual time: SimClock behind the common/clock.h seam.
-
-TEST(SimClockTest, InstalledClockDrivesMonotonicTime) {
-  sim::SimClock clock(/*start_ns=*/5'000'000'000);
-  {
-    sim::ScopedSimClock scoped(&clock);
-    EXPECT_EQ(MonotonicNanos(), 5'000'000'000);
-    EXPECT_EQ(MonotonicMicros(), 5'000'000);
-    clock.AdvanceMicros(250);
-    EXPECT_EQ(MonotonicMicros(), 5'000'250);
-    // Virtual time is frozen: repeated reads see the same instant.
-    EXPECT_EQ(MonotonicNanos(), MonotonicNanos());
-  }
-  // Restored: real time moves again and is far from the simulated origin.
-  EXPECT_NE(MonotonicNanos(), 5'000'250'000);
-}
-
-TEST(SimClockTest, AdvanceToNeverMovesBackwards) {
-  sim::SimClock clock(1000);
-  clock.AdvanceToNanos(500);
-  EXPECT_EQ(clock.NowNanos(), 1000);
-  clock.AdvanceToNanos(2000);
-  EXPECT_EQ(clock.NowNanos(), 2000);
-}
-
-TEST(SimScheduleTest, TranscriptIsAFunctionOfTheSeed) {
-  auto run = [](uint64_t seed) {
-    sim::SimClock clock;
-    sim::SimSchedule sched(&clock, seed);
-    int heartbeat_fires = 0;
-    int gc_fires = 0;
-    // Jittered heartbeat / GC / watermark timers — the background cadences
-    // of the real system, interleaved deterministically.
-    sched.AddTimer("heartbeat", 50'000, 0.2, [&] { ++heartbeat_fires; });
-    sched.AddTimer("gc", 100'000, 0.4, [&] { ++gc_fires; });
-    sched.AddTimer("watermark", 500, 0.1, [] {});
-    sched.RunUntilMicros(clock.NowMicros() + 1'000'000);
-    return std::make_pair(sched.transcript(), heartbeat_fires + gc_fires);
-  };
-  uint64_t seed = test::DeriveSeed(1);
-  auto first = run(seed);
-  auto second = run(seed);
-  EXPECT_EQ(first.first, second.first);
-  EXPECT_EQ(first.second, second.second);
-  EXPECT_GT(first.first.size(), 100u);  // the fast timer dominates
-}
-
-TEST(SimScheduleTest, TiesBreakByRegistrationOrder) {
-  sim::SimClock clock;
-  sim::SimSchedule sched(&clock, /*seed=*/7);
-  sched.AddTimer("a", 100, 0.0, [] {});
-  sched.AddTimer("b", 100, 0.0, [] {});
-  sched.Step(4);
-  EXPECT_EQ(sched.transcript(),
-            (std::vector<std::string>{"a", "b", "a", "b"}));
-}
 
 // ---------------------------------------------------------------------------
 // The replayer factories under test (same shapes as the chaos suite).
