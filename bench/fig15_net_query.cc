@@ -4,10 +4,11 @@
 // across a real TCP hop.
 //
 // One process, two real localhost TCP paths:
-//   primary thread -> LogShipper -> EpochStreamServer ==tcp==> client ->
-//   SerialReplayer (with a TCP NACK source), and N QueryClient threads
-//   ==tcp==> QueryServer on the backup, each issuing back-to-back snapshot
-//   scans until the writer finishes. Reports per-client-count rows:
+//   primary thread -> LogShipper -> EpochStreamServer ==tcp==> a one-lane
+//   BackupNode (subscriber, AETS replayer, TCP NACK source), and N
+//   QueryClient threads ==tcp==> the node's QueryServer, each issuing
+//   back-to-back snapshot scans until the writer finishes. Reports
+//   per-client-count rows:
 //
 //   clients  queries     qps   p50_us   p95_us   p99_us  busy  replay_ktps
 //
@@ -24,14 +25,12 @@
 #include <thread>
 #include <vector>
 
-#include "aets/baselines/serial_replayer.h"
 #include "aets/bench/harness.h"
 #include "aets/common/histogram.h"
 #include "aets/net/epoch_stream.h"
 #include "aets/net/query_server.h"
-#include "aets/net/tcp_source.h"
+#include "aets/node/backup_node.h"
 #include "aets/primary/primary_db.h"
-#include "aets/replay/snapshot_coordinator.h"
 #include "aets/replication/log_shipper.h"
 
 namespace aets {
@@ -69,28 +68,15 @@ RunResult RunOnce(int clients, uint64_t txns, uint64_t seed) {
 
   net::EpochStreamServer stream_server(&shipper);
   AETS_CHECK(stream_server.Start(0).ok());
-  EpochChannel sink(8192);
-  net::EpochStreamClient stream_client("127.0.0.1", stream_server.port(), 0,
-                                       &sink);
-  net::TcpEpochSource source("127.0.0.1", stream_server.port(), 0);
-  AETS_CHECK(stream_client.Start().ok());
-  AETS_CHECK(source.Connect().ok());
-
-  SerialReplayer replayer(&catalog, &sink);
-  replayer.SetEpochSource(&source);
-  ReplayRecoveryOptions recovery;
-  recovery.max_retries = 64;
-  recovery.max_pending = 65536;
-  replayer.SetRecoveryOptions(recovery);
-  AETS_CHECK(replayer.Start().ok());
-
-  GlobalSnapshotCoordinator coordinator;
-  coordinator.AttachShard([&] { return replayer.GlobalVisibleTs(); });
+  auto started = BackupNode::Connect(&catalog, BackupNodeOptions{},
+                                     "127.0.0.1", stream_server.port());
+  AETS_CHECK_MSG(started.ok(), started.status().ToString().c_str());
+  std::unique_ptr<BackupNode> node = std::move(started).value();
   net::QueryServerOptions qopts;
   qopts.max_sessions = clients;
   qopts.admission_queue = static_cast<size_t>(clients);
-  net::QueryServer query_server(&replayer, &coordinator, qopts);
-  AETS_CHECK(query_server.Start(0).ok());
+  AETS_CHECK(node->ServeQueries(0, qopts).ok());
+  const uint16_t query_port = node->query_port();
 
   // Closed loop: each client thread holds one connection and issues
   // back-to-back scans until the writer is done.
@@ -103,7 +89,7 @@ RunResult RunOnce(int clients, uint64_t txns, uint64_t seed) {
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       Rng rng(seed + static_cast<uint64_t>(c));
-      auto client = net::QueryClient::Connect("127.0.0.1", query_server.port());
+      auto client = net::QueryClient::Connect("127.0.0.1", query_port);
       if (!client.ok()) {
         errors[static_cast<size_t>(c)] += 1;
         return;
@@ -117,13 +103,13 @@ RunResult RunOnce(int clients, uint64_t txns, uint64_t seed) {
           // Counted, then the loop retries on a fresh connection — in the
           // closed loop the only expected failure is teardown racing Stop.
           errors[static_cast<size_t>(c)] += 1;
-          client = net::QueryClient::Connect("127.0.0.1", query_server.port());
+          client = net::QueryClient::Connect("127.0.0.1", query_port);
           if (!client.ok()) return;
           continue;
         }
         if (scan->busy) {
           busy[static_cast<size_t>(c)] += 1;
-          client = net::QueryClient::Connect("127.0.0.1", query_server.port());
+          client = net::QueryClient::Connect("127.0.0.1", query_port);
           if (!client.ok()) return;
           continue;
         }
@@ -153,13 +139,12 @@ RunResult RunOnce(int clients, uint64_t txns, uint64_t seed) {
 
   done.store(true, std::memory_order_release);
   for (auto& thread : threads) thread.join();
-  replayer.Stop();
-  AETS_CHECK(replayer.error().ok());
+  AETS_CHECK(node->WaitStreamEnd(/*timeout_ms=*/60'000));
+  node->Stop();
+  AETS_CHECK(node->backup().error().ok());
   Timestamp final_ts = primary.last_commit_ts();
-  AETS_CHECK(replayer.store()->DigestAt(final_ts) ==
+  AETS_CHECK(ReplicaDigestAt(&node->backup(), &catalog, final_ts) ==
              primary.store().DigestAt(final_ts));
-  query_server.Stop();
-  stream_client.Stop();
   stream_server.Stop();
 
   Histogram merged;

@@ -5,9 +5,9 @@
 //
 // Every mode runs the same fully deterministic workload (no wall-clock
 // heartbeats — epoch ids and commit timestamps depend only on --seed), and
-// every backup is the same node: one AetsReplayer per lane behind a
-// ShardedBackup. A single shard is just --shard_count 1, whose lane keeps its
-// segments directly in --dir; lane k of N > 1 uses <dir>/shard<k>.
+// every backup is the same aets::BackupNode: one AetsReplayer per lane behind
+// a ShardedBackup. A single shard is just --shard_count 1, whose lane keeps
+// its segments directly in --dir; lane k of N > 1 uses <dir>/shard<k>.
 //
 //   run        Streams the workload through primary -> LogShipper (durable
 //              segment tier attached, small RAM retention so epochs spill)
@@ -56,12 +56,12 @@
 //              FINAL line. All three FINAL digests must be identical.
 //
 // With --disk_budget B > 0 the shipper's CheckpointTrigger fires whenever a
-// lane's durable log exceeds B bytes; the driver then seals the open epoch,
-// quiesces the backup, writes a live checkpoint image, truncates the durable
-// log below it (SegmentStore::TruncateBelow), and rotates old images. Budget
-// triggers land at deterministic txn indices (bytes appended are a pure
-// function of the seed), so run and digest modes checkpoint and truncate at
-// identical epochs and the reference EPOCH table — harvested incrementally
+// lane's durable log exceeds B bytes; the driver then seals the open epoch
+// and the node quiesces, writes a live checkpoint image, truncates the
+// durable log below it (SegmentStore::TruncateBelow), and rotates old images.
+// Budget triggers land at deterministic txn indices (bytes appended are a
+// pure function of the seed), so run and digest modes checkpoint and truncate
+// at identical epochs and the reference EPOCH table — harvested incrementally
 // before each truncation — still covers the whole history. Recovery then has
 // to bridge the deleted prefix through the checkpoint image, which is the
 // case the endurance gauntlet exists to prove.
@@ -90,15 +90,10 @@
 #include "aets/catalog/shard_map.h"
 #include "aets/net/epoch_stream.h"
 #include "aets/net/query_server.h"
-#include "aets/net/tcp_source.h"
-#include "aets/obs/metrics.h"
+#include "aets/node/backup_node.h"
 #include "aets/primary/primary_db.h"
-#include "aets/replay/aets_replayer.h"
-#include "aets/replay/sharded_backup.h"
-#include "aets/replication/durable_source.h"
 #include "aets/replication/log_shipper.h"
 #include "aets/sim/reference_model.h"
-#include "aets/storage/segment_store.h"
 
 using namespace aets;
 
@@ -129,8 +124,6 @@ constexpr int kHeartbeatEvery = 500;  // primary: fixed indices, so commit
 constexpr size_t kSpillRetention = 16;       // run/digest: forces spills
 constexpr size_t kNackRetention = 1u << 16;  // primary: covers a from-empty
                                              // backup restart
-constexpr size_t kSegmentMaxBytes = 256u << 10;  // small, forces rollovers
-constexpr size_t kKeepCkpts = 3;   // images kept per lane directory
 constexpr int kLingerMs = 60000;   // primary: serve NACKs after FINAL
 constexpr int kStreamWaitMs = 120000;  // backup: bound on waiting for the end
 constexpr int kScans = 8;          // client
@@ -207,92 +200,25 @@ void RunWorkload(const Config& cfg, PrimaryDb* db, bool paced,
 }
 
 // ---------------------------------------------------------------------------
-// The backup node.
+// The backup node (src/aets/node/backup_node.h): every mode's backup is one
+// BackupNode with --shard_count lanes, fed in process, over TCP, or from its
+// own --dir.
 
-// Lane `shard`: an AetsReplayer reading `channel`, named AETS.s<shard> so
-// its replay.* counters also export as a per-lane series. The recovery
-// budget is sized for a lane fed over TCP, where a reconnect can leave a
-// long gap to NACK.
-std::unique_ptr<AetsReplayer> NewLane(const Catalog* catalog,
-                                      EpochChannel* channel, int shard) {
-  AetsOptions options;
-  options.name = "AETS.s" + std::to_string(shard);
-  options.replay_threads = 2;
-  options.commit_threads = 2;
-  options.grouping = GroupingMode::kPerTable;
-  options.initial_rates = std::vector<double>(kTables, 1.0);
-  auto lane = std::make_unique<AetsReplayer>(catalog, channel, options);
-  ReplayRecoveryOptions recovery;
-  recovery.max_retries = 64;
-  recovery.max_pending = 65536;
-  lane->SetRecoveryOptions(recovery);
-  return lane;
+BackupNodeOptions NodeOptions(const Config& cfg) {
+  return {.shards = cfg.shard_count,
+          .dir = cfg.dir,
+          .disk_budget = cfg.disk_budget};
 }
 
-// Puts `lanes` (fresh or bootstrapped) behind one ShardedBackup, lane s
-// NACKing `sources[s]`, and starts it. nullptr when Start fails.
-std::unique_ptr<ShardedBackup> StartBackup(
-    const ShardMap* map, std::vector<std::unique_ptr<AetsReplayer>> lanes,
-    const std::vector<EpochSource*>& sources) {
-  std::vector<std::unique_ptr<Replayer>> shards;
-  for (auto& lane : lanes) shards.push_back(std::move(lane));
-  auto backup = std::make_unique<ShardedBackup>(map, std::move(shards));
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    backup->SetShardEpochSource(s, sources[static_cast<size_t>(s)]);
-  }
-  Status st = backup->Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "backup start: %s\n", st.ToString().c_str());
-    return nullptr;
-  }
-  return backup;
-}
-
-AetsReplayer* Lane(ShardedBackup* backup, int s) {
-  return static_cast<AetsReplayer*>(backup->shard(s));
-}
-
-// The first lane's sticky error, or OK.
-Status BackupError(ShardedBackup* backup) {
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    Status st = Lane(backup, s)->error();
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+// The started node, or nullptr after printing why it did not start.
+std::unique_ptr<BackupNode> Started(Result<std::unique_ptr<BackupNode>> node) {
+  if (node.ok()) return std::move(node).value();
+  std::fprintf(stderr, "backup: %s\n", node.status().ToString().c_str());
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // Durable modes: run, digest, recover.
-
-std::string LaneDir(const Config& cfg, int s) {
-  return cfg.shard_count == 1 ? cfg.dir
-                              : cfg.dir + "/shard" + std::to_string(s);
-}
-
-bool OpenStores(const Config& cfg,
-                std::vector<std::unique_ptr<SegmentStore>>* stores) {
-  for (int s = 0; s < cfg.shard_count; ++s) {
-    SegmentStoreOptions options;
-    options.dir = LaneDir(cfg, s);
-    options.segment_max_bytes = kSegmentMaxBytes;
-    options.fsync_policy = FsyncPolicy::kSegment;
-    options.disk_budget_bytes = cfg.disk_budget;
-    auto store_or = SegmentStore::Open(options);
-    if (!store_or.ok()) {
-      std::fprintf(stderr, "segment store %s: %s\n", options.dir.c_str(),
-                   store_or.status().ToString().c_str());
-      return false;
-    }
-    stores->push_back(std::move(*store_or));
-  }
-  return true;
-}
-
-uint64_t CounterValue(const char* name) {
-  auto snap = obs::MetricsRegistry::Instance().Snapshot();
-  auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
 
 // Resident set size in KiB, for the endurance gauntlet's memory check.
 long ReadRssKb() {
@@ -316,26 +242,11 @@ int RunMode(const Config& cfg, bool paced) {
   LogicalClock clock;
   PrimaryDb primary(&catalog, &clock);
   const int n = cfg.shard_count;
-  ShardMap map = ShardMap::Hash(kTables, n);
   LogShipper shipper(kEpochSize, kSpillRetention);
-  shipper.SetShardMap(&map);
-
-  std::vector<std::unique_ptr<SegmentStore>> stores;
-  if (!OpenStores(cfg, &stores)) return 2;
-  std::vector<std::unique_ptr<EpochChannel>> channels;
-  std::vector<std::unique_ptr<AetsReplayer>> lanes;
-  std::vector<EpochSource*> sources;
-  for (int s = 0; s < n; ++s) {
-    shipper.AttachShardSegmentStore(s, stores[s].get());
-    channels.push_back(std::make_unique<EpochChannel>());
-    shipper.AttachShardChannel(s, channels.back().get());
-    lanes.push_back(NewLane(&catalog, channels.back().get(), s));
-    sources.push_back(shipper.shard_source(s));
-  }
+  std::unique_ptr<BackupNode> node =
+      Started(BackupNode::Attach(&catalog, NodeOptions(cfg), &shipper));
+  if (!node) return 2;
   primary.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
-  std::unique_ptr<ShardedBackup> backup =
-      StartBackup(&map, std::move(lanes), sources);
-  if (!backup) return 2;
 
   // Disk budget: the shipper's trigger marks the over-budget lane; the
   // driver consumes the mark at one deterministic point per txn (below), so
@@ -359,15 +270,15 @@ int RunMode(const Config& cfg, bool paced) {
   std::vector<std::pair<EpochId, Timestamp>> epoch_table;
   EpochId harvested = 0;
   auto harvest = [&]() {
-    EpochId limit = stores[0]->next_epoch();
+    EpochId limit = node->store(0)->next_epoch();
     for (int s = 1; s < n; ++s) {
-      limit = std::min(limit, stores[s]->next_epoch());
+      limit = std::min(limit, node->store(s)->next_epoch());
     }
     for (EpochId id = harvested; id < limit; ++id) {
       bool has_data = false;
       Timestamp ts = kInvalidTimestamp;
       for (int s = 0; s < n; ++s) {
-        auto epoch = stores[s]->Read(id);
+        auto epoch = node->store(s)->Read(id);
         if (!epoch || epoch->is_heartbeat()) continue;
         has_data = true;
         ts = std::max(ts, epoch->max_commit_ts);
@@ -377,36 +288,25 @@ int RunMode(const Config& cfg, bool paced) {
     harvested = std::max(harvested, limit);
   };
 
-  // One lane checkpoint: seal the open epoch, wait for the backup to catch
-  // up, image the quiesced lane, truncate its durable log below the image
-  // when a budget is set, and rotate old images (PruneCheckpoints keeps the
-  // floor image regardless of count). The single-threaded driver guarantees
-  // no epoch ships between the watermark check and the image write.
+  // One lane checkpoint: seal the open epoch, harvest (the shipper appends
+  // at deliver time, so the disk already holds every shipped epoch), then
+  // let the node image the lane once the backup caught up, truncate below
+  // the image when a budget is set, and rotate old images. The
+  // single-threaded driver ships nothing while the node checkpoints.
   auto checkpoint = [&](int s, int txns) -> Status {
     shipper.FlushEpoch();
-    // Every lane rings the backup's bell on a watermark advance and on its
-    // error latch, so this parks until one of the two can have happened.
-    backup->bell().WaitUntil([&] {
-      return !BackupError(backup.get()).ok() ||
-             backup->GlobalVisibleTs() >= primary.last_commit_ts();
-    });
-    Status st = BackupError(backup.get());
-    if (!st.ok()) return st;
     harvest();  // the epochs below a new floor leave the disk now
-    AetsReplayer* lane = Lane(backup.get(), s);
-    const EpochId floor = lane->next_expected_epoch();
-    st = lane->WriteCheckpoint(CheckpointPathFor(LaneDir(cfg, s), floor));
-    if (st.ok() && cfg.disk_budget > 0) st = stores[s]->TruncateBelow(floor);
-    if (!st.ok()) return st;
-    PruneCheckpoints(LaneDir(cfg, s), kKeepCkpts, stores[s]->first_epoch());
+    Result<EpochId> floor = node->Checkpoint(s, primary.last_commit_ts());
+    if (!floor.ok()) return floor.status();
+    SegmentStore* store = node->store(s);
     std::printf("%s shard=%d floor=%" PRIu64 " first=%" PRIu64
                 " deleted=%" PRIu64 " reclaimed=%" PRIu64 " disk=%" PRIu64
                 " rss_kb=%ld txns=%d\n",
                 cfg.disk_budget > 0 ? "TRUNC" : "CKPT", s,
-                static_cast<uint64_t>(floor),
-                static_cast<uint64_t>(stores[s]->first_epoch()),
-                stores[s]->segments_deleted(), stores[s]->bytes_reclaimed(),
-                stores[s]->disk_bytes(), ReadRssKb(), txns);
+                static_cast<uint64_t>(*floor),
+                static_cast<uint64_t>(store->first_epoch()),
+                store->segments_deleted(), store->bytes_reclaimed(),
+                store->disk_bytes(), ReadRssKb(), txns);
     std::fflush(stdout);
     return Status::OK();
   };
@@ -415,7 +315,7 @@ int RunMode(const Config& cfg, bool paced) {
   Status failed;
   RunWorkload(cfg, &primary, paced, [&](int i) {
     for (int s = 0; s < n; ++s) {
-      max_disk = std::max(max_disk, stores[s]->disk_bytes());
+      max_disk = std::max(max_disk, node->store(s)->disk_bytes());
     }
     if (i % kCkptEvery == 0) {
       // Flush in BOTH modes: epoch boundaries are part of the deterministic
@@ -435,9 +335,8 @@ int RunMode(const Config& cfg, bool paced) {
     }
     return failed.ok();
   });
-  shipper.Finish();
-  backup->Stop();
-  if (failed.ok()) failed = BackupError(backup.get());
+  node->Stop();  // finishes the shipper, then drains every lane
+  if (failed.ok()) failed = node->backup().error();
   if (!failed.ok()) {
     std::fprintf(stderr, "run: %s\n", failed.ToString().c_str());
     return 2;
@@ -452,7 +351,7 @@ int RunMode(const Config& cfg, bool paced) {
     if (cfg.mode == "digest") {
       std::printf("EPOCH %" PRIu64 " %" PRIu64 " %016" PRIx64 "\n",
                   static_cast<uint64_t>(id), static_cast<uint64_t>(ts),
-                  ReplicaDigestAt(backup.get(), &catalog, ts));
+                  ReplicaDigestAt(&node->backup(), &catalog, ts));
     }
     last_data = id;
     last_ts = ts;
@@ -460,8 +359,8 @@ int RunMode(const Config& cfg, bool paced) {
   uint64_t truncations = 0;
   uint64_t reclaimed = 0;
   for (int s = 0; s < n; ++s) {
-    truncations += stores[s]->truncations();
-    reclaimed += stores[s]->bytes_reclaimed();
+    truncations += node->store(s)->truncations();
+    reclaimed += node->store(s)->bytes_reclaimed();
   }
   std::printf("FINAL %" PRIu64 " %" PRIu64 " %016" PRIx64 " spills=%" PRIu64
               " produced=%" PRIu64 " covered=%" PRIu64 " truncations=%" PRIu64
@@ -469,7 +368,7 @@ int RunMode(const Config& cfg, bool paced) {
               "\n",
               static_cast<uint64_t>(last_data),
               static_cast<uint64_t>(last_ts),
-              ReplicaDigestAt(backup.get(), &catalog, last_ts),
+              ReplicaDigestAt(&node->backup(), &catalog, last_ts),
               shipper.epochs_spilled(), shipper.epochs_produced(),
               shipper.spills_below_floor(), truncations, reclaimed, max_disk,
               cfg.disk_budget);
@@ -477,162 +376,125 @@ int RunMode(const Config& cfg, bool paced) {
   return 0;
 }
 
-// Restart after a crash: each lane restarts from the image
-// ChooseRestartPoint picks (or cold), every lane's durable tail replays
-// through its own DurableEpochSource, and each lane is checked row-for-row
+// What the exactness probes gather across the lanes.
+struct Tally {
+  EpochId last_data = 0;
+  Timestamp last_ts = kInvalidTimestamp;
+  size_t rows = 0;
+};
+
+// Exactness probe of recovered lane `s`: rebuild the lane's history from its
+// durable log (the model is a second implementation of the storage
+// semantics) and check the lane row-for-row against it. When the image
+// covers epochs the log no longer holds, the model is seeded from the lane's
+// store at the snapshot timestamp (still valid after the tail replayed: the
+// MVCC store keeps history and runs no GC here) and replays only the tail —
+// epochs still on disk below the image's coverage are scanned for the
+// last-data bookkeeping but skipped by the model, exactly as recovery itself
+// skipped them.
+Status ProbeLane(BackupNode* node, int s, EpochId common_end, Tally* tally) {
+  Replayer* lane = node->backup().shard(s);
+  SegmentStore* store = node->store(s);
+  const EpochId boot = node->restart(s).next_epoch;
+  const Timestamp snapshot = node->restart_ts(s);
+  AETS_RETURN_NOT_OK(lane->error());
+  sim::ReferenceModel model(kTables);
+  if (boot > 0) {
+    AETS_RETURN_NOT_OK(model.SeedFromStore(*lane->store(), snapshot, boot));
+  }
+  // The head of the lane's durable history: the image's snapshot, then
+  // every replayed header. A lane header carries the FULL epoch's
+  // max_commit_ts, so with N > 1 the head may sit past the lane's own
+  // last commit; the replayed watermark must land exactly on it.
+  Timestamp head = boot > 0 ? snapshot : kInvalidTimestamp;
+  for (EpochId id = store->first_epoch(); id < store->next_epoch(); ++id) {
+    auto epoch = store->Read(id);
+    if (!epoch) {
+      return Status::Corruption("durable epoch " + std::to_string(id) +
+                                " unreadable");
+    }
+    if (id >= boot) {
+      AETS_RETURN_NOT_OK(model.Apply(*epoch));
+      head = std::max(head, epoch->max_commit_ts);
+    }
+    if (!epoch->is_heartbeat() && id < common_end) {
+      tally->last_data = std::max(tally->last_data, id);
+      tally->last_ts = std::max(tally->last_ts, epoch->max_commit_ts);
+    }
+  }
+  if (lane->GlobalVisibleTs() != head) {
+    return Status::Corruption(
+        "watermark " + std::to_string(lane->GlobalVisibleTs()) +
+        " != durable history " + std::to_string(head));
+  }
+  // The model only sees the lane's own commits: probe at the lane's own
+  // history point — between it and the watermark the lane's tables have
+  // no writes by construction.
+  if (model.MaxVisibleTs() != kInvalidTimestamp) {
+    AETS_RETURN_NOT_OK(
+        model.ExpectStoreExact(*lane->store(), model.MaxVisibleTs()));
+    tally->rows += lane->store()->VisibleRowCount(model.MaxVisibleTs());
+  }
+  return Status::OK();
+}
+
+// Restart after a crash: the node restarts each lane from the image
+// ChooseRestartPoint picks (or cold) and replays every lane's durable tail
+// through its own DurableEpochSource; then each lane is checked row-for-row
 // against a per-lane ReferenceModel (a lane's durable log plus its image is
 // a complete history of its own tables, so model and lane must agree).
 int RecoverMode(const Config& cfg) {
   Catalog catalog;
   FillCatalog(&catalog);
   const int n = cfg.shard_count;
-  ShardMap map = ShardMap::Hash(kTables, n);
-  std::vector<std::unique_ptr<SegmentStore>> stores;
-  if (!OpenStores(cfg, &stores)) return 2;
-
-  // The channel is already closed, so Start() + Stop() drives the normal
-  // gap-filling loop: every epoch in [restart point, next_epoch) is fetched
-  // from disk and replayed through the regular two-stage loop.
-  EpochChannel closed_channel;
-  closed_channel.Close();
-  std::vector<std::unique_ptr<AetsReplayer>> lanes;
-  std::vector<EpochId> boot;
-  std::vector<Timestamp> snapshot;
+  std::unique_ptr<BackupNode> node =
+      Started(BackupNode::Recover(&catalog, NodeOptions(cfg)));
+  if (!node) return 2;
   for (int s = 0; s < n; ++s) {
-    std::unique_ptr<AetsReplayer> lane;
-    Result<RestartPoint> point = ChooseRestartPoint(
-        LaneDir(cfg, s), stores[s]->first_epoch(), stores[s]->next_epoch(),
-        [&](const std::string& image) -> Result<EpochId> {
-          lane = NewLane(&catalog, &closed_channel, s);
-          Status st = lane->Bootstrap(image);
-          if (!st.ok()) return st;
-          return lane->next_expected_epoch();
-        });
-    if (!point.ok()) {
-      std::fprintf(stderr, "shard %d unrecoverable: %s\n", s,
-                   point.status().ToString().c_str());
-      return 2;
-    }
-    for (const std::string& why : point->rejected) {
+    const RestartPoint& point = node->restart(s);
+    for (const std::string& why : point.rejected) {
       std::fprintf(stderr, "shard %d skipped %s\n", s, why.c_str());
     }
-    if (point->image.empty()) {
-      lane = NewLane(&catalog, &closed_channel, s);
-    } else {
+    if (!point.image.empty()) {
       std::printf("BOOTSTRAP shard=%d %s epoch=%" PRIu64 "\n", s,
-                  point->image.c_str(),
-                  static_cast<uint64_t>(point->next_epoch));
+                  point.image.c_str(), static_cast<uint64_t>(point.next_epoch));
     }
-    boot.push_back(point->next_epoch);
-    snapshot.push_back(lane->GlobalVisibleTs());
-    lanes.push_back(std::move(lane));
   }
-  std::vector<std::unique_ptr<DurableEpochSource>> durable;
-  std::vector<EpochSource*> sources;
-  for (int s = 0; s < n; ++s) {
-    durable.push_back(std::make_unique<DurableEpochSource>(stores[s].get()));
-    sources.push_back(durable.back().get());
-  }
-  std::unique_ptr<ShardedBackup> backup =
-      StartBackup(&map, std::move(lanes), sources);
-  if (!backup) return 2;
-  backup->Stop();
+  node->Stop();  // every lane has replayed its durable tail
 
   // A kill can land between two lanes' appends of one epoch, leaving their
   // logs at different lengths. The digest is taken at the last data epoch
   // every lane holds: past it, a shorter lane has not replayed its part.
-  EpochId common_end = stores[0]->next_epoch();
+  EpochId common_end = node->store(0)->next_epoch();
   for (int s = 1; s < n; ++s) {
-    common_end = std::min(common_end, stores[s]->next_epoch());
+    common_end = std::min(common_end, node->store(s)->next_epoch());
   }
-  EpochId last_data = 0;
-  Timestamp last_ts = kInvalidTimestamp;
-  EpochId floor = stores[0]->first_epoch();
+  Tally tally;
+  EpochId floor = node->store(0)->first_epoch();
+  uint64_t fetches = 0;
   uint64_t tail = 0;
   uint64_t torn = 0;
-  size_t rows = 0;
   for (int s = 0; s < n; ++s) {
-    AetsReplayer* lane = Lane(backup.get(), s);
-    if (!lane->error().ok()) {
-      std::fprintf(stderr, "shard %d recovery replay error: %s\n", s,
-                   lane->error().ToString().c_str());
+    Status st = ProbeLane(node.get(), s, common_end, &tally);
+    if (!st.ok()) {
+      std::fprintf(stderr, "shard %d: %s\n", s, st.ToString().c_str());
       return 2;
     }
-    // Exactness probe: rebuild the lane's history from its durable log (the
-    // model is a second implementation of the storage semantics). When the
-    // image covers epochs the log no longer holds, the model is seeded from
-    // the lane's store at the snapshot timestamp (still valid after the tail
-    // replayed: the MVCC store keeps history and runs no GC here) and
-    // replays only the tail — epochs still on disk below the image's
-    // coverage are scanned for the last-data bookkeeping but skipped by the
-    // model, exactly as recovery itself skipped them.
-    sim::ReferenceModel model(kTables);
-    if (boot[s] > 0) {
-      Status st = model.SeedFromStore(*lane->store(), snapshot[s], boot[s]);
-      if (!st.ok()) {
-        std::fprintf(stderr, "shard %d model seed: %s\n", s,
-                     st.ToString().c_str());
-        return 2;
-      }
-    }
-    // The head of the lane's durable history: the image's snapshot, then
-    // every replayed header. A lane header carries the FULL epoch's
-    // max_commit_ts, so with N > 1 the head may sit past the lane's own
-    // last commit; the replayed watermark must land exactly on it.
-    Timestamp head = boot[s] > 0 ? snapshot[s] : kInvalidTimestamp;
-    for (EpochId id = stores[s]->first_epoch(); id < stores[s]->next_epoch();
-         ++id) {
-      auto epoch = stores[s]->Read(id);
-      if (!epoch) {
-        std::fprintf(stderr, "durable epoch %llu unreadable (shard %d)\n",
-                     static_cast<unsigned long long>(id), s);
-        return 2;
-      }
-      if (id >= boot[s]) {
-        Status st = model.Apply(*epoch);
-        if (!st.ok()) {
-          std::fprintf(stderr, "shard %d model apply: %s\n", s,
-                       st.ToString().c_str());
-          return 2;
-        }
-        head = std::max(head, epoch->max_commit_ts);
-      }
-      if (!epoch->is_heartbeat() && id < common_end) {
-        last_data = std::max(last_data, id);
-        last_ts = std::max(last_ts, epoch->max_commit_ts);
-      }
-    }
-    if (lane->GlobalVisibleTs() != head) {
-      std::fprintf(stderr, "shard %d watermark %llu != durable history %llu\n",
-                   s, static_cast<unsigned long long>(lane->GlobalVisibleTs()),
-                   static_cast<unsigned long long>(head));
-      return 2;
-    }
-    // The model only sees the lane's own commits: probe at the lane's own
-    // history point — between it and the watermark the lane's tables have
-    // no writes by construction.
-    if (model.MaxVisibleTs() != kInvalidTimestamp) {
-      Status st = model.ExpectStoreExact(*lane->store(), model.MaxVisibleTs());
-      if (!st.ok()) {
-        std::fprintf(stderr, "shard %d: %s\n", s, st.ToString().c_str());
-        return 2;
-      }
-      rows += lane->store()->VisibleRowCount(model.MaxVisibleTs());
-    }
-    floor = std::min(floor, stores[s]->first_epoch());
-    tail += stores[s]->next_epoch() - boot[s];
-    torn += stores[s]->torn_frames_truncated();
+    SegmentStore* store = node->store(s);
+    floor = std::min(floor, store->first_epoch());
+    fetches += store->fetches_from_disk();
+    tail += store->next_epoch() - node->restart(s).next_epoch;
+    torn += store->torn_frames_truncated();
   }
-  std::printf("ORACLE exact rows=%zu shards=%d\n", rows, n);
+  std::printf("ORACLE exact rows=%zu shards=%d\n", tally.rows, n);
   std::printf("RECOVERED next_epoch=%" PRIu64 " last_data=%" PRIu64
               " ts=%" PRIu64 " digest=%016" PRIx64 " fetches=%" PRIu64
               " tail=%" PRIu64 " torn=%" PRIu64 " floor=%" PRIu64 "\n",
-              static_cast<uint64_t>(stores[0]->next_epoch()),
-              static_cast<uint64_t>(last_data),
-              static_cast<uint64_t>(last_ts),
-              ReplicaDigestAt(backup.get(), &catalog, last_ts),
-              CounterValue("segment.fetches_from_disk"), tail, torn,
-              static_cast<uint64_t>(floor));
+              static_cast<uint64_t>(node->store(0)->next_epoch()),
+              static_cast<uint64_t>(tally.last_data),
+              static_cast<uint64_t>(tally.last_ts),
+              ReplicaDigestAt(&node->backup(), &catalog, tally.last_ts),
+              fetches, tail, torn, static_cast<uint64_t>(floor));
   std::fflush(stdout);
   return 0;
 }
@@ -706,86 +568,37 @@ int BackupMode(const Config& cfg) {
   }
   Catalog catalog;
   FillCatalog(&catalog);
-  const int n = cfg.shard_count;
-  ShardMap map = ShardMap::Hash(kTables, n);
-
-  // Per lane: a subscriber feeding the lane's channel and a control
-  // connection answering its NACKs. A restarted backup starts empty and
-  // recovers the whole prefix by NACK.
-  net::EpochStreamClientOptions client_options;
-  client_options.max_reconnects = 200;
-  std::vector<std::unique_ptr<EpochChannel>> sinks;
-  std::vector<std::unique_ptr<net::EpochStreamClient>> clients;
-  std::vector<std::unique_ptr<net::TcpEpochSource>> tcp_sources;
-  std::vector<std::unique_ptr<AetsReplayer>> lanes;
-  std::vector<EpochSource*> sources;
-  for (int s = 0; s < n; ++s) {
-    const auto shard = static_cast<uint32_t>(s);
-    sinks.push_back(std::make_unique<EpochChannel>(4096));
-    clients.push_back(std::make_unique<net::EpochStreamClient>(
-        host, port, shard, sinks.back().get(), client_options));
-    tcp_sources.push_back(
-        std::make_unique<net::TcpEpochSource>(host, port, shard));
-    Status st = clients.back()->Start();
-    if (st.ok()) st = tcp_sources.back()->Connect();
-    if (!st.ok()) {
-      std::fprintf(stderr, "connect: %s\n", st.ToString().c_str());
-      return 2;
-    }
-    lanes.push_back(NewLane(&catalog, sinks.back().get(), s));
-    sources.push_back(tcp_sources.back().get());
-  }
-  std::unique_ptr<ShardedBackup> backup =
-      StartBackup(&map, std::move(lanes), sources);
-  if (!backup) return 2;
-
-  net::QueryServer queries(backup.get(), &backup->coordinator());
-  Status s = queries.Start(static_cast<uint16_t>(cfg.query_port));
+  // A restarted backup starts empty and recovers the whole prefix by NACK.
+  BackupNodeOptions options;
+  options.shards = cfg.shard_count;
+  std::unique_ptr<BackupNode> node =
+      Started(BackupNode::Connect(&catalog, options, host, port));
+  if (!node) return 2;
+  Status s = node->ServeQueries(static_cast<uint16_t>(cfg.query_port));
   if (!s.ok()) {
     std::fprintf(stderr, "query listen: %s\n", s.ToString().c_str());
     return 2;
   }
-  std::printf("QUERY_LISTENING %u\n", queries.port());
+  std::printf("QUERY_LISTENING %u\n", node->query_port());
   std::fflush(stdout);
 
-  // A subscriber sees kStreamEnd only when the primary's shipper finished;
-  // everything before that (resets, timeouts, a primary that is still
-  // starting) is absorbed by reconnect + NACK.
-  auto all_ended = [&] {
-    for (const auto& client : clients) {
-      if (!client->clean_end()) return false;
-    }
-    return true;
-  };
-  int64_t deadline = MonotonicMicros() + int64_t{kStreamWaitMs} * 1000;
-  while (!all_ended() && MonotonicMicros() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  bool clean = all_ended();
-  backup->Stop();
-  for (auto& client : clients) client->Stop();
-  queries.Stop();
+  const bool clean = node->WaitStreamEnd(kStreamWaitMs);
+  node->Stop();
   if (!clean) {
     std::fprintf(stderr, "stream did not end within %d ms\n", kStreamWaitMs);
     return 2;
   }
-  Status error = BackupError(backup.get());
+  Status error = node->backup().error();
   if (!error.ok()) {
     std::fprintf(stderr, "replay error: %s\n", error.ToString().c_str());
     return 2;
   }
-  uint64_t epochs = 0;
-  uint64_t reconnects = 0;
-  for (const auto& client : clients) {
-    epochs += client->epochs_received();
-    reconnects += client->reconnects();
-  }
-  Timestamp watermark = backup->GlobalVisibleTs();
+  Timestamp watermark = node->backup().GlobalVisibleTs();
   std::printf("FINAL %" PRIu64 " %016" PRIx64 " epochs=%" PRIu64
               " reconnects=%" PRIu64 "\n",
               static_cast<uint64_t>(watermark),
-              ReplicaDigestAt(backup.get(), &catalog, watermark), epochs,
-              reconnects);
+              ReplicaDigestAt(&node->backup(), &catalog, watermark),
+              node->epochs_received(), node->reconnects());
   std::fflush(stdout);
   return 0;
 }

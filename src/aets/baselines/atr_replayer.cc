@@ -81,7 +81,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
   return prep;
 }
 
-void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
+bool AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
                               std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedAtr*>(prepared.get());
@@ -120,7 +120,9 @@ void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
   // advance to it after a clean epoch so this shard keeps pace with the
   // primary even when its own last transaction commits earlier (no-op
   // unsharded).
-  if (!HasError()) PublishWatermark(watermark_, epoch.max_commit_ts);
+  if (HasError()) return false;
+  PublishWatermark(watermark_, epoch.max_commit_ts);
+  return true;
 }
 
 void AtrReplayer::WorkerRun(const std::string& payload,

@@ -113,7 +113,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
   return prep;
 }
 
-void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
+bool C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
                              std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedC5*>(prepared.get());
@@ -178,7 +178,9 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
   // advance to it after a clean epoch so this shard keeps pace with the
   // primary even when its own last transaction commits earlier (no-op
   // unsharded).
-  if (!HasError()) PublishWatermark(watermark_, epoch.max_commit_ts);
+  if (HasError()) return false;
+  PublishWatermark(watermark_, epoch.max_commit_ts);
+  return true;
 }
 
 }  // namespace aets

@@ -46,7 +46,7 @@ class C5Replayer : public ReplayerBase {
   void StopWorkers() override;
   std::unique_ptr<PreparedEpoch> PrepareEpoch(
       const ShippedEpoch& epoch) override;
-  void CommitEpoch(const ShippedEpoch& epoch,
+  bool CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
   void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 

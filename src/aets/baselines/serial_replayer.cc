@@ -42,7 +42,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
   return prep;
 }
 
-void SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
+bool SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
                                  std::unique_ptr<PreparedEpoch> prepared) {
   auto* prep = static_cast<PreparedSerial*>(prepared.get());
   AETS_TRACE_SPAN("replay.epoch");
@@ -61,7 +61,9 @@ void SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
   // this shard's last transaction may commit earlier. Advancing to the
   // header max after a clean replay keeps the shard's watermark in step
   // with the primary (no-op unsharded: the last txn IS the header max).
-  if (!HasError()) PublishWatermark(watermark_, shipped.max_commit_ts);
+  if (HasError()) return false;
+  PublishWatermark(watermark_, shipped.max_commit_ts);
+  return true;
 }
 
 }  // namespace aets

@@ -32,7 +32,7 @@ class SerialReplayer : public ReplayerBase {
  protected:
   std::unique_ptr<PreparedEpoch> PrepareEpoch(
       const ShippedEpoch& epoch) override;
-  void CommitEpoch(const ShippedEpoch& epoch,
+  bool CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
   void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 

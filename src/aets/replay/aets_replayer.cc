@@ -232,7 +232,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AetsReplayer::PrepareEpoch(
   return prep;
 }
 
-void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
+bool AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
                                std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedAets*>(prepared.get());
@@ -256,7 +256,7 @@ void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
   // A failed epoch must not move any watermark past the failure point —
   // including the quiet groups, whose tables saw no log entries this epoch
   // but would otherwise announce visibility the epoch never earned.
-  if (HasError()) return;
+  if (HasError()) return false;
 
   const GroupingSnapshot& grouping = *prep->grouping;
   for (int gi : prep->quiet_groups) {
@@ -269,6 +269,7 @@ void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
   watermark_metric_->Set(
       static_cast<int64_t>(global_ts_.load(std::memory_order_relaxed)));
   epoch_apply_us_metric_->Record(MonotonicMicros() - prep->apply_start_us);
+  return true;
 }
 
 bool AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,

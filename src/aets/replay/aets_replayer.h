@@ -143,7 +143,7 @@ class AetsReplayer : public ReplayerBase {
   void StopWorkers() override;
   std::unique_ptr<PreparedEpoch> PrepareEpoch(
       const ShippedEpoch& epoch) override;
-  void CommitEpoch(const ShippedEpoch& epoch,
+  bool CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
   void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 

@@ -143,6 +143,11 @@ class Replayer {
   virtual const ReplayStats& stats() const = 0;
   virtual std::string name() const = 0;
 
+  /// Sticky error (unrecoverable loss, corrupted record, pending-buffer
+  /// overflow). OK while healthy or fully recovered; a replayer without an
+  /// error latch is always OK.
+  virtual Status error() const { return Status::OK(); }
+
   /// The bell rung right after every advance of TableVisibleTs or
   /// GlobalVisibleTs; WaitVisible parks on it. Implementations must Ring()
   /// it after each watermark store, or waiters sleep through the advance.

@@ -181,13 +181,14 @@ void ReplayerBase::CommitItem(PipelineItem item) {
       ProcessHeartbeat(item.epoch);
       stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
     } else {
-      CommitEpoch(item.epoch, std::move(item.prepared));
-      if (!HasError()) {
+      if (CommitEpoch(item.epoch, std::move(item.prepared))) {
         // Hand the epoch's dirty keys to the column-merge worker. The
         // request is posted after every watermark of the epoch published,
         // so the asynchronous rebuild reads fully-installed version chains
         // at max_commit_ts; a failed epoch posts nothing and its dirty keys
         // stay pending (queries resolve them through the residual path).
+        // The return value, not a re-read of the latch, decides: a later
+        // epoch's translation may latch between the publish and here.
         RequestColumnPublish(item.epoch.max_commit_ts);
         stats_.epochs.fetch_add(1, std::memory_order_relaxed);
         stats_.records.fetch_add(item.epoch.num_records,

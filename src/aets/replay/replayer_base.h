@@ -131,9 +131,7 @@ class ReplayerBase : public Replayer {
     return column_store_.get();
   }
 
-  /// Sticky error (unrecoverable loss, corrupted record, pending-buffer
-  /// overflow). OK while healthy or fully recovered.
-  Status error() const;
+  Status error() const override;
 
   /// The next epoch id the main loop expects — i.e. every id below it has
   /// been admitted into the replay pipeline (prepared, though with
@@ -170,9 +168,11 @@ class ReplayerBase : public Replayer {
   /// Phase B of one data epoch: version install and watermark publication.
   /// Runs on the commit context (the commit thread when pipeline_depth > 1,
   /// inline otherwise), strictly in epoch order, one epoch at a time. On
-  /// failure, latch with SetError() — the base then skips the per-epoch
-  /// stats/metrics and stops applying.
-  virtual void CommitEpoch(const ShippedEpoch& epoch,
+  /// failure, latch with SetError() and return false — the base then skips
+  /// the per-epoch stats/metrics and stops applying. Returns true when the
+  /// epoch's watermarks published: a later epoch's prepare may latch the
+  /// error right after, and this epoch still counts and publishes columns.
+  virtual bool CommitEpoch(const ShippedEpoch& epoch,
                            std::unique_ptr<PreparedEpoch> prepared) = 0;
 
   /// Publishes a heartbeat timestamp to the visibility watermark(s). Runs on

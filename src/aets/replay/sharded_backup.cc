@@ -1,5 +1,6 @@
 #include "aets/replay/sharded_backup.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "aets/common/macros.h"
@@ -25,15 +26,6 @@ ShardedBackup::ShardedBackup(const ShardMap* map,
 }
 
 ShardedBackup::~ShardedBackup() { Stop(); }
-
-void ShardedBackup::SetEpochSource(EpochSource* source) {
-  for (auto& shard : shards_) shard->SetEpochSource(source);
-}
-
-void ShardedBackup::SetShardEpochSource(int shard, EpochSource* source) {
-  AETS_CHECK(shard >= 0 && shard < num_shards());
-  shards_[static_cast<size_t>(shard)]->SetEpochSource(source);
-}
 
 Status ShardedBackup::Start() {
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -74,58 +66,55 @@ const storage::ColumnStore* ShardedBackup::ColumnStoreForTable(
       ->ColumnStoreForTable(table);
 }
 
+namespace {
+
+// The ReplayStats counters a facade sums over its shards: every field but
+// the two wall-clock marks.
+constexpr std::atomic<uint64_t> ReplayStats::*kSummedCounts[] = {
+    &ReplayStats::epochs,          &ReplayStats::txns,
+    &ReplayStats::records,         &ReplayStats::bytes,
+    &ReplayStats::epochs_retried,  &ReplayStats::duplicates_dropped,
+    &ReplayStats::corrupt_dropped, &ReplayStats::heartbeats,
+    &ReplayStats::pipeline_stalls, &ReplayStats::commit_waits,
+    &ReplayStats::conflict_retries};
+constexpr std::atomic<int64_t> ReplayStats::*kSummedNanos[] = {
+    &ReplayStats::dispatch_ns,    &ReplayStats::replay_ns,
+    &ReplayStats::commit_ns,      &ReplayStats::stage1_wall_ns,
+    &ReplayStats::stage2_wall_ns, &ReplayStats::sync_wait_ns};
+
+}  // namespace
+
 const ReplayStats& ShardedBackup::stats() const {
   // Re-aggregated on every call: cheap (a few atomic loads per shard) and
   // always current. agg_ is only ever written here; concurrent readers see
   // a consistent-enough snapshot for stats purposes, same as any ReplayStats
   // read while replay runs.
-  uint64_t epochs = 0, txns = 0, records = 0, bytes = 0;
-  uint64_t retried = 0, dups = 0, corrupt = 0, heartbeats = 0, stalls = 0;
-  int64_t dispatch = 0, replay = 0, commit = 0, stage1 = 0, stage2 = 0;
-  int64_t sync_wait = 0;
+  auto sum = [&](auto field) {
+    decltype((agg_.*field).load()) total = 0;
+    for (const auto& shard : shards_) total += (shard->stats().*field).load();
+    (agg_.*field).store(total);
+  };
+  for (auto field : kSummedCounts) sum(field);
+  for (auto field : kSummedNanos) sum(field);
   int64_t wall_start = 0, wall_end = 0;
   for (const auto& shard : shards_) {
-    const ReplayStats& s = shard->stats();
-    epochs += s.epochs.load();
-    txns += s.txns.load();
-    records += s.records.load();
-    bytes += s.bytes.load();
-    dispatch += s.dispatch_ns.load();
-    replay += s.replay_ns.load();
-    commit += s.commit_ns.load();
-    stage1 += s.stage1_wall_ns.load();
-    stage2 += s.stage2_wall_ns.load();
-    sync_wait += s.sync_wait_ns.load();
-    retried += s.epochs_retried.load();
-    dups += s.duplicates_dropped.load();
-    corrupt += s.corrupt_dropped.load();
-    heartbeats += s.heartbeats.load();
-    stalls += s.pipeline_stalls.load();
-    int64_t start = s.wall_start_us.load();
+    int64_t start = shard->stats().wall_start_us.load();
     if (start != 0 && (wall_start == 0 || start < wall_start)) {
       wall_start = start;
     }
-    int64_t end = s.wall_end_us.load();
-    if (end > wall_end) wall_end = end;
+    wall_end = std::max(wall_end, shard->stats().wall_end_us.load());
   }
-  agg_.epochs.store(epochs);
-  agg_.txns.store(txns);
-  agg_.records.store(records);
-  agg_.bytes.store(bytes);
-  agg_.dispatch_ns.store(dispatch);
-  agg_.replay_ns.store(replay);
-  agg_.commit_ns.store(commit);
-  agg_.stage1_wall_ns.store(stage1);
-  agg_.stage2_wall_ns.store(stage2);
-  agg_.sync_wait_ns.store(sync_wait);
-  agg_.epochs_retried.store(retried);
-  agg_.duplicates_dropped.store(dups);
-  agg_.corrupt_dropped.store(corrupt);
-  agg_.heartbeats.store(heartbeats);
-  agg_.pipeline_stalls.store(stalls);
   agg_.wall_start_us.store(wall_start);
   agg_.wall_end_us.store(wall_end);
   return agg_;
+}
+
+Status ShardedBackup::error() const {
+  for (const auto& shard : shards_) {
+    Status st = shard->error();
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
 }
 
 std::string ShardedBackup::name() const {

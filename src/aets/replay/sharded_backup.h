@@ -36,12 +36,6 @@ class ShardedBackup : public Replayer {
                 std::vector<std::unique_ptr<Replayer>> shards);
   ~ShardedBackup() override;
 
-  /// Applies one NACK source to every shard. With a sharded LogShipper use
-  /// SetShardEpochSource(i, shipper.shard_source(i)) instead, so each shard
-  /// recovers its own sub-epoch stream.
-  void SetEpochSource(EpochSource* source) override;
-  void SetShardEpochSource(int shard, EpochSource* source);
-
   Status Start() override;
   void Stop() override;
 
@@ -61,13 +55,17 @@ class ShardedBackup : public Replayer {
   /// shard maintains none).
   const storage::ColumnStore* ColumnStoreForTable(TableId table) const override;
 
-  /// Aggregated over all shards: counters sum; wall_start is the earliest
-  /// shard start, wall_end the latest shard end (so TxnsPerSec reflects the
-  /// parallel aggregate).
+  /// Aggregated over all shards: every counter sums; wall_start is the
+  /// earliest shard start, wall_end the latest shard end (so TxnsPerSec
+  /// reflects the parallel aggregate).
   const ReplayStats& stats() const override;
   std::string name() const override;
+  /// The first failing shard's sticky error, or OK.
+  Status error() const override;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
+  /// Shard i. Each shard NACKs its own source (with a sharded LogShipper,
+  /// shard(i)->SetEpochSource(shipper.shard_source(i))) before Start().
   Replayer* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
   const ShardMap& shard_map() const { return *map_; }
   GlobalSnapshotCoordinator& coordinator() { return coordinator_; }

@@ -156,17 +156,14 @@ class RecordedSource : public EpochSource {
   const std::vector<ShippedEpoch>* epochs_;
 };
 
-void ReportReplayerError(Replayer* replayer, ViolationLog* log) {
-  auto* base = dynamic_cast<ReplayerBase*>(replayer);
-  if (base != nullptr && !base->error().ok()) {
-    log->Report(kInvariantReplayerError,
-                replayer->name() + ": " + base->error().ToString());
+void ReportShardErrors(ShardedBackup* backup, ViolationLog* log) {
+  for (int s = 0; s < backup->num_shards(); ++s) {
+    Status st = backup->shard(s)->error();
+    if (!st.ok()) {
+      log->Report(kInvariantReplayerError,
+                  backup->shard(s)->name() + ": " + st.ToString());
+    }
   }
-}
-
-bool ReplayerErrored(Replayer* replayer) {
-  auto* base = dynamic_cast<ReplayerBase*>(replayer);
-  return base != nullptr && !base->error().ok();
 }
 
 std::vector<TableId> RandomTableSet(Rng* rng, size_t num_tables) {
@@ -213,13 +210,6 @@ std::unique_ptr<ShardedBackup> BuildBackup(
                                          std::move(shards));
 }
 
-bool AnyShardErrored(ShardedBackup* backup) {
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    if (ReplayerErrored(backup->shard(s))) return true;
-  }
-  return false;
-}
-
 /// Lockstep mode: ship epoch i's sub-epoch to every shard, wait until every
 /// shard consumed its sub-epoch (via the data/heartbeat counters — some
 /// shards see data, some synthetic heartbeats; next_expected_epoch advances
@@ -262,7 +252,7 @@ uint64_t RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
       const ReplayStats& st = backup->shard(static_cast<int>(s))->stats();
       while (st.epochs.load(std::memory_order_acquire) < data_sent[s] ||
              st.heartbeats.load(std::memory_order_acquire) < hb_sent[s]) {
-        if (AnyShardErrored(backup.get()) ||
+        if (!backup->error().ok() ||
             std::chrono::steady_clock::now() > deadline) {
           stalled = true;
           break;
@@ -306,10 +296,8 @@ uint64_t RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
   }
   for (auto& channel : channels) channel->Close();
   backup->Stop();
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    ReportReplayerError(backup->shard(s), log);
-  }
-  if (!stalled && !AnyShardErrored(backup.get())) {
+  ReportShardErrors(backup.get(), log);
+  if (!stalled && !!backup->error().ok()) {
     VerifyFinalState(model, &oracle);
   }
   return oracle.column_comparisons();
@@ -341,7 +329,7 @@ uint64_t RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
   std::vector<std::unique_ptr<RecordedSource>> sources;
   for (size_t s = 0; s < n; ++s) {
     sources.push_back(std::make_unique<RecordedSource>(&stream.shard_epochs[s]));
-    backup->SetShardEpochSource(static_cast<int>(s), sources.back().get());
+    backup->shard(static_cast<int>(s))->SetEpochSource(sources.back().get());
     if (auto* base = dynamic_cast<ReplayerBase*>(
             backup->shard(static_cast<int>(s)))) {
       ReplayRecoveryOptions fast;
@@ -417,10 +405,8 @@ uint64_t RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
   done.store(true, std::memory_order_release);
   for (std::thread& t : probers) t.join();
 
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    ReportReplayerError(backup->shard(s), log);
-  }
-  if (!AnyShardErrored(backup.get())) {
+  ReportShardErrors(backup.get(), log);
+  if (!!backup->error().ok()) {
     VerifyFinalState(model, &oracle);
   }
   return oracle.column_comparisons();

@@ -139,6 +139,8 @@ class SegmentStore {
   size_t num_segments() const;
   uint64_t bytes_written() const { return bytes_written_.load(); }
   uint64_t fsyncs() const { return fsyncs_.load(); }
+  /// Epochs Read() served from disk.
+  uint64_t fetches_from_disk() const { return fetches_from_disk_.load(); }
   /// Torn frames discarded by Open() across the store's lifetime on disk.
   uint64_t torn_frames_truncated() const { return torn_truncated_.load(); }
 

@@ -36,6 +36,7 @@ class FakeReplayer : public Replayer {
     global_.store(ts);
     bell().Ring();
   }
+  ReplayStats& mutable_stats() { return stats_; }
 
  private:
   std::vector<std::atomic<Timestamp>> table_ts_;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -20,11 +21,15 @@
 #include <vector>
 
 #include "aets/baselines/serial_replayer.h"
+#include "aets/bench/harness.h"
 #include "aets/catalog/shard_map.h"
 #include "aets/common/clock.h"
 #include "aets/common/rng.h"
 #include "aets/log/record.h"
 #include "aets/log/shipped_epoch.h"
+#include "aets/net/epoch_stream.h"
+#include "aets/net/query_server.h"
+#include "aets/node/backup_node.h"
 #include "aets/obs/metrics.h"
 #include "aets/primary/primary_db.h"
 #include "aets/replay/aets_replayer.h"
@@ -518,7 +523,7 @@ TEST(ShardedBackupTest, ChaosPerShardLinksRecoverViaShardSources) {
   }
   auto backup = MakeAetsBackup(catalog.get(), &map, raw, kTables);
   for (int s = 0; s < kShards; ++s) {
-    backup->SetShardEpochSource(s, shipper.shard_source(s));
+    backup->shard(s)->SetEpochSource(shipper.shard_source(s));
     auto* base = dynamic_cast<ReplayerBase*>(backup->shard(s));
     ASSERT_NE(base, nullptr);
     base->SetRecoveryOptions(FastRecovery());
@@ -534,11 +539,7 @@ TEST(ShardedBackupTest, ChaosPerShardLinksRecoverViaShardSources) {
   EXPECT_GT(faults, 0u);
 
   Timestamp final_ts = db.last_commit_ts();
-  for (int s = 0; s < kShards; ++s) {
-    auto* base = dynamic_cast<ReplayerBase*>(backup->shard(s));
-    EXPECT_TRUE(base->error().ok())
-        << "shard " << s << ": " << base->error().ToString();
-  }
+  EXPECT_TRUE(backup->error().ok()) << backup->error().ToString();
   for (TableId t = 0; t < kTables; ++t) {
     EXPECT_EQ(backup->StoreForTable(t)->GetTable(t)->DigestAt(final_ts),
               db.store().GetTable(t)->DigestAt(final_ts))
@@ -582,7 +583,7 @@ TEST(ShardedBackupTest, ExportedSeriesEqualComponentAccessors) {
   }
   auto backup = MakeAetsBackup(catalog.get(), &map, raw, kTables);
   for (int s = 0; s < kShards; ++s) {
-    backup->SetShardEpochSource(s, shipper.shard_source(s));
+    backup->shard(s)->SetEpochSource(shipper.shard_source(s));
     dynamic_cast<ReplayerBase*>(backup->shard(s))
         ->SetRecoveryOptions(FastRecovery());
   }
@@ -597,10 +598,7 @@ TEST(ShardedBackupTest, ExportedSeriesEqualComponentAccessors) {
   }
   shipper.Finish();
   backup->Stop();
-  for (int s = 0; s < kShards; ++s) {
-    auto* base = dynamic_cast<ReplayerBase*>(backup->shard(s));
-    ASSERT_TRUE(base->error().ok()) << "shard " << s;
-  }
+  ASSERT_TRUE(backup->error().ok()) << backup->error().ToString();
 
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
   auto series = [&](const std::string& name) -> uint64_t {
@@ -833,8 +831,9 @@ TEST(ShardedBackupTest, LatchedShardFreezesGlobalFrontier) {
   backup->Stop();
 
   EXPECT_FALSE(shard0->error().ok());
-  auto* shard1 = dynamic_cast<ReplayerBase*>(backup->shard(1));
-  EXPECT_TRUE(shard1->error().ok()) << shard1->error().ToString();
+  EXPECT_TRUE(backup->shard(1)->error().ok())
+      << backup->shard(1)->error().ToString();
+  EXPECT_EQ(backup->error().ToString(), shard0->error().ToString());
 
   Timestamp final_ts = db.last_commit_ts();
   Timestamp safe = backup->coordinator().GlobalSafeTimestamp();
@@ -917,6 +916,173 @@ TEST(ShardedBackupTest, WaitVisibleWakesOnAnyShardAdvance) {
   wait_until_published(80, [&] { s1->SetGlobal(80); });
   EXPECT_EQ(backup.TableVisibleTs(0), 50u);  // only the frontier moved
   EXPECT_EQ(backup.TableVisibleTs(1), 50u);
+}
+
+TEST(ShardedBackupTest, StatsSumEveryCounterAcrossShards) {
+  // Every counter sums over the shards; the wall marks span the earliest
+  // start and the latest end.
+  ShardMap map = ShardMap::Hash(2, 2);
+  std::vector<std::unique_ptr<Replayer>> shards;
+  shards.push_back(std::make_unique<test::FakeReplayer>(2));
+  shards.push_back(std::make_unique<test::FakeReplayer>(2));
+  ReplayStats& a = static_cast<test::FakeReplayer*>(shards[0].get())
+                       ->mutable_stats();
+  ReplayStats& b = static_cast<test::FakeReplayer*>(shards[1].get())
+                       ->mutable_stats();
+  a.epochs = 3;
+  b.epochs = 4;
+  a.sync_wait_ns = 10;
+  b.sync_wait_ns = 20;
+  a.commit_waits = 5;
+  b.commit_waits = 6;
+  a.conflict_retries = 7;
+  b.conflict_retries = 8;
+  a.wall_start_us = 100;
+  b.wall_start_us = 50;
+  a.wall_end_us = 400;
+  b.wall_end_us = 300;
+  ShardedBackup backup(&map, std::move(shards));
+  const ReplayStats& sum = backup.stats();
+  EXPECT_EQ(sum.epochs.load(), 7u);
+  EXPECT_EQ(sum.sync_wait_ns.load(), 30);
+  EXPECT_EQ(sum.commit_waits.load(), 11u);
+  EXPECT_EQ(sum.conflict_retries.load(), 15u);
+  EXPECT_EQ(sum.wall_start_us.load(), 50);
+  EXPECT_EQ(sum.wall_end_us.load(), 400);
+}
+
+// ---------------------------------------------------------------------------
+// BackupNode
+
+std::string FreshDir(const std::string& name) {
+  std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+void ExpectPrimaryDigest(BackupNode* node, const Catalog* catalog,
+                         const PrimaryDb& db) {
+  ASSERT_TRUE(node->backup().error().ok())
+      << node->backup().error().ToString();
+  // A trailing heartbeat may carry the watermark past the last commit.
+  Timestamp final_ts = db.last_commit_ts();
+  EXPECT_GE(node->backup().GlobalVisibleTs(), final_ts);
+  EXPECT_EQ(ReplicaDigestAt(&node->backup(), catalog, final_ts),
+            db.store().DigestAt(final_ts));
+}
+
+TEST(BackupNodeTest, InProcessNodeMatchesPrimary) {
+  constexpr int kTables = 5;
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+    LogicalClock clock;
+    PrimaryDb db(catalog.get(), &clock);
+    LogShipper shipper(/*epoch_size=*/16);
+    BackupNodeOptions options;
+    options.shards = shards;
+    auto node = BackupNode::Attach(catalog.get(), options, &shipper);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    EXPECT_EQ((*node)->num_lanes(), shards);
+    EXPECT_EQ((*node)->store(0), nullptr);  // no dir: in memory
+    db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+    RunRandomWorkload(&db, kTables, 400,
+                      test::DeriveSeed(1201u + static_cast<uint64_t>(shards)));
+    (*node)->Stop();  // finishes the shipper
+    EXPECT_TRUE(shipper.finished());
+    ExpectPrimaryDigest(node->get(), catalog.get(), db);
+    EXPECT_GT((*node)->backup().stats().txns.load(), 0u);
+    ExpectConserved(shipper);
+  }
+}
+
+TEST(BackupNodeTest, RecoversEachLaneFromItsMidStreamCheckpoint) {
+  // A dir-backed node images every lane mid-stream and stops; a second node
+  // over the same directory restarts each lane from its image (not cold)
+  // and replays the durable tail to the primary's digest.
+  constexpr int kTables = 5;
+  constexpr int kShards = 2;
+  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+  LogicalClock clock;
+  PrimaryDb db(catalog.get(), &clock);
+  LogShipper shipper(/*epoch_size=*/16, /*retention_capacity=*/8);
+  BackupNodeOptions options;
+  options.shards = kShards;
+  options.dir = FreshDir("backup_node_recover");
+  auto first = BackupNode::Attach(catalog.get(), options, &shipper);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+
+  RunRandomWorkload(&db, kTables, 300, test::DeriveSeed(1301));
+  shipper.FlushEpoch();
+  std::vector<EpochId> floors;
+  for (int k = 0; k < kShards; ++k) {
+    Result<EpochId> floor = (*first)->Checkpoint(k, db.last_commit_ts());
+    ASSERT_TRUE(floor.ok()) << floor.status().ToString();
+    EXPECT_GT(*floor, 0u);
+    floors.push_back(*floor);
+    EXPECT_TRUE(std::filesystem::exists(
+        CheckpointPathFor(options.dir + "/shard" + std::to_string(k), *floor)));
+  }
+  RunRandomWorkload(&db, kTables, 300, test::DeriveSeed(1302));
+  (*first)->Stop();
+  ExpectPrimaryDigest(first->get(), catalog.get(), db);
+  first->reset();
+
+  auto second = BackupNode::Recover(catalog.get(), options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  for (int k = 0; k < kShards; ++k) {
+    EXPECT_FALSE((*second)->restart(k).image.empty()) << "lane " << k;
+    EXPECT_EQ((*second)->restart(k).next_epoch, floors[static_cast<size_t>(k)]);
+    EXPECT_NE((*second)->restart_ts(k), kInvalidTimestamp);
+  }
+  (*second)->Stop();
+  ExpectPrimaryDigest(second->get(), catalog.get(), db);
+  uint64_t fetches = 0;
+  for (int k = 0; k < kShards; ++k) {
+    fetches += (*second)->store(k)->fetches_from_disk();
+  }
+  EXPECT_GT(fetches, 0u);  // the tail came off the disk
+}
+
+TEST(BackupNodeTest, TcpNodeServesQueriesAndMatchesPrimary) {
+  constexpr int kTables = 4;
+  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+  LogicalClock clock;
+  PrimaryDb db(catalog.get(), &clock);
+  LogShipper shipper(/*epoch_size=*/16, /*retention_capacity=*/1u << 16);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+  net::EpochStreamServer server(&shipper);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  auto node = BackupNode::Connect(catalog.get(), BackupNodeOptions{},
+                                  "127.0.0.1", server.port());
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  ASSERT_TRUE((*node)->ServeQueries(0).ok());
+  RunRandomWorkload(&db, kTables, 400, test::DeriveSeed(1401));
+  shipper.ShipHeartbeat(db.AcquireHeartbeatTs());
+  shipper.Finish();
+  ASSERT_TRUE((*node)->WaitStreamEnd(/*timeout_ms=*/30'000));
+  const Timestamp final_ts = db.last_commit_ts();
+  ShardedBackup& backup = (*node)->backup();
+  backup.bell().WaitUntil([&] {
+    return !backup.error().ok() || backup.GlobalVisibleTs() >= final_ts;
+  });
+
+  Result<net::QueryClient> client =
+      net::QueryClient::Connect("127.0.0.1", (*node)->query_port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<net::QueryClient::ScanResult> scan = client->Scan(0, final_ts);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_FALSE(scan->busy);
+  EXPECT_EQ(scan->pinned_ts, final_ts);
+  EXPECT_EQ(scan->digest, db.store().GetTable(0)->DigestAt(final_ts));
+  EXPECT_EQ(scan->row_count, db.store().GetTable(0)->VisibleRowCount(final_ts));
+
+  (*node)->Stop();
+  EXPECT_GT((*node)->epochs_received(), 0u);
+  ExpectPrimaryDigest(node->get(), catalog.get(), db);
+  server.Stop();
 }
 
 }  // namespace
