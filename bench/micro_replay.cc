@@ -206,9 +206,9 @@ void BM_AetsSingleEpochReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_AetsSingleEpochReplay)->Arg(1)->Arg(2)->Arg(4);
 
-// A recorded multi-epoch TPC-C stream, built once. Single-epoch replay can
-// never overlap stages across epochs, so the cross-epoch pipeline
-// (DESIGN.md §9) only shows up here.
+// A recorded multi-epoch TPC-C stream, built once: the per-epoch costs
+// (regrouping checks, stage barriers, watermark publication) that a single
+// epoch hides show up here.
 struct MultiEpochFixture {
   static constexpr size_t kEpochTxns = 64;
   static constexpr int kNumEpochs = 32;
@@ -255,9 +255,8 @@ void ProjectEveryTable(AetsReplayer* replayer) {
 }
 
 void BM_AetsMultiEpochReplay(benchmark::State& state) {
-  // range(0) = replay threads and commit threads, range(1) = pipeline
-  // depth. Depth 1 is the unpipelined baseline; the CI bench job compares
-  // depth 1 vs 3. 1/2 is one replay and one commit thread.
+  // range(0) = replay threads and commit threads; 1 is one replay and one
+  // commit thread.
   const MultiEpochFixture& fx = MultiFixture();
   for (auto _ : state) {
     EpochChannel channel(fx.epochs.size() + 1);
@@ -266,7 +265,6 @@ void BM_AetsMultiEpochReplay(benchmark::State& state) {
     AetsOptions options;
     options.replay_threads = static_cast<int>(state.range(0));
     options.commit_threads = static_cast<int>(state.range(0));
-    options.pipeline_depth = static_cast<int>(state.range(1));
     options.grouping = GroupingMode::kStatic;
     options.static_hot_groups = fx.tpcc.DefaultHotGroups();
     AetsReplayer replayer(&fx.tpcc.catalog(), &channel, options);
@@ -280,47 +278,8 @@ void BM_AetsMultiEpochReplay(benchmark::State& state) {
                           static_cast<int64_t>(fx.total_txns));
 }
 BENCHMARK(BM_AetsMultiEpochReplay)
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 3})
-    ->Args({1, 2})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AetsMultiEpochReplayCommitLatency(benchmark::State& state) {
-  // Same stream, but the commit stage carries 200us of non-CPU latency per
-  // epoch (modeling a durable-commit fsync or a remote acknowledgement).
-  // At depth 1 that latency serializes with dispatch + translation; at
-  // depth >= 2 the pipeline hides prepare work behind it, so the win shows
-  // even on a single core. range(0) = threads, range(1) = pipeline depth.
-  const MultiEpochFixture& fx = MultiFixture();
-  for (auto _ : state) {
-    EpochChannel channel(fx.epochs.size() + 1);
-    for (const auto& shipped : fx.epochs) channel.Send(shipped);
-    channel.Close();
-    AetsOptions options;
-    options.replay_threads = static_cast<int>(state.range(0));
-    options.pipeline_depth = static_cast<int>(state.range(1));
-    options.grouping = GroupingMode::kStatic;
-    options.static_hot_groups = fx.tpcc.DefaultHotGroups();
-    AetsReplayer replayer(&fx.tpcc.catalog(), &channel, options);
-    ProjectEveryTable(&replayer);
-    replayer.SetCommitHookForTest([](const ShippedEpoch& epoch) {
-      if (!epoch.is_heartbeat()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-    AETS_CHECK(replayer.Start().ok());
-    replayer.Stop();
-    AETS_CHECK(replayer.error().ok());
-    benchmark::DoNotOptimize(replayer.stats().records.load());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.total_txns));
-}
-BENCHMARK(BM_AetsMultiEpochReplayCommitLatency)
-    ->Args({4, 1})
-    ->Args({4, 3})
+    ->Arg(4)
+    ->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -329,10 +288,10 @@ BENCHMARK(BM_AetsMultiEpochReplayCommitLatency)
 // cuts epochs of a few transactions each, so whatever one epoch costs
 // regardless of its size is paid at the seal rate. range(0) TPC-C
 // transactions per epoch are fed one epoch at a time into a default
-// AetsReplayer (4 replay + 4 commit threads, depth 2, per-table groups,
-// order_line hot and projected, as a queried backup runs), and the feeder
-// waits until each epoch is visible before it sends the next, so every
-// epoch lands on a parked pipeline the way a live 2 ms seal does. Counters
+// AetsReplayer (4 replay + 4 commit threads, per-table groups, order_line
+// hot and projected, as a queried backup runs), and the feeder waits until
+// each epoch is visible before it sends the next, so every epoch lands on a
+// parked replayer the way a live 2 ms seal does. Counters
 // are per epoch: process CPU (every thread, CLOCK_PROCESS_CPUTIME_ID) and
 // the replayer's dispatch / phase-1 translate / phase-2 install split.
 
@@ -461,12 +420,12 @@ void BM_ShardedMultiEpochReplay(benchmark::State& state) {
   // commit) divided across shards by SplitThreadBudget — the scale-out
   // question is what N lanes buy at constant resources per box.
   //
-  // Each shard's commit carries a modeled non-CPU latency proportional to
+  // Each shard's apply carries a modeled non-CPU latency proportional to
   // the sub-epoch's payload size (a per-shard durable/ack link at ~25 MB/s),
-  // the same technique as BM_AetsMultiEpochReplayCommitLatency: sharding
-  // divides each lane's payload N ways, so the latency component — the
-  // resource multi-backup replay actually multiplies — scales down with N
-  // even on a single core, while the CPU component needs real cores.
+  // slept in the commit hook: sharding divides each lane's payload N ways,
+  // so the latency component — the resource multi-backup replay actually
+  // multiplies — scales down with N even on a single core, while the CPU
+  // component needs real cores.
   const ShardedBusFixture& fx = ShardedFixture();
   const int shards = static_cast<int>(state.range(0));
   const auto& lanes = fx.streams.at(shards);

@@ -8,9 +8,7 @@ namespace aets {
 
 AtrReplayer::AtrReplayer(const Catalog* catalog, EpochChannel* channel,
                          AtrOptions options)
-    : ReplayerBase(catalog, channel, "ATR"), options_(options) {
-  SetPipelineDepth(options_.pipeline_depth);
-}
+    : ReplayerBase(catalog, channel, "ATR"), options_(options) {}
 
 AtrReplayer::~AtrReplayer() { Stop(); }
 
@@ -36,71 +34,61 @@ void AtrReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
   PublishWatermark(watermark_, epoch.heartbeat_ts);
 }
 
-std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
-    const ShippedEpoch& epoch) {
-  AETS_TRACE_SPAN("replay.prepare");
+bool AtrReplayer::ApplyEpoch(const ShippedEpoch& epoch) {
+  AETS_TRACE_SPAN("replay.epoch");
   // Dispatch: one metadata pass splits the payload into per-transaction
-  // tasks (transactionID-based dispatch parses only the log metadata). The
-  // workers install directly into the Memtable, so they only run in
-  // CommitEpoch — the pipeline overlaps this pass with the previous epoch's
-  // apply.
-  auto prep = std::make_unique<PreparedAtr>();
-  prep->payload = epoch.payload;
-  ScopedTimerNs timer(&stats_.dispatch_ns);
-  const std::string& data = *epoch.payload;
-  size_t offset = 0;
-  TxnTask* open = nullptr;
-  while (offset < data.size()) {
-    size_t rec_start = offset;
-    auto rec = LogCodec::DecodeMetadata(data, &offset);
-    if (!rec.ok()) {
-      SetError(rec.status());
-      return prep;
-    }
-    switch (rec->type) {
-      case LogRecordType::kBegin:
-        prep->tasks.emplace_back();
-        open = &prep->tasks.back();
-        open->txn_id = rec->txn_id;
-        open->commit_ts = rec->timestamp;
-        break;
-      case LogRecordType::kCommit:
-        open = nullptr;
-        break;
-      case LogRecordType::kHeartbeat:
-        break;
-      default:
-        if (open == nullptr) {
-          SetError(Status::Corruption("DML outside transaction"));
-          return prep;
-        }
-        open->offsets.push_back(rec_start);
-        break;
+  // tasks (transactionID-based dispatch parses only the log metadata).
+  std::deque<TxnTask> tasks;
+  {
+    ScopedTimerNs timer(&stats_.dispatch_ns);
+    const std::string& data = *epoch.payload;
+    size_t offset = 0;
+    TxnTask* open = nullptr;
+    while (offset < data.size()) {
+      size_t rec_start = offset;
+      auto rec = LogCodec::DecodeMetadata(data, &offset);
+      if (!rec.ok()) {
+        SetError(rec.status());
+        return false;
+      }
+      switch (rec->type) {
+        case LogRecordType::kBegin:
+          tasks.emplace_back();
+          open = &tasks.back();
+          open->txn_id = rec->txn_id;
+          open->commit_ts = rec->timestamp;
+          break;
+        case LogRecordType::kCommit:
+          open = nullptr;
+          break;
+        case LogRecordType::kHeartbeat:
+          break;
+        default:
+          if (open == nullptr) {
+            SetError(Status::Corruption("DML outside transaction"));
+            return false;
+          }
+          open->offsets.push_back(rec_start);
+          break;
+      }
     }
   }
-  return prep;
-}
 
-bool AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
-                              std::unique_ptr<PreparedEpoch> prepared) {
-  AETS_TRACE_SPAN("replay.epoch");
-  auto* prep = static_cast<PreparedAtr*>(prepared.get());
   const std::string* payload = epoch.payload.get();
-  std::deque<TxnTask>* tasks = &prep->tasks;
   for (int w = 0; w < options_.workers; ++w) {
     if (!pool_->Submit(
-            [this, payload, tasks, w] { WorkerRun(*payload, tasks, w); })) {
+            [this, payload, &tasks, w] { WorkerRun(*payload, &tasks, w); })) {
       SetError(Status::Internal("worker pool rejected an apply task"));
       break;
     }
   }
 
   // The single commit thread: make transactions visible strictly in primary
-  // commit order (run inline on the commit context), parking on the work
-  // bell until the worker flips each task's done flag. On error a worker may
+  // commit order (run inline on the main loop), parking on the work bell
+  // until the worker flips each task's done flag. On error a worker may
   // never flip its tasks' done flags, so the latch is the exit — the
   // watermark freezes at the last fully applied transaction.
-  for (auto& task : prep->tasks) {
+  for (auto& task : tasks) {
     auto ready = [&] {
       return task.done.load(std::memory_order_acquire) || HasError();
     };

@@ -17,11 +17,6 @@ namespace aets {
 
 struct AtrOptions {
   int workers = 4;
-  /// Cross-epoch pipeline depth (DESIGN.md §9): metadata dispatch of epoch
-  /// N+1 overlaps the worker apply + watermark advance of epoch N. Kept at
-  /// the same default as AetsOptions so benchmark comparisons stay
-  /// apples-to-apples.
-  int pipeline_depth = 2;
 };
 
 /// Reimplementation of the ATR log replay baseline (Lee et al., VLDB'17) on
@@ -42,10 +37,7 @@ class AtrReplayer : public ReplayerBase {
  protected:
   Status StartWorkers() override;
   void StopWorkers() override;
-  std::unique_ptr<PreparedEpoch> PrepareEpoch(
-      const ShippedEpoch& epoch) override;
-  bool CommitEpoch(const ShippedEpoch& epoch,
-                   std::unique_ptr<PreparedEpoch> prepared) override;
+  bool ApplyEpoch(const ShippedEpoch& epoch) override;
   void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
@@ -55,14 +47,6 @@ class AtrReplayer : public ReplayerBase {
     Timestamp commit_ts = kInvalidTimestamp;
     std::vector<size_t> offsets;
     std::atomic<bool> done{false};
-  };
-
-  /// Prepare-stage output: the per-transaction dispatch of one epoch. The
-  /// workers only run during CommitEpoch (ATR installs versions directly,
-  /// which must stay epoch-ordered), so nothing here outlives its commit.
-  struct PreparedAtr : PreparedEpoch {
-    std::shared_ptr<const std::string> payload;
-    std::deque<TxnTask> tasks;
   };
 
   void WorkerRun(const std::string& payload, std::deque<TxnTask>* tasks,

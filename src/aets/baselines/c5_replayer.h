@@ -19,10 +19,6 @@ struct C5Options {
   int workers = 4;
   /// Watermark (snapshot timestamp) advance period (paper: 5 ms).
   int64_t watermark_period_us = 5'000;
-  /// Cross-epoch pipeline depth (DESIGN.md §9): the full-image row dispatch
-  /// of epoch N+1 overlaps the queue drain + watermark advance of epoch N.
-  /// Same default as AetsOptions for apples-to-apples comparisons.
-  int pipeline_depth = 2;
 };
 
 /// Reimplementation of the C5 baseline (Helt et al., VLDB'22) on our
@@ -44,10 +40,7 @@ class C5Replayer : public ReplayerBase {
  protected:
   Status StartWorkers() override;
   void StopWorkers() override;
-  std::unique_ptr<PreparedEpoch> PrepareEpoch(
-      const ShippedEpoch& epoch) override;
-  bool CommitEpoch(const ShippedEpoch& epoch,
-                   std::unique_ptr<PreparedEpoch> prepared) override;
+  bool ApplyEpoch(const ShippedEpoch& epoch) override;
   void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
@@ -63,16 +56,6 @@ class C5Replayer : public ReplayerBase {
     PackedDelta delta;
     Timestamp commit_ts = kInvalidTimestamp;
     size_t txn_index = 0;  // index into the epoch's txn bookkeeping
-  };
-
-  /// Prepare-stage output: the fully decoded per-worker row queues plus the
-  /// per-transaction bookkeeping the watermark thread walks. The queues are
-  /// drained only during CommitEpoch (C5 installs versions directly), so
-  /// nothing here outlives its commit.
-  struct PreparedC5 : PreparedEpoch {
-    std::vector<std::vector<RowOp>> queues;
-    std::vector<Timestamp> txn_ts;
-    std::vector<std::atomic<uint32_t>> txn_remaining;
   };
 
   C5Options options_;

@@ -8,11 +8,8 @@
 
 namespace aets {
 
-SerialReplayer::SerialReplayer(const Catalog* catalog, EpochChannel* channel,
-                               int pipeline_depth)
-    : ReplayerBase(catalog, channel, "Serial") {
-  SetPipelineDepth(pipeline_depth);
-}
+SerialReplayer::SerialReplayer(const Catalog* catalog, EpochChannel* channel)
+    : ReplayerBase(catalog, channel, "Serial") {}
 
 SerialReplayer::~SerialReplayer() { Stop(); }
 
@@ -28,26 +25,18 @@ void SerialReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
   PublishWatermark(watermark_, epoch.heartbeat_ts);
 }
 
-std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
-    const ShippedEpoch& shipped) {
-  AETS_TRACE_SPAN("replay.prepare");
-  auto prep = std::make_unique<PreparedSerial>();
-  ScopedTimerNs timer(&stats_.dispatch_ns);
-  auto epoch = DecodeEpoch(shipped);
+bool SerialReplayer::ApplyEpoch(const ShippedEpoch& shipped) {
+  AETS_TRACE_SPAN("replay.epoch");
+  Result<Epoch> epoch = [&] {
+    ScopedTimerNs timer(&stats_.dispatch_ns);
+    return DecodeEpoch(shipped);
+  }();
   if (!epoch.ok()) {
     SetError(epoch.status());
-    return prep;
+    return false;
   }
-  prep->epoch = std::move(*epoch);
-  return prep;
-}
-
-bool SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
-                                 std::unique_ptr<PreparedEpoch> prepared) {
-  auto* prep = static_cast<PreparedSerial*>(prepared.get());
-  AETS_TRACE_SPAN("replay.epoch");
   ScopedTimerNs timer(&stats_.replay_ns);
-  for (const auto& txn : prep->epoch.txns) {
+  for (const auto& txn : epoch->txns) {
     for (const auto& rec : txn.records) {
       if (!rec.is_dml()) continue;
       store_.GetTable(rec.table_id)->ApplyCommitted(rec, txn.commit_ts);

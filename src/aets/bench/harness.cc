@@ -121,29 +121,24 @@ std::unique_ptr<Replayer> BuildReplayer(const ReplayerSpec& spec,
       options.rate_provider = spec.rate_provider;
       options.regroup_on_rate_change = spec.regroup_on_rate_change;
       options.dbscan_eps = spec.dbscan_eps;
-      options.pipeline_depth = spec.pipeline_depth;
       options.column_store_enabled = false;
       options.name += lane;
       return std::make_unique<AetsReplayer>(catalog, channel, options);
     }
     case ReplayerKind::kTplr: {
       AetsOptions options = TplrBaselineOptions(spec.threads);
-      options.pipeline_depth = spec.pipeline_depth;
       options.column_store_enabled = false;
       options.name += lane;
       return std::make_unique<AetsReplayer>(catalog, channel, options);
     }
     case ReplayerKind::kAtr:
-      return std::make_unique<AtrReplayer>(
-          catalog, channel, AtrOptions{spec.threads, spec.pipeline_depth});
+      return std::make_unique<AtrReplayer>(catalog, channel,
+                                           AtrOptions{spec.threads});
     case ReplayerKind::kC5:
-      return std::make_unique<C5Replayer>(
-          catalog, channel,
-          C5Options{spec.threads, /*watermark_period_us=*/5'000,
-                    spec.pipeline_depth});
+      return std::make_unique<C5Replayer>(catalog, channel,
+                                          C5Options{spec.threads});
     case ReplayerKind::kSerial:
-      return std::make_unique<SerialReplayer>(catalog, channel,
-                                              spec.pipeline_depth);
+      return std::make_unique<SerialReplayer>(catalog, channel);
   }
   return nullptr;
 }

@@ -71,8 +71,6 @@ struct ReplayerSpec {
   /// Rebuild the grouping when provided rates change (see AetsOptions).
   bool regroup_on_rate_change = true;
   double dbscan_eps = 0.3;
-  /// Cross-epoch pipeline depth (DESIGN.md §9). 1 disables the pipeline.
-  int pipeline_depth = 2;
   /// Backup shard count for ReplayRecorded (DESIGN.md §11), N >= 1: the
   /// recorded stream is split into N per-shard sub-epoch lanes
   /// (ShardMap::Hash over the catalog) and replayed through N replayers of

@@ -13,8 +13,7 @@ namespace aets {
 /// Fixed-size worker pool with an unbounded task queue and a barrier-style
 /// `WaitIdle()`. Replay stages submit a batch of tasks and wait for the stage
 /// to drain. The queue needs no bound: every caller submits at most a few
-/// tasks per worker per epoch, and the replayer's pipeline queue is what
-/// throttles the prepare stage.
+/// tasks per worker per epoch, and a replayer applies one epoch at a time.
 ///
 /// Shutdown semantics: `Shutdown()` (also run by the destructor) drains tasks
 /// already accepted, then stops the workers. A `Submit` that races with or

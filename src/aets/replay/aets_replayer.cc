@@ -13,7 +13,7 @@ namespace aets {
 // predictor noise on unqueried tables).
 constexpr double kHotRateThreshold = 0.5;
 
-AetsReplayer::PreparedAets::~PreparedAets() {
+AetsReplayer::EpochState::~EpochState() {
   work_bell->WaitUntil([this] {
     return outstanding_translate.load(std::memory_order_acquire) == 0;
   });
@@ -33,7 +33,6 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
   current_rates_ = options_.initial_rates;
   current_rates_.resize(catalog_->num_tables(), 0.0);
   RebuildGroups(current_rates_);
-  SetPipelineDepth(options_.pipeline_depth);
   if (options_.column_store_enabled) {
     storage::ColumnStoreOptions cs;
     cs.chunk_rows = options_.column_chunk_rows;
@@ -47,11 +46,10 @@ Status AetsReplayer::StartWorkers() {
   if (options_.replay_threads <= 0 || options_.commit_threads <= 0) {
     return Status::InvalidArgument("thread counts must be positive");
   }
-  // At most replay_threads translate jobs per epoch, for at most
-  // pipeline_depth + 1 epochs in flight, reach the replay pool; the pipeline
-  // queue, not a pool queue bound, is what throttles the prepare stage.
+  // At most replay_threads translate jobs, all of one epoch, reach the
+  // replay pool at a time: the main loop applies one epoch at a time.
   replay_pool_ = std::make_unique<ThreadPool>(options_.replay_threads);
-  // The commit context claims a stage's groups alongside the pool (see
+  // The main loop claims a stage's groups alongside the pool (see
   // CommitStage), so the pool holds the other commit_threads - 1.
   if (options_.commit_threads > 1) {
     commit_pool_ = std::make_unique<ThreadPool>(options_.commit_threads - 1);
@@ -75,13 +73,7 @@ Timestamp AetsReplayer::GlobalVisibleTs() const {
 
 std::vector<TableGroup> AetsReplayer::groups() const {
   std::lock_guard<std::mutex> lk(groups_mu_);
-  return grouping_->groups;
-}
-
-std::shared_ptr<const AetsReplayer::GroupingSnapshot>
-AetsReplayer::grouping_snapshot() const {
-  std::lock_guard<std::mutex> lk(groups_mu_);
-  return grouping_;
+  return groups_;
 }
 
 Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
@@ -118,9 +110,9 @@ Status AetsReplayer::WriteCheckpoint(const std::string& path) const {
 }
 
 void AetsReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  // Heartbeats ride the pipeline queue behind every data epoch shipped
-  // before them, and the commit context is single, so all data older than
-  // heartbeat_ts is already replayed; the whole backup may publish it.
+  // The main loop applies a heartbeat only after every data epoch shipped
+  // before it, so all data older than heartbeat_ts is already replayed; the
+  // whole backup may publish it.
   for (auto& ts : table_ts_) StoreMaxTimestamp(ts, epoch.heartbeat_ts);
   PublishWatermark(global_ts_, epoch.heartbeat_ts);
   watermark_metric_->Set(
@@ -140,10 +132,8 @@ void AetsReplayer::RefreshRates() {
     RebuildGroups(current_rates_);
   } else {
     // Keep the group shapes; refresh their access rates for the allocator.
-    // Installed as a fresh snapshot — epochs already in the pipeline keep
-    // reading the generation they were dispatched under.
-    auto next = std::make_shared<GroupingSnapshot>(*grouping_snapshot());
-    for (auto& g : next->groups) {
+    std::lock_guard<std::mutex> lk(groups_mu_);
+    for (auto& g : groups_) {
       g.access_rate = 0;
       for (TableId t : g.tables) g.access_rate += current_rates_[t];
       if (options_.grouping != GroupingMode::kStatic &&
@@ -151,35 +141,33 @@ void AetsReplayer::RefreshRates() {
         g.hot = g.access_rate >= kHotRateThreshold;
       }
     }
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    grouping_ = std::move(next);
   }
 }
 
 void AetsReplayer::RebuildGroups(const std::vector<double>& rates) {
-  auto next = std::make_shared<GroupingSnapshot>();
+  std::vector<TableGroup> groups;
   switch (options_.grouping) {
     case GroupingMode::kPerTable:
-      next->groups = TableGrouping::PerTable(rates, kHotRateThreshold);
+      groups = TableGrouping::PerTable(rates, kHotRateThreshold);
       break;
     case GroupingMode::kByAccessRate:
-      next->groups = TableGrouping::ByAccessRate(rates, options_.dbscan_eps,
-                                                 kHotRateThreshold);
+      groups = TableGrouping::ByAccessRate(rates, options_.dbscan_eps,
+                                           kHotRateThreshold);
       break;
     case GroupingMode::kStatic:
-      next->groups = TableGrouping::Static(options_.static_hot_groups, rates,
-                                           catalog_->num_tables());
+      groups = TableGrouping::Static(options_.static_hot_groups, rates,
+                                     catalog_->num_tables());
       break;
     case GroupingMode::kSingle:
-      next->groups = TableGrouping::Single(catalog_->num_tables(), rates);
+      groups = TableGrouping::Single(catalog_->num_tables(), rates);
       break;
   }
-  next->table_to_group =
-      TableGrouping::TableToGroup(next->groups, catalog_->num_tables());
-  size_t num_groups = next->groups.size();
+  const size_t num_groups = groups.size();
   {
     std::lock_guard<std::mutex> lk(groups_mu_);
-    grouping_ = std::move(next);
+    table_to_group_ =
+        TableGrouping::TableToGroup(groups, catalog_->num_tables());
+    groups_ = std::move(groups);
   }
   regroup_metric_->Add(1);
   num_groups_metric_->Set(static_cast<int64_t>(num_groups));
@@ -191,76 +179,64 @@ void AetsReplayer::RebuildGroups(const std::vector<double>& rates) {
   last_alloc_.assign(num_groups, -1);
 }
 
-std::unique_ptr<ReplayerBase::PreparedEpoch> AetsReplayer::PrepareEpoch(
-    const ShippedEpoch& epoch) {
-  AETS_TRACE_SPAN("replay.prepare");
-  auto prep = std::make_unique<PreparedAets>(&work_bell_);
-  prep->apply_start_us = MonotonicMicros();
+bool AetsReplayer::ApplyEpoch(const ShippedEpoch& epoch) {
+  AETS_TRACE_SPAN("replay.epoch");
+  const int64_t apply_start_us = MonotonicMicros();
   RefreshRates();
-  prep->grouping = grouping_snapshot();
-  prep->payload = epoch.payload;
-  const GroupingSnapshot& grouping = *prep->grouping;
-  prep->gstate = std::vector<GroupEpochState>(grouping.groups.size());
+  EpochState state(&work_bell_);
+  state.gstate = std::vector<GroupEpochState>(groups_.size());
   {
     AETS_TRACE_SPAN("replay.dispatch");
     ScopedTimerNs timer(&stats_.dispatch_ns);
-    if (!DispatchEpoch(epoch, grouping, &prep->gstate)) return prep;
+    if (!DispatchEpoch(epoch, &state.gstate)) return false;
   }
 
   // Partition groups into the two stages. Without two-stage replay every
   // group runs in one stage. Groups that received no log entries this epoch
   // have nothing pending, but their tables may publish the epoch's maximum
-  // commit timestamp only after the whole epoch commits cleanly (see
-  // CommitEpoch) — publishing here would let a later stage failure leave a
-  // quiet table's watermark past the failure point.
-  for (size_t gi = 0; gi < grouping.groups.size(); ++gi) {
-    if (prep->gstate[gi].fragments.empty()) {
-      prep->quiet_groups.push_back(static_cast<int>(gi));
-    } else if (options_.two_stage && !grouping.groups[gi].hot) {
-      prep->cold_groups.push_back(static_cast<int>(gi));
+  // commit timestamp only after the whole epoch commits cleanly (below) —
+  // publishing earlier would let a later stage failure leave a quiet
+  // table's watermark past the failure point.
+  for (size_t gi = 0; gi < groups_.size(); ++gi) {
+    if (state.gstate[gi].fragments.empty()) {
+      state.quiet_groups.push_back(static_cast<int>(gi));
+    } else if (options_.two_stage && !groups_[gi].hot) {
+      state.cold_groups.push_back(static_cast<int>(gi));
     } else {
-      prep->hot_groups.push_back(static_cast<int>(gi));
+      state.hot_groups.push_back(static_cast<int>(gi));
     }
   }
-  // Phase-1 translation starts now, possibly epochs ahead of its commit:
-  // translate only pins Memtable nodes and builds pending cells, so it is
-  // safe to overlap with the commit of earlier epochs. Hot groups are
-  // planned first so stage 1 is never starved behind cold work.
-  PlanTranslate(prep.get(), prep->hot_groups);
-  PlanTranslate(prep.get(), prep->cold_groups);
-  LaunchTranslate(prep.get());
-  return prep;
-}
-
-bool AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
-                               std::unique_ptr<PreparedEpoch> prepared) {
-  AETS_TRACE_SPAN("replay.epoch");
-  auto* prep = static_cast<PreparedAets*>(prepared.get());
+  // Phase-1 translation of both stages starts at once: translate only pins
+  // Memtable nodes and builds pending cells, so the cold stage's translation
+  // overlaps the hot stage's commit. Hot groups are planned first so stage
+  // 1 is never starved behind cold work.
+  PlanTranslate(&state, state.hot_groups);
+  PlanTranslate(&state, state.cold_groups);
+  LaunchTranslate(*epoch.payload, &state);
   {
     AETS_TRACE_SPAN("replay.stage1_hot");
     ScopedTimerNs timer(&stats_.stage1_wall_ns);
-    CommitStage(prep, prep->hot_groups);
+    CommitStage(&state, state.hot_groups);
   }
   {
     AETS_TRACE_SPAN("replay.stage2_cold");
     ScopedTimerNs timer(&stats_.stage2_wall_ns);
-    CommitStage(prep, prep->cold_groups);
+    CommitStage(&state, state.cold_groups);
   }
   // Every fragment is installed or its group stopped on the latch: a
   // translation failure latches before it marks its fragment poisoned, and
   // the group's committer reads that mark, so the check below cannot miss
   // it. Translate jobs still draining (ones that found nothing left to
-  // claim) are waited for only when `prepared` is destroyed, after the
-  // watermarks are published.
+  // claim) are waited for when `state` is destroyed, after the watermarks
+  // are published.
   //
   // A failed epoch must not move any watermark past the failure point —
   // including the quiet groups, whose tables saw no log entries this epoch
   // but would otherwise announce visibility the epoch never earned.
   if (HasError()) return false;
 
-  const GroupingSnapshot& grouping = *prep->grouping;
-  for (int gi : prep->quiet_groups) {
-    for (TableId t : grouping.groups[static_cast<size_t>(gi)].tables) {
+  for (int gi : state.quiet_groups) {
+    for (TableId t : groups_[static_cast<size_t>(gi)].tables) {
       StoreMaxTimestamp(table_ts_[t], epoch.max_commit_ts);
     }
   }
@@ -268,12 +244,11 @@ bool AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
   stats_.txns.fetch_add(epoch.num_txns, std::memory_order_relaxed);
   watermark_metric_->Set(
       static_cast<int64_t>(global_ts_.load(std::memory_order_relaxed)));
-  epoch_apply_us_metric_->Record(MonotonicMicros() - prep->apply_start_us);
+  epoch_apply_us_metric_->Record(MonotonicMicros() - apply_start_us);
   return true;
 }
 
 bool AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,
-                                 const GroupingSnapshot& grouping,
                                  std::vector<GroupEpochState>* gstate) {
   // The log parser + dispatcher (component 1 of Fig. 3): a single pass over
   // the metadata prefixes finds transaction boundaries and routes each DML
@@ -305,11 +280,11 @@ bool AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,
           SetError(Status::Corruption("DML outside transaction"));
           return false;
         }
-        if (rec->table_id >= grouping.table_to_group.size()) {
+        if (rec->table_id >= table_to_group_.size()) {
           SetError(Status::Corruption("DML for unknown table"));
           return false;
         }
-        size_t gi = static_cast<size_t>(grouping.table_to_group[rec->table_id]);
+        size_t gi = static_cast<size_t>(table_to_group_[rec->table_id]);
         GroupEpochState& gs = (*gstate)[gi];
         // A group's open fragment is its newest, while it belongs to the
         // current transaction.
@@ -329,17 +304,16 @@ bool AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,
   return true;
 }
 
-void AetsReplayer::PlanTranslate(PreparedAets* prep,
+void AetsReplayer::PlanTranslate(EpochState* state,
                                  const std::vector<int>& member_groups) {
   if (member_groups.empty()) return;
-  const GroupingSnapshot& grouping = *prep->grouping;
 
   std::vector<GroupDemand> demands;
   demands.reserve(member_groups.size());
   for (int gi : member_groups) {
     demands.push_back(GroupDemand{
-        static_cast<double>(prep->gstate[static_cast<size_t>(gi)].bytes),
-        grouping.groups[static_cast<size_t>(gi)].access_rate});
+        static_cast<double>(state->gstate[static_cast<size_t>(gi)].bytes),
+        groups_[static_cast<size_t>(gi)].access_rate});
   }
   std::vector<int> alloc =
       AllocateThreads(demands, options_.replay_threads, options_.adaptive_alloc);
@@ -362,72 +336,73 @@ void AetsReplayer::PlanTranslate(PreparedAets* prep,
   // find nothing left to claim. Groups that received no thread (more groups
   // than workers) piggyback on this stage's tasks round-robin, so every
   // group always makes progress.
-  const size_t first = prep->tasks.size();
+  const size_t first = state->tasks.size();
   std::vector<int> leftovers;
   for (size_t i = 0; i < member_groups.size(); ++i) {
     size_t frags =
-        prep->gstate[static_cast<size_t>(member_groups[i])].fragments.size();
+        state->gstate[static_cast<size_t>(member_groups[i])].fragments.size();
     size_t workers = std::min(static_cast<size_t>(alloc[i]), frags);
     if (workers == 0) leftovers.push_back(member_groups[i]);
-    prep->tasks.insert(prep->tasks.end(), workers, {member_groups[i]});
+    state->tasks.insert(state->tasks.end(), workers, {member_groups[i]});
   }
-  if (prep->tasks.size() == first) prep->tasks.emplace_back();
-  const size_t stage_tasks = prep->tasks.size() - first;
+  if (state->tasks.size() == first) state->tasks.emplace_back();
+  const size_t stage_tasks = state->tasks.size() - first;
   for (size_t i = 0; i < leftovers.size(); ++i) {
-    prep->tasks[first + i % stage_tasks].push_back(leftovers[i]);
+    state->tasks[first + i % stage_tasks].push_back(leftovers[i]);
   }
 }
 
-void AetsReplayer::LaunchTranslate(PreparedAets* prep) {
+void AetsReplayer::LaunchTranslate(const std::string& payload,
+                                   EpochState* state) {
   // One job per replay worker the plan can use; each job claims planned
   // tasks in order (hot stage first, so stage 1 is never starved behind
-  // cold work) until none is left. The committers — which may only run
-  // epochs later — synchronize on the per-fragment translated flags, and
-  // the prepared state's outstanding_translate counter keeps the gstate
-  // alive until every job returned. The ring after the decrement touches
-  // only replayer memory: the drained epoch's state may already be freed.
-  const size_t jobs = std::min(prep->tasks.size(),
+  // cold work) until none is left. The committers synchronize on the
+  // per-fragment translated flags, and the epoch state's
+  // outstanding_translate counter keeps it alive until every job returned.
+  // The ring after the decrement touches only replayer memory: the epoch's
+  // state may already be freed.
+  const size_t jobs = std::min(state->tasks.size(),
                                static_cast<size_t>(options_.replay_threads));
-  prep->outstanding_translate.store(static_cast<int>(jobs),
-                                    std::memory_order_relaxed);
-  const auto job = [this, prep] {
+  state->outstanding_translate.store(static_cast<int>(jobs),
+                                     std::memory_order_relaxed);
+  const auto job = [this, &payload, state] {
     for (;;) {
-      size_t t = prep->next_task.fetch_add(1, std::memory_order_relaxed);
-      if (t >= prep->tasks.size()) break;
-      for (int gi : prep->tasks[t]) {
-        TranslateGroup(*prep->payload, &prep->gstate[static_cast<size_t>(gi)]);
+      size_t t = state->next_task.fetch_add(1, std::memory_order_relaxed);
+      if (t >= state->tasks.size()) break;
+      for (int gi : state->tasks[t]) {
+        TranslateGroup(payload, &state->gstate[static_cast<size_t>(gi)]);
       }
     }
-    prep->outstanding_translate.fetch_sub(1, std::memory_order_release);
+    state->outstanding_translate.fetch_sub(1, std::memory_order_release);
     work_bell_.Ring();
   };
   size_t accepted = 0;
   while (accepted < jobs && replay_pool_->Submit(job)) ++accepted;
   if (accepted < jobs) {
-    prep->outstanding_translate.fetch_sub(static_cast<int>(jobs - accepted),
-                                          std::memory_order_relaxed);
+    state->outstanding_translate.fetch_sub(static_cast<int>(jobs - accepted),
+                                           std::memory_order_relaxed);
     SetError(Status::Internal("replay pool rejected a translate task"));
   }
 }
 
-void AetsReplayer::CommitStage(PreparedAets* prep,
+void AetsReplayer::CommitStage(EpochState* state,
                                const std::vector<int>& member_groups) {
   if (member_groups.empty()) return;
-  // Phase 2 (Algorithms 1-2): each group commits on one thread. The commit
-  // context and one pool job per further group claim the stage's groups in
+  // Phase 2 (Algorithms 1-2): each group commits on one thread. The main
+  // loop and one pool job per further group claim the stage's groups in
   // order; the pool has commit_threads - 1 workers, so commit_threads still
   // bounds how many groups commit at once (1 reproduces a single-commit-
   // thread design: no pool, every group here in turn), and a one-group
-  // stage wakes no other thread. Only the commit context submits, so
-  // WaitIdle is a barrier over exactly this epoch's stage — and over every
-  // reader of the stack-held claim counter.
+  // stage wakes no other thread. Only the main loop submits, so WaitIdle is
+  // a barrier over exactly this epoch's stage — and over every reader of
+  // the stack-held claim counter.
   std::atomic<size_t> next{0};
   auto claim = [&] {
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= member_groups.size()) return;
       const auto gi = static_cast<size_t>(member_groups[i]);
-      CommitGroup(&prep->gstate[gi], prep->grouping->groups[gi]);
+      CommitGroup(&state->gstate[gi], groups_[gi]);
     }
   };
   const size_t helpers = commit_pool_ ? member_groups.size() - 1 : 0;
@@ -483,8 +458,12 @@ void AetsReplayer::TranslateGroup(const std::string& payload,
 void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   // TPLR phase 2 (Algorithms 1-2): walk the group's commit order; for each
   // transaction wait until phase 1 finished it, then append its cells to the
-  // version lists and publish tg_cmt_ts.
+  // version lists and publish tg_cmt_ts. The visibility bell rings once the
+  // group stops — done, or on the latch — and before each park on an
+  // untranslated fragment, so a reader parked on these tables wakes for
+  // every store without a wake-up per fragment.
   std::vector<const MemNode*> dirty_nodes;  // one table's rows of a fragment
+  bool unrung = false;  // a tg_cmt_ts store since the last ring
   for (auto& frag_ptr : gs->fragments) {
     Fragment* frag = frag_ptr.get();
     // waiting_commit_list check: park on the work bell until phase 1 flips
@@ -494,13 +473,15 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
       return frag->translated.load(std::memory_order_acquire) || HasError();
     };
     if (!ready()) {
+      if (unrung) bell().Ring();
+      unrung = false;
       stats_.commit_waits.fetch_add(1, std::memory_order_relaxed);
       work_bell_.WaitUntil(ready);
     }
     // A poisoned fragment holds a partial transaction; installing it would
     // corrupt the backup. Freeze this group's watermark at the last fully
     // committed transaction instead.
-    if (frag->poisoned.load(std::memory_order_acquire) || HasError()) return;
+    if (frag->poisoned.load(std::memory_order_acquire) || HasError()) break;
     {
       ScopedTimerNs timer(&stats_.commit_ns);
       for (auto& pc : frag->cells) {
@@ -527,8 +508,9 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
     for (TableId t : group.tables) {
       StoreMaxTimestamp(table_ts_[t], frag->commit_ts + options_.test_tg_publish_skew);
     }
-    bell().Ring();  // one wake-up for the whole group's tables
+    unrung = true;
   }
+  if (unrung) bell().Ring();
 }
 
 }  // namespace aets

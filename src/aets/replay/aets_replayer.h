@@ -33,9 +33,10 @@ enum class GroupingMode {
 /// `adaptive_alloc`, `commit_threads = 1`) degrade AETS into the paper's
 /// comparison points.
 struct AetsOptions {
-  // ---- Parallelism: threads, pipeline, shards (DESIGN.md §9, §11) -------
-  // One replayer's concurrency is replay_threads × commit_threads ×
-  // pipeline_depth. The third axis, shard_count, lives OUTSIDE this struct:
+  // ---- Parallelism: threads and shards (DESIGN.md §9, §11) --------------
+  // One replayer applies one epoch at a time; its concurrency is
+  // replay_threads translating and commit_threads committing inside that
+  // epoch. The third axis, shard_count, lives OUTSIDE this struct:
   // a ShardedBackup (replay/sharded_backup.h) runs N replayers built from
   // one configuration, treating replay_threads and commit_threads as TOTAL
   // budgets divided across shards by SplitShardThreads — so backups with
@@ -45,16 +46,10 @@ struct AetsOptions {
   /// Total replay worker threads (T in Section IV-B).
   int replay_threads = 4;
   /// Group commits in parallel at most; each group's commit runs on one
-  /// thread. The commit context counts as one of them (it claims a stage's
+  /// thread. The main loop counts as one of them (it claims a stage's
   /// groups alongside the pool), so the pool holds commit_threads - 1
   /// workers. 1 models a single commit thread.
   int commit_threads = 4;
-  /// Cross-epoch pipeline depth (DESIGN.md §9): how many epochs may sit
-  /// between dispatch/translation and commit at once. 1 reproduces the fully
-  /// serial main loop; 2–4 overlap epoch N+1's dispatch + phase-1
-  /// translation with epoch N's phase-2 commit. Watermark publication stays
-  /// strictly epoch-ordered at any depth.
-  int pipeline_depth = 2;
 
   // ---- Two-stage replay & allocation (Section IV-B ablations) -----------
 
@@ -106,10 +101,9 @@ struct AetsOptions {
 /// visibility timestamps of Algorithm 3.
 ///
 /// One AetsReplayer drives one backup node: it pulls encoded epochs from its
-/// channel in order, dispatches + phase-1-translates each epoch on the main
-/// loop thread (PrepareEpoch), and installs + publishes it on the commit
-/// context (CommitEpoch) — with pipeline_depth > 1 the two phases of
-/// adjacent epochs overlap (DESIGN.md §9).
+/// channel in order and applies each to completion on the main loop thread
+/// (ApplyEpoch, DESIGN.md §9): dispatch there, phase-1 translation on the
+/// replay pool, phase-2 group commits on the main loop and the commit pool.
 class AetsReplayer : public ReplayerBase {
  public:
   AetsReplayer(const Catalog* catalog, EpochChannel* channel,
@@ -141,10 +135,7 @@ class AetsReplayer : public ReplayerBase {
  protected:
   Status StartWorkers() override;
   void StopWorkers() override;
-  std::unique_ptr<PreparedEpoch> PrepareEpoch(
-      const ShippedEpoch& epoch) override;
-  bool CommitEpoch(const ShippedEpoch& epoch,
-                   std::unique_ptr<PreparedEpoch> prepared) override;
+  bool ApplyEpoch(const ShippedEpoch& epoch) override;
   void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
@@ -181,28 +172,16 @@ class AetsReplayer : public ReplayerBase {
     size_t bytes = 0;
   };
 
-  /// An immutable grouping generation. Each prepared epoch pins the
-  /// generation it was dispatched under, so a regroup triggered while later
-  /// epochs prepare can never invalidate the group/table lists a commit (or
-  /// an in-flight translate task) still reads.
-  struct GroupingSnapshot {
-    std::vector<TableGroup> groups;
-    std::vector<int> table_to_group;
-  };
-
-  /// Everything PrepareEpoch hands across the pipeline to CommitEpoch. Its
-  /// destructor parks on the work bell until every translate job launched
-  /// for this epoch returned, so neither a dropped (post-error-latch) item
-  /// nor a committed one whose jobs found nothing left to claim can leave
-  /// a worker touching freed state.
-  struct PreparedAets : PreparedEpoch {
-    explicit PreparedAets(WatermarkBell* bell) : work_bell(bell) {}
-    ~PreparedAets() override;
+  /// One epoch's replay state, a local of ApplyEpoch. Its destructor parks
+  /// on the work bell until every translate job launched for the epoch
+  /// returned, so neither a failed epoch (whose committers stopped on the
+  /// latch) nor a committed one whose jobs found nothing left to claim can
+  /// leave a worker touching freed state.
+  struct EpochState {
+    explicit EpochState(WatermarkBell* bell) : work_bell(bell) {}
+    ~EpochState();
 
     WatermarkBell* work_bell;
-    std::shared_ptr<const GroupingSnapshot> grouping;
-    /// Pins the wire bytes the fragments' offsets point into.
-    std::shared_ptr<const std::string> payload;
     std::vector<GroupEpochState> gstate;
     std::vector<int> hot_groups;
     std::vector<int> cold_groups;
@@ -216,24 +195,20 @@ class AetsReplayer : public ReplayerBase {
     std::atomic<size_t> next_task{0};
     /// Replay jobs launched for this epoch that have not returned.
     std::atomic<int> outstanding_translate{0};
-    int64_t apply_start_us = 0;
   };
 
   void RefreshRates();
   void RebuildGroups(const std::vector<double>& rates);
-  std::shared_ptr<const GroupingSnapshot> grouping_snapshot() const;
   bool DispatchEpoch(const ShippedEpoch& epoch,
-                     const GroupingSnapshot& grouping,
                      std::vector<GroupEpochState>* gstate);
   /// Plans the stage's thread allocation and appends its phase-1 translate
-  /// tasks to prep->tasks.
-  void PlanTranslate(PreparedAets* prep, const std::vector<int>& member_groups);
-  /// Hands the planned translate tasks to the replay pool
-  /// (asynchronously — the commit stage, possibly epochs later,
-  /// synchronizes on the per-fragment translated flags).
-  void LaunchTranslate(PreparedAets* prep);
+  /// tasks to state->tasks.
+  void PlanTranslate(EpochState* state, const std::vector<int>& member_groups);
+  /// Hands the planned translate tasks to the replay pool (asynchronously —
+  /// the commit stages synchronize on the per-fragment translated flags).
+  void LaunchTranslate(const std::string& payload, EpochState* state);
   /// Runs the stage's phase-2 group commits and waits for them to finish.
-  void CommitStage(PreparedAets* prep, const std::vector<int>& member_groups);
+  void CommitStage(EpochState* state, const std::vector<int>& member_groups);
   void TranslateGroup(const std::string& payload, GroupEpochState* gs);
   void CommitGroup(GroupEpochState* gs, const TableGroup& group);
 
@@ -242,8 +217,12 @@ class AetsReplayer : public ReplayerBase {
   std::vector<std::atomic<Timestamp>> table_ts_;
   std::atomic<Timestamp> global_ts_{kInvalidTimestamp};
 
+  /// The current grouping. Only the main loop writes it (between epochs,
+  /// under groups_mu_), so the main loop and the workers of the epoch it
+  /// applies read it without the lock; groups() takes it.
   mutable std::mutex groups_mu_;
-  std::shared_ptr<const GroupingSnapshot> grouping_;
+  std::vector<TableGroup> groups_;
+  std::vector<int> table_to_group_;
   std::vector<double> current_rates_;
 
   /// Observability (resolved once per instrument; aggregated process-wide).

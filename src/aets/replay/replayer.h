@@ -45,9 +45,9 @@ struct ReplayStats {
   /// `epochs` this tells an external stepper when a shipped epoch has been
   /// fully consumed (the simulation harness waits on it).
   std::atomic<uint64_t> heartbeats{0};
-  /// Times the main loop blocked handing a prepared epoch to a full commit
-  /// pipeline (pipeline_depth epochs already in flight) — the backpressure
-  /// events of the cross-epoch pipeline, DESIGN.md §9.
+  /// Always 0: a replayer applies one epoch at a time (DESIGN.md §9), so
+  /// there is no cross-epoch queue to stall on. Kept because the benchmark
+  /// program still reads it.
   std::atomic<uint64_t> pipeline_stalls{0};
   /// Phase-2 commits that found the next transaction in commit order not yet
   /// translated (AETS) or applied (ATR) and parked on the work bell for it.

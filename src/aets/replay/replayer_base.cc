@@ -29,18 +29,14 @@ ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
                  {"replay.epochs_duplicate_dropped",
                   &stats_.duplicates_dropped},
                  {"replay.epochs_corrupt_dropped", &stats_.corrupt_dropped},
-                 {"pipeline.stalls", &stats_.pipeline_stalls},
                  {"replay.commit_waits", &stats_.commit_waits},
-                 {"replay.conflict_retries", &stats_.conflict_retries}}),
-      pipeline_depth_metric_(obs::GetGauge("pipeline.depth")),
-      pipeline_occupancy_metric_(obs::GetGauge("pipeline.occupancy")) {}
+                 {"replay.conflict_retries", &stats_.conflict_retries}}) {}
 
 ReplayerBase::~ReplayerBase() {
   // Backstop only: by now the derived part is gone, so StopWorkers() would
   // not dispatch — derived destructors must call Stop() themselves.
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (main_thread_.joinable()) main_thread_.join();
-  if (commit_thread_.joinable()) commit_thread_.join();
 }
 
 void ReplayerBase::SetEpochSource(EpochSource* source) {
@@ -53,12 +49,6 @@ void ReplayerBase::SetRecoveryOptions(const ReplayRecoveryOptions& options) {
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (started_.load(std::memory_order_relaxed)) return;
   recovery_ = options;
-}
-
-void ReplayerBase::SetPipelineDepth(int depth) {
-  std::lock_guard<std::mutex> lk(lifecycle_mu_);
-  if (started_.load(std::memory_order_relaxed)) return;
-  pipeline_depth_ = depth;
 }
 
 void ReplayerBase::EnableColumnStore(storage::ColumnStoreOptions options) {
@@ -81,23 +71,12 @@ Status ReplayerBase::Start() {
   if (started_.load(std::memory_order_relaxed)) {
     return Status::InvalidArgument("already started");
   }
-  if (pipeline_depth_ < 1) {
-    return Status::InvalidArgument("pipeline_depth must be >= 1, got " +
-                                   std::to_string(pipeline_depth_));
-  }
   Status s = StartWorkers();
   if (!s.ok()) return s;
-  pipe_.clear();
-  pipe_closed_ = false;
-  in_commit_ = 0;
-  pipeline_depth_metric_->Set(pipeline_depth_);
   started_.store(true, std::memory_order_release);
   if (column_store_ != nullptr) {
     col_stop_ = false;
     column_thread_ = std::thread([this] { ColumnMergeLoop(); });
-  }
-  if (pipeline_depth_ > 1) {
-    commit_thread_ = std::thread([this] { CommitLoop(); });
   }
   main_thread_ = std::thread([this] { MainLoop(); });
   return Status::OK();
@@ -106,10 +85,7 @@ Status ReplayerBase::Start() {
 void ReplayerBase::Stop() {
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (!started_.load(std::memory_order_relaxed)) return;
-  // The main loop closes the pipeline after its final drain, so joining in
-  // this order leaves the commit queue fully consumed.
   if (main_thread_.joinable()) main_thread_.join();
-  if (commit_thread_.joinable()) commit_thread_.join();
   if (column_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lk(col_mu_);
@@ -137,7 +113,7 @@ void ReplayerBase::SetError(Status status) {
   bell().Ring();
 }
 
-void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
+void ReplayerBase::ApplyNext(const ShippedEpoch& epoch, bool retransmitted) {
   ++expected_epoch_;
   if (retransmitted) {
     stats_.epochs_retried.fetch_add(1, std::memory_order_relaxed);
@@ -145,85 +121,22 @@ void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
   if (stats_.wall_start_us.load() == 0) {
     stats_.wall_start_us.store(MonotonicMicros());
   }
-  PipelineItem item;
-  // The latch can trip from the commit context mid-ingest; a post-latch
-  // epoch skips prepare and drains through the queue as a no-op.
-  if (!epoch.is_heartbeat() && !HasError()) {
-    item.prepared = PrepareEpoch(epoch);
+  if (commit_hook_) commit_hook_(epoch);
+  if (epoch.is_heartbeat()) {
+    ProcessHeartbeat(epoch);
+    stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
+  } else if (ApplyEpoch(epoch)) {
+    // Hand the epoch's dirty keys to the column-merge worker. The request is
+    // posted after every watermark of the epoch published, so the
+    // asynchronous rebuild reads fully-installed version chains at
+    // max_commit_ts; a failed epoch posts nothing and its dirty keys stay
+    // pending (queries resolve them through the residual path).
+    RequestColumnPublish(epoch.max_commit_ts);
+    stats_.epochs.fetch_add(1, std::memory_order_relaxed);
+    stats_.records.fetch_add(epoch.num_records, std::memory_order_relaxed);
+    stats_.bytes.fetch_add(epoch.ByteSize(), std::memory_order_relaxed);
   }
-  item.epoch = std::move(epoch);
-  if (pipeline_depth_ <= 1) {
-    CommitItem(std::move(item));
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lk(pipe_mu_);
-    const size_t depth = static_cast<size_t>(pipeline_depth_);
-    if (pipe_.size() + static_cast<size_t>(in_commit_) >= depth) {
-      // Backpressure: the commit stage is the bottleneck — block instead of
-      // letting prepared epochs (and their pinned payloads) pile up.
-      stats_.pipeline_stalls.fetch_add(1, std::memory_order_relaxed);
-      pipe_space_cv_.wait(lk, [&] {
-        return pipe_.size() + static_cast<size_t>(in_commit_) < depth;
-      });
-    }
-    pipe_.push_back(std::move(item));
-    pipeline_occupancy_metric_->Set(
-        static_cast<int64_t>(pipe_.size()) + in_commit_);
-  }
-  pipe_ready_cv_.notify_one();
-}
-
-void ReplayerBase::CommitItem(PipelineItem item) {
-  if (!HasError()) {
-    if (commit_hook_) commit_hook_(item.epoch);
-    if (item.epoch.is_heartbeat()) {
-      ProcessHeartbeat(item.epoch);
-      stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      if (CommitEpoch(item.epoch, std::move(item.prepared))) {
-        // Hand the epoch's dirty keys to the column-merge worker. The
-        // request is posted after every watermark of the epoch published,
-        // so the asynchronous rebuild reads fully-installed version chains
-        // at max_commit_ts; a failed epoch posts nothing and its dirty keys
-        // stay pending (queries resolve them through the residual path).
-        // The return value, not a re-read of the latch, decides: a later
-        // epoch's translation may latch between the publish and here.
-        RequestColumnPublish(item.epoch.max_commit_ts);
-        stats_.epochs.fetch_add(1, std::memory_order_relaxed);
-        stats_.records.fetch_add(item.epoch.num_records,
-                                 std::memory_order_relaxed);
-        stats_.bytes.fetch_add(item.epoch.ByteSize(),
-                               std::memory_order_relaxed);
-      }
-    }
-  }
-  // A dropped (post-latch) item unwinds here: destroying `prepared` quiesces
-  // any translation the prepare phase left in flight, and nothing publishes.
   stats_.wall_end_us.store(MonotonicMicros());
-}
-
-void ReplayerBase::CommitLoop() {
-  for (;;) {
-    PipelineItem item;
-    {
-      std::unique_lock<std::mutex> lk(pipe_mu_);
-      pipe_ready_cv_.wait(lk, [&] { return pipe_closed_ || !pipe_.empty(); });
-      if (pipe_.empty()) return;  // closed and drained
-      item = std::move(pipe_.front());
-      pipe_.pop_front();
-      ++in_commit_;
-    }
-    pipe_space_cv_.notify_one();
-    CommitItem(std::move(item));
-    {
-      std::lock_guard<std::mutex> lk(pipe_mu_);
-      --in_commit_;
-      pipeline_occupancy_metric_->Set(
-          static_cast<int64_t>(pipe_.size()) + in_commit_);
-    }
-    pipe_space_cv_.notify_one();
-  }
 }
 
 void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
@@ -264,7 +177,7 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
     }
     return;
   }
-  ApplyNext(std::move(epoch), retransmitted);
+  ApplyNext(epoch, retransmitted);
   // The arrival may have been the gap head — drain every parked successor
   // that is now contiguous.
   while (!HasError()) {
@@ -272,7 +185,7 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
     if (it == pending->end()) break;
     ShippedEpoch next = std::move(it->second);
     pending->erase(it);
-    ApplyNext(std::move(next), false);
+    ApplyNext(next, false);
   }
 }
 
@@ -362,13 +275,6 @@ void ReplayerBase::MainLoop() {
   // retention through the same loop.
   if (source_ != nullptr && !HasError()) {
     FillGaps(&pending, source_->NextEpochId());
-  }
-  if (pipeline_depth_ > 1) {
-    {
-      std::lock_guard<std::mutex> lk(pipe_mu_);
-      pipe_closed_ = true;
-    }
-    pipe_ready_cv_.notify_all();
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -44,18 +43,12 @@ struct ReplayRecoveryOptions {
 ///
 ///  - the epoch-ordered main loop: payload-CRC verification on receive,
 ///    epoch-id sequencing, wall-clock stats, heartbeat routing, and the
-///    per-epoch volume counters and metrics;
-///  - the cross-epoch pipeline (DESIGN.md §9): each in-order epoch is split
-///    into a prepare phase (PrepareEpoch — dispatch/decode/translate launch,
-///    runs on the main loop thread) and a commit phase (CommitEpoch — version
-///    install + watermark publication). With pipeline_depth > 1 a dedicated
-///    commit thread consumes a bounded in-order queue of prepared epochs, so
-///    receive/CRC/dispatch/translation of epoch N+1 overlaps the commit of
-///    epoch N. The queue bound is the backpressure: when depth epochs are in
-///    flight the main loop blocks in ApplyNext (counted in
-///    ReplayStats::pipeline_stalls / pipeline.stalls). Commit order — and
-///    therefore every watermark publication — stays strictly epoch-ordered
-///    because the single commit context pops the queue FIFO;
+///    per-epoch volume counters and metrics. The loop applies one epoch at a
+///    time, to completion (DESIGN.md §9): ApplyEpoch dispatches, translates,
+///    installs and publishes an epoch before the loop receives the next, so
+///    every watermark publication — heartbeats included — is epoch-ordered
+///    by construction. The parallelism lives inside an epoch, in the
+///    subclass's worker pools;
 ///  - the loss-recovery protocol. The channel may drop, duplicate, reorder,
 ///    or corrupt epochs; the loop skips already-applied ids (duplicates),
 ///    buffers early arrivals, and fills gaps by first waiting a bounded
@@ -71,18 +64,14 @@ struct ReplayRecoveryOptions {
 ///    predicate reads HasError() wakes on it. Once it trips, the main loop
 ///    stops applying and drains the channel without installing anything
 ///    (the channel is bounded, so halting receives outright could deadlock
-///    the producer). Epochs already in the pipeline drain through the
-///    commit thread without committing or publishing, and their prepared
-///    state unwinds cleanly (subclasses quiesce in-flight translation in
-///    their PreparedEpoch destructor);
+///    the producer);
 ///  - race-safe Start()/Stop(): lifecycle transitions are serialized by a
 ///    mutex, Stop() is idempotent, and a failed StartWorkers() leaves the
 ///    replayer cleanly un-started.
 ///
-/// Subclasses implement PrepareEpoch/CommitEpoch/ProcessHeartbeat, and
-/// optionally StartWorkers/StopWorkers for their thread pools. Their
-/// destructors must call Stop() (so the virtual StopWorkers still
-/// dispatches).
+/// Subclasses implement ApplyEpoch/ProcessHeartbeat, and optionally
+/// StartWorkers/StopWorkers for their thread pools. Their destructors must
+/// call Stop() (so the virtual StopWorkers still dispatches).
 class ReplayerBase : public Replayer {
  public:
   ReplayerBase(const Catalog* catalog, EpochChannel* channel, std::string name);
@@ -92,16 +81,11 @@ class ReplayerBase : public Replayer {
   /// Shrinks/extends the recovery windows (tests). Before Start() only.
   void SetRecoveryOptions(const ReplayRecoveryOptions& options);
 
-  /// Bounds the number of epochs in flight between prepare and commit
-  /// (1 = fully serial, i.e. the pre-pipeline behavior). Before Start()
-  /// only; Start() rejects values < 1.
-  void SetPipelineDepth(int depth);
-  int pipeline_depth() const { return pipeline_depth_; }
-
-  /// Test-only: invoked on the commit context right before each pipeline
-  /// item (data epoch or heartbeat) commits. A blocking hook models a slow
-  /// committer, letting tests freeze the commit stage while the prepare
-  /// stage runs ahead. Before Start() only.
+  /// Test-only: invoked on the main loop right before each in-order data
+  /// epoch or heartbeat applies. A blocking hook freezes the replayer
+  /// between epochs — everything before the hooked epoch published, nothing
+  /// of it installed — so tests can stall one replayer (a slow shard) or
+  /// hold a point where the channel backs up. Before Start() only.
   void SetCommitHookForTest(std::function<void(const ShippedEpoch&)> hook);
 
   Status Start() final;
@@ -134,22 +118,13 @@ class ReplayerBase : public Replayer {
   Status error() const override;
 
   /// The next epoch id the main loop expects — i.e. every id below it has
-  /// been admitted into the replay pipeline (prepared, though with
-  /// pipeline_depth > 1 not necessarily committed yet; poll stats().epochs
-  /// for commit progress). Safe to poll from other threads.
+  /// been applied, or is being applied right now (poll stats().epochs for
+  /// commit progress). Safe to poll from other threads.
   EpochId next_expected_epoch() const {
     return expected_epoch_.load(std::memory_order_acquire);
   }
 
  protected:
-  /// Opaque per-epoch state carried from PrepareEpoch to CommitEpoch.
-  /// Destroying it must quiesce anything the prepare phase left in flight
-  /// (e.g. translation tasks still claiming fragments) — a dropped pipeline
-  /// item after an error latch is destroyed without CommitEpoch running.
-  struct PreparedEpoch {
-    virtual ~PreparedEpoch() = default;
-  };
-
   /// Validates options and spawns worker pools; a failure aborts Start()
   /// without marking the replayer started. Called under the lifecycle lock.
   virtual Status StartWorkers() { return Status::OK(); }
@@ -157,26 +132,16 @@ class ReplayerBase : public Replayer {
   /// Tears down worker pools after the main loop joined.
   virtual void StopWorkers() {}
 
-  /// Phase A of one data epoch: metadata dispatch, decode, and launching
-  /// any phase-1 translation. Runs on the main loop thread, possibly while
-  /// an earlier epoch is still committing — it must not install versions or
-  /// publish watermarks. On failure, latch with SetError(); the returned
-  /// state is then discarded without CommitEpoch.
-  virtual std::unique_ptr<PreparedEpoch> PrepareEpoch(
-      const ShippedEpoch& epoch) = 0;
-
-  /// Phase B of one data epoch: version install and watermark publication.
-  /// Runs on the commit context (the commit thread when pipeline_depth > 1,
-  /// inline otherwise), strictly in epoch order, one epoch at a time. On
-  /// failure, latch with SetError() and return false — the base then skips
-  /// the per-epoch stats/metrics and stops applying. Returns true when the
-  /// epoch's watermarks published: a later epoch's prepare may latch the
-  /// error right after, and this epoch still counts and publishes columns.
-  virtual bool CommitEpoch(const ShippedEpoch& epoch,
-                           std::unique_ptr<PreparedEpoch> prepared) = 0;
+  /// Replays one data epoch to completion on the main loop: dispatch,
+  /// translation, version install and watermark publication, strictly in
+  /// epoch order. Anything it hands to worker threads must have returned
+  /// before it does. On failure, latch with SetError() and return false —
+  /// the base then skips the per-epoch stats/metrics and stops applying.
+  /// Returns true when the epoch's watermarks published.
+  virtual bool ApplyEpoch(const ShippedEpoch& epoch) = 0;
 
   /// Publishes a heartbeat timestamp to the visibility watermark(s). Runs on
-  /// the commit context, ordered with CommitEpoch — a heartbeat never
+  /// the main loop after every earlier epoch applied, so a heartbeat never
   /// overtakes the data epoch shipped before it.
   virtual void ProcessHeartbeat(const ShippedEpoch& epoch) = 0;
 
@@ -219,31 +184,16 @@ class ReplayerBase : public Replayer {
   /// Early arrivals parked while a gap is open, keyed by epoch id.
   using PendingMap = std::map<EpochId, ShippedEpoch>;
 
-  /// One in-order unit of the prepare→commit hand-off. Heartbeats flow
-  /// through the same queue (prepared == nullptr) so their publication
-  /// cannot overtake a data epoch still committing.
-  struct PipelineItem {
-    ShippedEpoch epoch;
-    std::unique_ptr<PreparedEpoch> prepared;
-  };
-
   void MainLoop();
   /// Classifies one received epoch: corrupt payloads are dropped (a loss the
   /// NACK path repairs), stale ids are counted as duplicates, early ids are
   /// parked in `pending`, and the expected id is applied — followed by every
   /// now-contiguous parked successor.
   void Ingest(ShippedEpoch epoch, PendingMap* pending, bool retransmitted);
-  /// Prepares the epoch at expected_epoch_, advances the sequence, and hands
-  /// the prepared item to the commit context — inline at depth 1, otherwise
-  /// via the bounded pipeline queue (blocking when depth epochs are already
-  /// in flight).
-  void ApplyNext(ShippedEpoch epoch, bool retransmitted);
-  /// Commits (or, post-latch, drains) one pipeline item and maintains the
-  /// per-epoch stats/metrics. Runs on the commit context.
-  void CommitItem(PipelineItem item);
-  /// Commit-thread body at pipeline_depth > 1: pops the queue FIFO until it
-  /// is closed and drained.
-  void CommitLoop();
+  /// Advances the sequence past the epoch at expected_epoch_, applies it
+  /// (or publishes it, for a heartbeat) and maintains the per-epoch
+  /// stats/metrics.
+  void ApplyNext(const ShippedEpoch& epoch, bool retransmitted);
   /// Fills the gap at expected_epoch_ until no epoch is parked and every id
   /// below `end` is applied: a bounded reorder wait on the channel, then a
   /// NACK via the EpochSource, then the error latch once max_retries rounds
@@ -254,37 +204,24 @@ class ReplayerBase : public Replayer {
   std::string name_;
 
   /// Columnar projections maintained at epoch-commit granularity; nullptr
-  /// unless EnableColumnStore was called. Published only by the single
-  /// commit context, read by any query thread.
+  /// unless EnableColumnStore was called. Published only by the merge
+  /// thread, read by any query thread.
   std::unique_ptr<storage::ColumnStore> column_store_;
 
   EpochSource* source_ = nullptr;
   ReplayRecoveryOptions recovery_;
-  int pipeline_depth_ = 1;
   std::function<void(const ShippedEpoch&)> commit_hook_;
 
   /// Observability: stats_ exported as `replay.*` under this replayer's
-  /// name; gauges resolved once and aggregated process-wide.
+  /// name.
   obs::ExportedCounters exported_;
-  obs::Gauge* pipeline_depth_metric_;
-  obs::Gauge* pipeline_occupancy_metric_;
-
-  /// Prepare→commit hand-off (pipeline_depth > 1 only). Occupancy is
-  /// pipe_.size() + in_commit_; ApplyNext blocks while it equals the depth.
-  std::mutex pipe_mu_;
-  std::condition_variable pipe_ready_cv_;
-  std::condition_variable pipe_space_cv_;
-  std::deque<PipelineItem> pipe_;
-  int in_commit_ = 0;
-  bool pipe_closed_ = false;
 
   std::thread main_thread_;
-  std::thread commit_thread_;
   std::mutex lifecycle_mu_;
   std::atomic<bool> started_{false};
 
-  /// Background column-merge worker (column_store_ set only): the commit
-  /// context posts the newest applied watermark via RequestColumnPublish and
+  /// Background column-merge worker (column_store_ set only): the main
+  /// loop posts the newest applied watermark via RequestColumnPublish and
   /// moves on; this thread coalesces the requests — when replay outruns it,
   /// intermediate watermarks collapse into one rebuild at the latest — and
   /// runs ColumnStore::Publish off the replay critical path. Queries stay

@@ -69,14 +69,13 @@ const storage::ColumnStore* ShardedBackup::ColumnStoreForTable(
 namespace {
 
 // The ReplayStats counters a facade sums over its shards: every field but
-// the two wall-clock marks.
+// the two wall-clock marks and the always-zero pipeline_stalls.
 constexpr std::atomic<uint64_t> ReplayStats::*kSummedCounts[] = {
     &ReplayStats::epochs,          &ReplayStats::txns,
     &ReplayStats::records,         &ReplayStats::bytes,
     &ReplayStats::epochs_retried,  &ReplayStats::duplicates_dropped,
     &ReplayStats::corrupt_dropped, &ReplayStats::heartbeats,
-    &ReplayStats::pipeline_stalls, &ReplayStats::commit_waits,
-    &ReplayStats::conflict_retries};
+    &ReplayStats::commit_waits,    &ReplayStats::conflict_retries};
 constexpr std::atomic<int64_t> ReplayStats::*kSummedNanos[] = {
     &ReplayStats::dispatch_ns,    &ReplayStats::replay_ns,
     &ReplayStats::commit_ns,      &ReplayStats::stage1_wall_ns,

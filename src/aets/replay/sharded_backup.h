@@ -13,12 +13,12 @@ namespace aets {
 
 /// N in-process backup shards behind the single-replayer interface (ISSUE 7
 /// tentpole, DESIGN.md §11). Each shard is a full ReplayerBase-derived
-/// replayer — its own channel, pipeline depth, sticky error latch, and
+/// replayer — its own channel, worker pools, sticky error latch, and
 /// TableStore — consuming its sub-epoch stream from the sharded LogShipper.
 /// The facade routes per-table reads to the owning shard and answers global
 /// visibility through a GlobalSnapshotCoordinator, so existing callers
 /// (WaitVisible, the sim oracle, the bench harness) see one Replayer whose
-/// parallelism is pipeline_depth × shard_count. The shards ring the facade's
+/// epoch-level parallelism is shard_count. The shards ring the facade's
 /// WatermarkBell, so WaitVisible over the facade wakes on any shard's
 /// watermark advance.
 ///

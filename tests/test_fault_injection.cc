@@ -984,61 +984,45 @@ struct ChaosReplayerSpec {
       make;
 };
 
-// Cross-epoch pipeline depth (DESIGN.md §9) for every chaos replayer;
-// AETS_PIPELINE_DEPTH overrides the default so CI can sweep depths without
-// a rebuild.
-int ChaosPipelineDepth() {
-  if (const char* env = std::getenv("AETS_PIPELINE_DEPTH")) {
-    int depth = std::atoi(env);
-    if (depth >= 1) return depth;
-  }
-  return 2;
-}
-
 std::vector<ChaosReplayerSpec> ChaosReplayerSpecs(int num_tables) {
   std::vector<double> rates(static_cast<size_t>(num_tables), 0.0);
   for (int t = 0; t < num_tables / 2; ++t) {
     rates[static_cast<size_t>(t)] = 10.0 * (t + 1) * (t + 1);
   }
-  const int depth = ChaosPipelineDepth();
   std::vector<ChaosReplayerSpec> specs;
   specs.push_back({"aets-per-table",
-                   [rates, depth](const Catalog* c, EpochChannel* ch) {
+                   [rates](const Catalog* c, EpochChannel* ch) {
                      AetsOptions o;
                      o.replay_threads = 3;
                      o.commit_threads = 2;
                      o.grouping = GroupingMode::kPerTable;
                      o.initial_rates = rates;
-                     o.pipeline_depth = depth;
                      return std::make_unique<AetsReplayer>(c, ch, o);
                    }});
   specs.push_back({"aets-by-rate",
-                   [rates, depth](const Catalog* c, EpochChannel* ch) {
+                   [rates](const Catalog* c, EpochChannel* ch) {
                      AetsOptions o;
                      o.replay_threads = 3;
                      o.commit_threads = 2;
                      o.grouping = GroupingMode::kByAccessRate;
                      o.initial_rates = rates;
-                     o.pipeline_depth = depth;
                      return std::make_unique<AetsReplayer>(c, ch, o);
                    }});
-  specs.push_back({"tplr", [depth](const Catalog* c, EpochChannel* ch) {
-                     AetsOptions o = TplrBaselineOptions(/*replay_threads=*/3);
-                     o.pipeline_depth = depth;
-                     return std::make_unique<AetsReplayer>(c, ch, o);
+  specs.push_back({"tplr", [](const Catalog* c, EpochChannel* ch) {
+                     return std::make_unique<AetsReplayer>(
+                         c, ch, TplrBaselineOptions(/*replay_threads=*/3));
                    }});
-  specs.push_back({"atr", [depth](const Catalog* c, EpochChannel* ch) {
+  specs.push_back({"atr", [](const Catalog* c, EpochChannel* ch) {
                      return std::make_unique<AtrReplayer>(
-                         c, ch, AtrOptions{/*workers=*/3, depth});
+                         c, ch, AtrOptions{/*workers=*/3});
                    }});
-  specs.push_back({"c5", [depth](const Catalog* c, EpochChannel* ch) {
+  specs.push_back({"c5", [](const Catalog* c, EpochChannel* ch) {
                      return std::make_unique<C5Replayer>(
                          c, ch,
-                         C5Options{/*workers=*/3,
-                                   /*watermark_period_us=*/500, depth});
+                         C5Options{/*workers=*/3, /*watermark_period_us=*/500});
                    }});
-  specs.push_back({"serial", [depth](const Catalog* c, EpochChannel* ch) {
-                     return std::make_unique<SerialReplayer>(c, ch, depth);
+  specs.push_back({"serial", [](const Catalog* c, EpochChannel* ch) {
+                     return std::make_unique<SerialReplayer>(c, ch);
                    }});
   return specs;
 }

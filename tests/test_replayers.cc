@@ -9,8 +9,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -116,7 +117,6 @@ std::vector<std::unique_ptr<Replayer>> MakeAllReplayers(
     options.commit_threads = 2;
     options.grouping = GroupingMode::kPerTable;
     options.initial_rates = rates;
-    options.pipeline_depth = 1;  // unpipelined reference configuration
     replayers.push_back(std::make_unique<AetsReplayer>(
         catalog, pipeline->AddChannel(), options));
   }
@@ -126,7 +126,6 @@ std::vector<std::unique_ptr<Replayer>> MakeAllReplayers(
     options.commit_threads = 2;
     options.grouping = GroupingMode::kByAccessRate;
     options.initial_rates = rates;
-    options.pipeline_depth = 3;  // deep cross-epoch pipeline (DESIGN.md §9)
     replayers.push_back(std::make_unique<AetsReplayer>(
         catalog, pipeline->AddChannel(), options));
   }
@@ -480,6 +479,34 @@ TEST(ReplayerLifecycleTest, StartValidatesOptions) {
   channel.Close();
 }
 
+// Threads of this process right now.
+size_t ProcessThreadCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+TEST(ReplayerLifecycleTest, StartedReplayerRunsOnlyItsBudgetedThreads) {
+  // One epoch at a time (DESIGN.md §9): a started AetsReplayer runs its
+  // main loop, replay_threads replay workers, commit_threads - 1 commit
+  // workers (the main loop is the other committer) and the column-merge
+  // thread — and no dedicated commit thread.
+  std::unique_ptr<Catalog> catalog(MakeCatalog(2));
+  EpochChannel channel;
+  AetsOptions options;
+  options.replay_threads = 3;
+  options.commit_threads = 2;
+  AetsReplayer replayer(catalog.get(), &channel, options);
+  ASSERT_NE(replayer.column_store(), nullptr);
+  const size_t before = ProcessThreadCount();
+  ASSERT_TRUE(replayer.Start().ok());
+  const size_t expected = 1 + static_cast<size_t>(options.replay_threads) +
+                          static_cast<size_t>(options.commit_threads - 1) + 1;
+  EXPECT_EQ(ProcessThreadCount() - before, expected);
+  channel.Close();
+  replayer.Stop();
+}
+
 TEST(ReplayerLifecycleTest, HeartbeatAdvancesAllTables) {
   std::unique_ptr<Catalog> catalog(MakeCatalog(3));
   EpochChannel channel;
@@ -545,32 +572,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LivePipelineSweep,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---------------------------------------------------------------------------
-// Cross-epoch pipeline (DESIGN.md §9)
+// One epoch at a time (DESIGN.md §9): failures inside an epoch's apply
 // ---------------------------------------------------------------------------
-
-// A commit hook that blocks the commit context on the first data epoch until
-// the test releases it, freezing the commit stage while the prepare stage
-// runs ahead.
-struct BlockingCommitHook {
-  std::function<void(const ShippedEpoch&)> AsHook() {
-    return [this](const ShippedEpoch& epoch) {
-      if (epoch.is_heartbeat() || epoch.epoch_id != 0) return;
-      std::unique_lock<std::mutex> lk(mu);
-      blocked.store(true, std::memory_order_release);
-      cv.wait(lk, [this] { return released; });
-    };
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lk(mu);
-    released = true;
-    cv.notify_all();
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool released = false;
-  std::atomic<bool> blocked{false};
-};
 
 // One transaction inserting `marker` into `table`'s string column at
 // `commit_ts`. The marker makes the string's value bytes findable in the
@@ -616,74 +619,19 @@ void CorruptValueBytes(ShippedEpoch* shipped, const std::string& marker) {
   ASSERT_TRUE(shipped->PayloadIntact());
 }
 
-TEST(PipelineTest, PublicationStaysInOrderUnderBackpressure) {
-  // Freeze the committer on epoch 0 with depth 3: the prepare stage may run
-  // ahead by exactly `depth` epochs (plus the one blocked in ApplyNext), and
-  // nothing may become visible until the committer resumes — publication is
-  // epoch-ordered even though translation of later epochs already finished.
-  constexpr int kTables = 2;
-  constexpr int kDepth = 3;
-  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
-  Pipeline pipeline(catalog.get(), /*epoch_size=*/4);
-  AetsOptions options;
-  options.replay_threads = 2;
-  options.grouping = GroupingMode::kPerTable;
-  options.pipeline_depth = kDepth;
-  AetsReplayer replayer(catalog.get(), pipeline.AddChannel(), options);
-  BlockingCommitHook hook;
-  replayer.SetCommitHookForTest(hook.AsHook());
-  ASSERT_TRUE(replayer.Start().ok());
-
-  RunRandomWorkload(&pipeline.db, kTables, /*num_txns=*/100,
-                    test::DeriveSeed(71));
-  pipeline.shipper.Finish();  // ~25 epochs, far more than the pipeline holds
-
-  // The admission sequence must advance to depth + 1 (epochs 1..depth-1
-  // queued behind the blocked epoch 0, one more blocked inside ApplyNext)
-  // and then stall there.
-  while (replayer.next_expected_epoch() < kDepth + 1) {
-    std::this_thread::yield();
-  }
-  while (replayer.stats().pipeline_stalls.load() == 0) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(replayer.next_expected_epoch(), static_cast<EpochId>(kDepth + 1));
-  // Nothing committed: no watermark moved, however far translation ran.
-  EXPECT_EQ(replayer.GlobalVisibleTs(), kInvalidTimestamp);
-  for (TableId t = 0; t < kTables; ++t) {
-    EXPECT_EQ(replayer.TableVisibleTs(t), kInvalidTimestamp);
-  }
-  EXPECT_EQ(replayer.stats().epochs.load(), 0u);
-
-  hook.Release();
-  replayer.Stop();
-
-  Timestamp final_ts = pipeline.db.last_commit_ts();
-  EXPECT_TRUE(replayer.error().ok()) << replayer.error().ToString();
-  EXPECT_EQ(replayer.GlobalVisibleTs(), final_ts);
-  EXPECT_EQ(replayer.store()->DigestAt(final_ts),
-            pipeline.db.store().DigestAt(final_ts));
-  EXPECT_EQ(replayer.stats().txns.load(), 100u);
-  EXPECT_GE(replayer.stats().pipeline_stalls.load(), 1u);
-}
-
 TEST(PipelineTest, ErrorLatchMidPipelineDrainsWithoutPublishing) {
-  // Epoch 0 is frozen in the committer while epochs 1..4 flow into the
-  // pipeline; epoch 2 carries value-byte corruption that only phase-1
-  // translation detects. The latch must trip while earlier epochs are still
-  // uncommitted, and once it does, NO watermark may advance — not even for
-  // the healthy epochs admitted before the corrupt one — and the pipeline
-  // must drain cleanly on Stop().
+  // Five epochs of one transaction each; epoch 2 carries value-byte
+  // corruption that only phase-1 translation detects. Epochs 0-1 publish
+  // and count, the latch trips inside epoch 2's apply, and from there on
+  // nothing installs: epoch 2's row never lands, epochs 3-4 drain from the
+  // channel unapplied, and every watermark stays at epoch 1's timestamp.
   constexpr int kTables = 2;
   std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
   EpochChannel channel(64);
   AetsOptions options;
   options.replay_threads = 2;
   options.grouping = GroupingMode::kPerTable;
-  options.pipeline_depth = 3;
   AetsReplayer replayer(catalog.get(), &channel, options);
-  BlockingCommitHook hook;
-  replayer.SetCommitHookForTest(hook.AsHook());
   ASSERT_TRUE(replayer.Start().ok());
 
   const std::string marker = "pipelatchmarker";
@@ -693,27 +641,23 @@ TEST(PipelineTest, ErrorLatchMidPipelineDrainsWithoutPublishing) {
     if (id == 2) CorruptValueBytes(&shipped, marker);
     channel.Send(shipped);
   }
-
-  // The corrupt epoch's translation latches the error while epoch 0 is
-  // still blocked in the commit hook.
-  while (replayer.error().ok()) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(replayer.GlobalVisibleTs(), kInvalidTimestamp);
-  for (TableId t = 0; t < kTables; ++t) {
-    EXPECT_EQ(replayer.TableVisibleTs(t), kInvalidTimestamp);
-  }
-
-  hook.Release();
+  replayer.bell().WaitUntil([&] { return !replayer.error().ok(); });
   channel.Close();
-  replayer.Stop();  // in-flight items drain without committing
+  replayer.Stop();  // returns: the epochs behind the latch drain unapplied
 
   EXPECT_TRUE(replayer.error().IsCorruption()) << replayer.error().ToString();
-  EXPECT_EQ(replayer.GlobalVisibleTs(), kInvalidTimestamp);
+  constexpr Timestamp kEpoch1Ts = 2;
+  EXPECT_EQ(replayer.GlobalVisibleTs(), kEpoch1Ts);
   for (TableId t = 0; t < kTables; ++t) {
-    EXPECT_EQ(replayer.TableVisibleTs(t), kInvalidTimestamp);
+    EXPECT_EQ(replayer.TableVisibleTs(t), kEpoch1Ts) << "table " << t;
   }
-  EXPECT_EQ(replayer.stats().epochs.load(), 0u);
+  EXPECT_EQ(replayer.stats().epochs.load(), 2u);
+  EXPECT_EQ(replayer.stats().txns.load(), 2u);
+  // Epoch k inserts key k + 1 into table 0.
+  const Memtable* table = replayer.store()->GetTable(0);
+  for (int64_t key = 1; key <= 5; ++key) {
+    EXPECT_EQ(table->ReadRow(key, 1000).has_value(), key <= 2) << "key " << key;
+  }
 }
 
 TEST(PipelineTest, QuietTableWatermarkFrozenByStageFailure) {
@@ -803,9 +747,9 @@ TxnLog MultiTableTxn(const std::vector<TableId>& tables, Timestamp commit_ts,
 }
 
 TEST(PipelineTest, StageFailureInlineOrPooledGroupPublishesNothing) {
-  // Table 0 is the one-group hot stage, which the commit context commits
+  // Table 0 is the one-group hot stage, which the main loop commits
   // itself; tables 1-3 form a multi-group cold stage whose groups the
-  // commit context and the commit pool's jobs claim; table 4 stays quiet.
+  // main loop and the commit pool's jobs claim; table 4 stays quiet.
   // Epoch 0 commits cleanly at ts 10. Epoch 1 (ts 20) carries a corrupt
   // record in one group — once in the hot group, once in a cold group. In
   // both cases the poisoned fragment's first row (translated before the
@@ -819,7 +763,7 @@ TEST(PipelineTest, StageFailureInlineOrPooledGroupPublishesNothing) {
     const char* name;
     TableId poison;
   };
-  for (const Case& c : {Case{"commit-context group", 0},
+  for (const Case& c : {Case{"main-loop group", 0},
                         Case{"multi-group stage, first group", 1},
                         Case{"multi-group stage, last group", 3}}) {
     SCOPED_TRACE(c.name);
@@ -839,9 +783,6 @@ TEST(PipelineTest, StageFailureInlineOrPooledGroupPublishesNothing) {
     clean.txns.push_back(MultiTableTxn(written, 10, /*key=*/1,
                                        /*poison_table=*/kTables, marker));
     channel.Send(EncodeEpoch(clean));
-    // The latch is sticky across the pipeline: let epoch 0 publish before
-    // epoch 1's translation can trip it.
-    replayer.bell().WaitUntil([&] { return replayer.GlobalVisibleTs() >= 10; });
     Epoch bad;
     bad.epoch_id = 1;
     bad.txns.push_back(MultiTableTxn(written, 20, /*key=*/5, c.poison, marker));
@@ -866,7 +807,7 @@ TEST(PipelineTest, StageFailureInlineOrPooledGroupPublishesNothing) {
 }
 
 TEST(PipelineTest, SingleCommitThreadReplaysToPrimaryDigest) {
-  // commit_threads = 1 leaves the commit context without a pool: it
+  // commit_threads = 1 leaves the main loop without a commit pool: it
   // commits every group of every stage itself, in turn.
   constexpr int kTables = 6;
   for (int replay_threads : {1, 3}) {

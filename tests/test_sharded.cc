@@ -617,8 +617,7 @@ TEST(ShardedBackupTest, ExportedSeriesEqualComponentAccessors) {
       {"replay.heartbeats_applied", &ReplayStats::heartbeats},
       {"replay.epochs_retried", &ReplayStats::epochs_retried},
       {"replay.epochs_duplicate_dropped", &ReplayStats::duplicates_dropped},
-      {"replay.epochs_corrupt_dropped", &ReplayStats::corrupt_dropped},
-      {"pipeline.stalls", &ReplayStats::pipeline_stalls}};
+      {"replay.epochs_corrupt_dropped", &ReplayStats::corrupt_dropped}};
   for (const auto& [name, field] : replay) {
     uint64_t sum = 0;
     for (int s = 0; s < kShards; ++s) {
@@ -724,7 +723,7 @@ TEST(ShardedBackupTest, StalledShardBoundsGlobalSafeTimestamp) {
                                    final_ts; }))
       << "healthy shard never converged";
   // Read the stalled watermark only once shard 0 is parked at the gate: its
-  // first item has then fully committed, and nothing moves it until release.
+  // first epoch has then fully applied, and nothing moves it until release.
   ASSERT_TRUE(WaitFor([&] {
     std::lock_guard<std::mutex> lk(gate_mu);
     return commits_seen >= 2;

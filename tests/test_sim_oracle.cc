@@ -30,10 +30,6 @@
 #include "test_seed.h"
 
 static int g_sim_iters = 50;
-// Cross-epoch pipeline depth (DESIGN.md §9) applied to every replayer under
-// test; 0 keeps each factory's built-in default. Set via --pipeline_depth=N
-// or AETS_PIPELINE_DEPTH. CI runs the oracle at depth 1 and depth 3.
-static int g_pipeline_depth = 0;
 // Backup shard count for the seeded sweeps (DESIGN.md §11). 0 keeps the
 // built-in counts: N = 1 for the SimOracleTest sweeps and the N ∈ {2, 3, 4}
 // matrix for the ShardedSimOracleTest sweeps. --shard_count=N (or
@@ -58,31 +54,13 @@ struct SimReplayerSpec {
   bool columnar = false;
 };
 
-// The global --pipeline_depth override, or each factory's `fallback` when
-// the flag is unset.
-int DepthOr(int fallback) {
-  return g_pipeline_depth > 0 ? g_pipeline_depth : fallback;
-}
-
 std::vector<SimReplayerSpec> AllReplayerSpecs() {
   std::vector<SimReplayerSpec> specs;
-  // Two AETS grouping configurations at the extreme pipeline depths (unless
-  // --pipeline_depth pins everything): serial hand-off vs a deep pipeline.
-  specs.push_back({"aets-per-table-d1", [](const Catalog* c, EpochChannel* ch) {
+  specs.push_back({"aets-per-table", [](const Catalog* c, EpochChannel* ch) {
                      AetsOptions o;
                      o.replay_threads = 3;
                      o.commit_threads = 2;
                      o.grouping = GroupingMode::kPerTable;
-                     o.pipeline_depth = DepthOr(1);
-                     return std::make_unique<AetsReplayer>(c, ch, o);
-                   },
-                   /*columnar=*/true});
-  specs.push_back({"aets-per-table-d3", [](const Catalog* c, EpochChannel* ch) {
-                     AetsOptions o;
-                     o.replay_threads = 3;
-                     o.commit_threads = 2;
-                     o.grouping = GroupingMode::kPerTable;
-                     o.pipeline_depth = DepthOr(3);
                      return std::make_unique<AetsReplayer>(c, ch, o);
                    },
                    /*columnar=*/true});
@@ -95,7 +73,6 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                      o.replay_threads = 3;
                      o.commit_threads = 2;
                      o.grouping = GroupingMode::kPerTable;
-                     o.pipeline_depth = DepthOr(2);
                      o.column_chunk_rows = 8;
                      return std::make_unique<AetsReplayer>(c, ch, o);
                    },
@@ -107,32 +84,27 @@ std::vector<SimReplayerSpec> AllReplayerSpecs() {
                      o.grouping = GroupingMode::kByAccessRate;
                      o.initial_rates =
                          std::vector<double>(c->num_tables(), 5.0);
-                     o.pipeline_depth = DepthOr(o.pipeline_depth);
                      return std::make_unique<AetsReplayer>(c, ch, o);
                    },
                    /*columnar=*/true});
   specs.push_back({"tplr", [](const Catalog* c, EpochChannel* ch) {
-                     AetsOptions o = TplrBaselineOptions(/*replay_threads=*/3);
-                     o.pipeline_depth = DepthOr(o.pipeline_depth);
-                     return std::make_unique<AetsReplayer>(c, ch, o);
+                     return std::make_unique<AetsReplayer>(
+                         c, ch, TplrBaselineOptions(/*replay_threads=*/3));
                    },
                    /*columnar=*/true});
   specs.push_back({"atr", [](const Catalog* c, EpochChannel* ch) {
                      AtrOptions o;
                      o.workers = 3;
-                     o.pipeline_depth = DepthOr(o.pipeline_depth);
                      return std::make_unique<AtrReplayer>(c, ch, o);
                    }});
   specs.push_back({"c5", [](const Catalog* c, EpochChannel* ch) {
                      C5Options o;
                      o.workers = 3;
                      o.watermark_period_us = 500;
-                     o.pipeline_depth = DepthOr(o.pipeline_depth);
                      return std::make_unique<C5Replayer>(c, ch, o);
                    }});
   specs.push_back({"serial", [](const Catalog* c, EpochChannel* ch) {
-                     return std::make_unique<SerialReplayer>(c, ch,
-                                                             DepthOr(2));
+                     return std::make_unique<SerialReplayer>(c, ch);
                    }});
   return specs;
 }
@@ -440,9 +412,6 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("AETS_SIM_ITERS")) {
     g_sim_iters = std::atoi(env);
   }
-  if (const char* env = std::getenv("AETS_PIPELINE_DEPTH")) {
-    g_pipeline_depth = std::atoi(env);
-  }
   if (const char* env = std::getenv("AETS_SHARD_COUNT")) {
     g_shard_count = std::atoi(env);
   }
@@ -450,8 +419,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--sim_iters=", 12) == 0) {
       g_sim_iters = std::atoi(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--pipeline_depth=", 17) == 0) {
-      g_pipeline_depth = std::atoi(argv[i] + 17);
     } else if (std::strncmp(argv[i], "--shard_count=", 14) == 0) {
       g_shard_count = std::atoi(argv[i] + 14);
     } else {
@@ -460,7 +427,6 @@ int main(int argc, char** argv) {
   }
   argc = out;
   if (g_sim_iters < 1) g_sim_iters = 1;
-  if (g_pipeline_depth < 0) g_pipeline_depth = 0;
   if (g_shard_count < 0) g_shard_count = 0;
   return RUN_ALL_TESTS();
 }
